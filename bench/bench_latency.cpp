@@ -2,11 +2,10 @@
 //
 // Four phases:
 //
-//  1. ReplayNeutrality: the seeded sharded workload (same 4-band grid as the
-//     memory gate) run plane-off, plane-on and plane-on-4-threads must make
-//     bit-identical decisions — same per-window journal hash timeline, same
-//     rolling digest, same final state hash, same event/handoff counts.
-//     Latency observes; it must never steer. On top of decision neutrality,
+//  1. ReplayNeutrality: the planes' seeded hot-band sharded workload
+//     (bench/plane_harness.h) run plane-off, plane-on and
+//     plane-on-4-threads must make bit-identical decisions. Latency
+//     observes; it must never steer. On top of decision neutrality,
 //     the plane itself must be thread-count-exact: the per-(stage, class)
 //     sketches merged across shards after the 4-thread run must equal the
 //     single-threaded run's bucket for bucket, and the per-window delivery
@@ -14,11 +13,10 @@
 //  2. Quantile pinning: per-class end-to-end delivery quantiles and stage
 //     counts of the single-threaded run are pure integer functions of the
 //     workload, pinned exactly in bench/baselines/BENCH_latency.json.
-//  3. Overhead: the enabled plane must cost under 3% CPU on the sharded
-//     workload, measured as the minimum of adjacent off/on pair ratios —
-//     enforced when VIATOR_REQUIRE_OVERHEAD is set, recorded always. The
-//     compiled-out cost is exactly zero by construction
-//     (tests/test_lat_compiled_out.cpp).
+//  3. Overhead: the harness's paired min-ratio CPU leg; the enabled plane
+//     must cost under 3% when VIATOR_REQUIRE_OVERHEAD is set, recorded
+//     always. The compiled-out cost is exactly zero by construction
+//     (tests/test_planes_compiled_out.cpp).
 //  4. SLO burn: the health plane's SloBurnDetector must flag a synthetic
 //     breach series exactly once, stay quiet on the healthy workload's
 //     per-window p99 series, and — on a deliberately congested rerun (the
@@ -29,21 +27,13 @@
 // Exit nonzero on any contract violation; host-varying metrics carry
 // "wall" / "seconds" substrings the bench gate ignores by name.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
-#include "base/rng.h"
-#include "core/wandering_network.h"
 #include "health/slo_burn.h"
-#include "net/topology.h"
-#include "shard/plan.h"
-#include "shard/sharded_network.h"
-#include "telemetry/bench_report.h"
+#include "plane_harness.h"
 #include "telemetry/latency_plane.h"
 #include "telemetry/shard_metrics.h"
 #include "telemetry/span.h"
@@ -53,30 +43,9 @@ namespace {
 using namespace viator;
 namespace lat = telemetry::lat;
 
-std::size_t EnvOr(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
-
 // ---- Sharded workload (neutrality, pinning, overhead, SLO series) ----------
 
-struct Workload {
-  std::size_t side = 32;
-  std::size_t rounds = 16;
-  std::size_t per_round = 192;
-  std::size_t windows_per_round = 4;
-  std::uint64_t seed = 0xB5EED;
-};
-
-struct RunOutcome {
-  double seconds = 0.0;
-  double cpu_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t handoffs = 0;
-  std::uint64_t state_hash = 0;
-  std::uint64_t rolling_digest = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> window_hashes;
+struct LatencyRun : bench::RunOutcome {
   /// Cumulative sketches merged across every shard's lane (empty when the
   /// plane ran off).
   lat::Lane merged;
@@ -87,111 +56,36 @@ struct RunOutcome {
   std::vector<std::uint64_t> delivered_series;
 };
 
-/// One full sharded run, structurally identical for every plane setting and
-/// thread count; hash_every = 1 so the journal timeline is the neutrality
-/// witness. The plane (when on) is enabled before the world is built and the
-/// lanes are merged before teardown.
-RunOutcome RunSharded(const Workload& w, bool plane_on, std::size_t threads) {
+/// The plane (when on) is enabled before the world is built and the lanes
+/// are merged before teardown.
+LatencyRun RunWorkload(const bench::Workload& w, bool plane_on,
+                       std::size_t threads) {
   lat::SetEnabled(plane_on);
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = threads;
-  config.seed = w.seed;
-  config.hash_every = 1;
-  config.assignment = shard::GridRowBands(w.side, w.side, 4);
-  net::Topology grid = net::MakeGrid(w.side, w.side);
-  shard::ShardedNetwork world(grid, config);
-
-  const std::uint64_t nodes = w.side * w.side;
-  const std::uint64_t band_rows = w.side / 4;
-  const std::uint64_t hot_lo = 2 * band_rows * w.side;
-  const std::uint64_t hot_hi = 3 * band_rows * w.side - 1;
-  Rng traffic(w.seed ^ 0x0B5E70A1ULL);
-
-  const std::clock_t cpu_start = std::clock();
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t flow = 1;
-  for (std::size_t round = 0; round < w.rounds; ++round) {
-    for (std::size_t i = 0; i < w.per_round; ++i) {
-      const bool hot = (i % 4) != 0;
-      const std::uint64_t lo = hot ? hot_lo : 0;
-      const std::uint64_t hi = hot ? hot_hi : nodes - 1;
-      const auto src = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      auto dst = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      if (dst == src) dst = static_cast<net::NodeId>(lo + (dst - lo + 1) %
-                                                              (hi - lo + 1));
-      (void)world.Inject(src, dst,
-                         {static_cast<std::int64_t>(round),
-                          static_cast<std::int64_t>(i)},
-                         flow++);
-    }
-    world.RunWindows(w.windows_per_round);
-  }
-  world.RunUntilQuiescent();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const std::clock_t cpu_end = std::clock();
-
-  RunOutcome out;
-  out.seconds = std::chrono::duration<double>(elapsed).count();
-  out.cpu_seconds =
-      static_cast<double>(cpu_end - cpu_start) / CLOCKS_PER_SEC;
-  out.events = world.total_dispatched();
-  out.handoffs = world.stats().CounterValue("shard.handoffs");
-  out.state_hash = world.StateHash();
-  out.rolling_digest = world.journal().rolling_digest();
-  out.window_hashes = world.journal().window_hashes();
-  for (std::uint32_t shard = 0; shard < world.shard_count(); ++shard) {
-    world.shard_network(shard).lat_lane().MergeInto(out.merged);
-  }
-  for (const telemetry::ShardWindowRecord& record :
-       world.observatory().windows()) {
-    std::uint64_t p99 = 0;
-    std::uint64_t delivered = 0;
-    for (const telemetry::ShardWindowSample& s : record.shards) {
-      p99 = std::max(p99, s.lat_p99_ns);
-      delivered += s.lat_delivered;
-    }
-    out.p99_series.push_back(p99);
-    out.delivered_series.push_back(delivered);
-  }
-  lat::SetEnabled(false);
+  LatencyRun out;
+  bench::RunSharded(
+      w, threads, out, nullptr, [&](shard::ShardedNetwork& world) {
+        for (std::uint32_t shard = 0; shard < world.shard_count(); ++shard) {
+          world.shard_network(shard).lat_lane().MergeInto(out.merged);
+        }
+        for (const telemetry::ShardWindowRecord& record :
+             world.observatory().windows()) {
+          std::uint64_t p99 = 0;
+          std::uint64_t delivered = 0;
+          for (const telemetry::ShardWindowSample& s : record.shards) {
+            p99 = std::max(p99, s.lat_p99_ns);
+            delivered += s.lat_delivered;
+          }
+          out.p99_series.push_back(p99);
+          out.delivered_series.push_back(delivered);
+        }
+        lat::SetEnabled(false);
+      });
   return out;
-}
-
-bool SameDecisions(const RunOutcome& a, const RunOutcome& b,
-                   const char* label) {
-  bool ok = true;
-  if (a.events != b.events || a.handoffs != b.handoffs) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: the plane changed workload totals "
-                 "(events %llu vs %llu, handoffs %llu vs %llu)\n",
-                 label, static_cast<unsigned long long>(a.events),
-                 static_cast<unsigned long long>(b.events),
-                 static_cast<unsigned long long>(a.handoffs),
-                 static_cast<unsigned long long>(b.handoffs));
-    ok = false;
-  }
-  if (a.state_hash != b.state_hash) {
-    std::fprintf(stderr, "neutrality[%s]: final state hash diverged\n", label);
-    ok = false;
-  }
-  if (a.rolling_digest != b.rolling_digest) {
-    std::fprintf(stderr, "neutrality[%s]: journal digest diverged\n", label);
-    ok = false;
-  }
-  if (a.window_hashes != b.window_hashes) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: per-window hash timeline diverged "
-                 "(%zu vs %zu windows)\n",
-                 label, a.window_hashes.size(), b.window_hashes.size());
-    ok = false;
-  }
-  return ok;
 }
 
 /// Bucket-exactness across thread counts: every cumulative sketch and the
 /// per-window fold series must be identical between t1 and t4.
-bool SameSketches(const RunOutcome& a, const RunOutcome& b) {
+bool SameSketches(const LatencyRun& a, const LatencyRun& b) {
   bool ok = true;
   for (std::size_t s = 0; s < lat::kStageCount; ++s) {
     const auto stage = static_cast<lat::Stage>(s);
@@ -232,7 +126,8 @@ struct CongestionOutcome {
 /// window's quantile and worst exemplar. Tracing is on, so the exemplar
 /// carries a trace id resolvable in the sink shard's span collector — the
 /// coordinate `wnscope latency` hands to `wnreplay seek`.
-CongestionOutcome RunCongested(const Workload& w, std::uint64_t bound_ns,
+CongestionOutcome RunCongested(const bench::Workload& w,
+                               std::uint64_t bound_ns,
                                std::uint32_t burn_windows) {
   lat::SetEnabled(true);
   shard::ShardedConfig config;
@@ -274,7 +169,7 @@ CongestionOutcome RunCongested(const Workload& w, std::uint64_t bound_ns,
     // Sustained overload: every window pours a double round at one sink, so
     // the backlog — and with it the end-to-end p99 — grows past any bound a
     // healthy run can justify.
-    for (std::size_t i = 0; i < 2 * w.per_round; ++i) {
+    for (std::size_t i = 0; i < 2 * bench::Workload::kLoad; ++i) {
       auto src = static_cast<net::NodeId>(traffic.UniformInt(0, nodes - 1));
       if (src == sink) src = static_cast<net::NodeId>((sink + 1) % nodes);
       (void)world.Inject(src, sink, {static_cast<std::int64_t>(i)}, flow++);
@@ -326,38 +221,17 @@ CongestionOutcome RunCongested(const Workload& w, std::uint64_t bound_ns,
 }  // namespace
 
 int main() {
-  Workload w;
-  w.side = EnvOr("VIATOR_LAT_SIDE", w.side);
-  w.rounds = EnvOr("VIATOR_LAT_ROUNDS", w.rounds);
-  w.per_round = EnvOr("VIATOR_LAT_LOAD", w.per_round);
-  const bool require_gates = std::getenv("VIATOR_REQUIRE_OVERHEAD") != nullptr;
-  const std::size_t reps = EnvOr("VIATOR_LAT_REPS", require_gates ? 5 : 3);
+  const bench::Workload w = bench::Workload::FromEnv();
 
   telemetry::BenchReport report("latency");
-  report.Set("latency.grid_side", static_cast<double>(w.side));
-  report.Set("latency.rounds", static_cast<double>(w.rounds));
-  report.Set("latency.load", static_cast<double>(w.per_round));
+  bench::ReportWorkload(report, "latency", w);
   bool ok = true;
 
   // ---- Phase 1: ReplayNeutrality + thread-count exactness --------------
-  (void)RunSharded(w, false, 1);  // warmup: page-in, branch training
-  const RunOutcome off = RunSharded(w, /*plane_on=*/false, /*threads=*/1);
-  const RunOutcome on = RunSharded(w, /*plane_on=*/true, /*threads=*/1);
-  const RunOutcome on4 = RunSharded(w, /*plane_on=*/true, /*threads=*/4);
-  ok &= SameDecisions(off, on, "on-vs-off");
-  ok &= SameDecisions(off, on4, "t4-vs-t1");
-  ok &= SameSketches(on, on4);
-  std::printf("neutrality: %llu events, %llu handoffs, %zu hashed windows, "
-              "%llu deliveries sketched — %s\n",
-              static_cast<unsigned long long>(off.events),
-              static_cast<unsigned long long>(off.handoffs),
-              off.window_hashes.size(),
-              static_cast<unsigned long long>(on.merged.DeliveredCount()),
-              ok ? "bit-identical" : "DIVERGED");
-  report.Set("latency.events", static_cast<double>(off.events));
-  report.Set("latency.handoffs", static_cast<double>(off.handoffs));
-  report.Set("latency.hashed_windows",
-             static_cast<double>(off.window_hashes.size()));
+  const auto runs = bench::RunNeutrality(w, RunWorkload, ok);
+  ok &= SameSketches(runs.on, runs.on4);
+  bench::ReportNeutrality(report, "latency", runs.off, ok);
+  const LatencyRun& on = runs.on;
 
   // ---- Phase 2: quantile pinning ---------------------------------------
   // Integer functions of the workload: pinned exactly in the committed
@@ -401,46 +275,8 @@ int main() {
   }
 
   // ---- Phase 3: enabled overhead --------------------------------------
-  // Same statistic as the perf/mem gates: CPU time of adjacent off/on
-  // pairs, gated on the minimum pair ratio (noise can swing single pairs
-  // both ways but cannot lift the minimum), median as the point estimate.
-  double best_off = off.seconds;
-  double best_on = on.seconds;
-  std::vector<double> cpu_ratios;
-  if (off.cpu_seconds > 0.0) {
-    cpu_ratios.push_back(on.cpu_seconds / off.cpu_seconds);
-  }
-  for (std::size_t rep = 1; rep < reps; ++rep) {
-    const RunOutcome rep_off = RunSharded(w, false, 1);
-    const RunOutcome rep_on = RunSharded(w, true, 1);
-    best_off = std::min(best_off, rep_off.seconds);
-    best_on = std::min(best_on, rep_on.seconds);
-    if (rep_off.cpu_seconds > 0.0) {
-      cpu_ratios.push_back(rep_on.cpu_seconds / rep_off.cpu_seconds);
-    }
-  }
-  std::sort(cpu_ratios.begin(), cpu_ratios.end());
-  const double median_ratio =
-      cpu_ratios.empty() ? 1.0 : cpu_ratios[cpu_ratios.size() / 2];
-  const double min_ratio = cpu_ratios.empty() ? 1.0 : cpu_ratios.front();
-  const double overhead_pct = (min_ratio - 1.0) * 100.0;
-  const double median_pct = (median_ratio - 1.0) * 100.0;
-  const double wall_pct =
-      best_off > 0.0 ? (best_on - best_off) / best_off * 100.0 : 0.0;
-  std::printf("overhead: cpu %+.2f%% min / %+.2f%% median of %zu pairs, "
-              "wall best-of-%zu %+.2f%% (compiled-out is 0 by construction)\n",
-              overhead_pct, median_pct, cpu_ratios.size(), reps, wall_pct);
-  report.Set("latency.overhead_wall_off_seconds", best_off);
-  report.Set("latency.overhead_wall_on_seconds", best_on);
-  report.Set("latency.overhead_wall_pct", wall_pct);
-  report.Set("latency.overhead_cpu_min_pct_seconds", overhead_pct);
-  report.Set("latency.overhead_cpu_median_pct_seconds", median_pct);
-  if (require_gates && overhead_pct >= 3.0) {
-    std::fprintf(stderr,
-                 "latency plane overhead %.2f%% breaches the 3%% gate\n",
-                 overhead_pct);
-    ok = false;
-  }
+  ok &= bench::RunOverheadLeg(report, "latency.overhead_", "latency", w,
+                              runs.off, on, RunWorkload);
 
   // ---- Phase 4: SLO burn ----------------------------------------------
   // A synthetic breach series — p99 at double the bound for twice the burn

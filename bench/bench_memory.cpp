@@ -2,14 +2,13 @@
 //
 // Four phases:
 //
-//  1. ReplayNeutrality: the seeded sharded workload (the observatory bench's
-//     4 row bands with a hot band 2) run counters-off, counters-on and
-//     counters-on-4-threads must produce bit-identical decisions — same
-//     per-window journal hash timeline, same rolling digest, same final
-//     state hash, same event/handoff counts. Byte accounting observes; it
+//  1. ReplayNeutrality: the planes' seeded hot-band sharded workload
+//     (bench/plane_harness.h) run counters-off, counters-on and
+//     counters-on-4-threads must produce bit-identical decisions and
+//     identical per-window pool-byte series. Byte accounting observes; it
 //     must never steer.
-//  2. Attribution at the 10k-ship dispatch tier (bench_micro_substrate's
-//     104x104 column-flow world, single-threaded so summed peaks are exact):
+//  2. Attribution at the 10k-ship dispatch tier (the harness's 104x104
+//     column-flow world, single-threaded so summed peaks are exact):
 //     counters are enabled before the world is built, and the per-domain
 //     byte counts are deterministic functions of the workload and the
 //     libstdc++ growth schedule, so they are pinned exactly in
@@ -17,35 +16,23 @@
 //     attributed live-byte growth over the phase's maxrss growth — must
 //     reach 80% when VIATOR_REQUIRE_OVERHEAD is set (CI Release); maxrss
 //     itself is host-varying and rides along under a gate-exempt name.
-//  3. Overhead: enabled probes must cost under 3% CPU on the sharded
-//     workload, measured as the minimum of adjacent off/on pair ratios
-//     (preemption cannot inflate CPU time; drift cancels in each pair) —
-//     enforced when VIATOR_REQUIRE_OVERHEAD is set, recorded always. The
-//     compiled-out cost is exactly zero by construction
-//     (tests/test_mem_compiled_out.cpp).
+//  3. Overhead: the harness's paired min-ratio CPU leg; enabled probes must
+//     cost under 3% when VIATOR_REQUIRE_OVERHEAD is set, recorded always.
+//     The compiled-out cost is exactly zero by construction
+//     (tests/test_planes_compiled_out.cpp).
 //  4. Growth anomalies: the health plane's MemGrowthDetector must flag a
 //     synthetic monotone leak series exactly once and raise zero episodes
 //     on the real workload's deterministic per-window pool-byte series.
 //
 // Exit nonzero on any contract violation; host-varying metrics carry
 // "wall" / "seconds" / "pct" substrings the bench gate ignores by name.
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
-#include "base/rng.h"
-#include "core/wandering_network.h"
 #include "health/mem_growth.h"
-#include "net/topology.h"
-#include "shard/plan.h"
-#include "shard/sharded_network.h"
-#include "sim/simulator.h"
-#include "telemetry/bench_report.h"
+#include "plane_harness.h"
 #include "telemetry/mem_stats.h"
 #include "telemetry/shard_metrics.h"
 
@@ -55,12 +42,6 @@ using namespace viator;
 
 using MemAggregate =
     std::array<telemetry::mem::Counter, telemetry::mem::kDomainCount>;
-
-std::size_t EnvOr(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
 
 /// "memory.shuttle_pool" from Domain::kShuttlePool (DomainName minus its
 /// "mem." prefix, under the bench report's "memory." namespace).
@@ -73,131 +54,43 @@ std::string MetricBase(std::size_t domain) {
 
 // ---- Sharded workload (neutrality, overhead, growth series) ----------------
 
-struct Workload {
-  std::size_t side = 32;
-  std::size_t rounds = 16;
-  std::size_t per_round = 192;
-  std::size_t windows_per_round = 4;
-  std::uint64_t seed = 0xB5EED;
-};
-
-struct RunOutcome {
-  double seconds = 0.0;
-  double cpu_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t handoffs = 0;
-  std::uint64_t state_hash = 0;
-  std::uint64_t rolling_digest = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> window_hashes;
+struct MemoryRun : bench::RunOutcome {
   MemAggregate mem{};
   /// Per-window pool bytes summed over shards (deterministic), the growth
   /// detector's input series.
   std::vector<std::uint64_t> pool_series;
 };
 
-/// One full sharded run, structurally identical for every counter setting
-/// and thread count; hash_every = 1 so the journal timeline is the
-/// neutrality witness. Counters (when on) are enabled before the world is
-/// built and the aggregate is read before teardown returns the pools.
-RunOutcome RunSharded(const Workload& w, bool counters_on,
-                      std::size_t threads) {
+/// Counters (when on) are enabled before the world is built and the
+/// aggregate is read before teardown returns the pools.
+MemoryRun RunWorkload(const bench::Workload& w, bool counters_on,
+                     std::size_t threads) {
   telemetry::mem::ResetAll();
   telemetry::mem::SetEnabled(counters_on);
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = threads;
-  config.seed = w.seed;
-  config.hash_every = 1;
-  config.assignment = shard::GridRowBands(w.side, w.side, 4);
-  net::Topology grid = net::MakeGrid(w.side, w.side);
-  shard::ShardedNetwork world(grid, config);
-
-  const std::uint64_t nodes = w.side * w.side;
-  const std::uint64_t band_rows = w.side / 4;
-  const std::uint64_t hot_lo = 2 * band_rows * w.side;
-  const std::uint64_t hot_hi = 3 * band_rows * w.side - 1;
-  Rng traffic(w.seed ^ 0x0B5E70A1ULL);
-
-  const std::clock_t cpu_start = std::clock();
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t flow = 1;
-  for (std::size_t round = 0; round < w.rounds; ++round) {
-    for (std::size_t i = 0; i < w.per_round; ++i) {
-      const bool hot = (i % 4) != 0;
-      const std::uint64_t lo = hot ? hot_lo : 0;
-      const std::uint64_t hi = hot ? hot_hi : nodes - 1;
-      const auto src = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      auto dst = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      if (dst == src) dst = static_cast<net::NodeId>(lo + (dst - lo + 1) %
-                                                              (hi - lo + 1));
-      (void)world.Inject(src, dst,
-                         {static_cast<std::int64_t>(round),
-                          static_cast<std::int64_t>(i)},
-                         flow++);
-    }
-    world.RunWindows(w.windows_per_round);
-  }
-  world.RunUntilQuiescent();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const std::clock_t cpu_end = std::clock();
-
-  RunOutcome out;
-  out.seconds = std::chrono::duration<double>(elapsed).count();
-  out.cpu_seconds =
-      static_cast<double>(cpu_end - cpu_start) / CLOCKS_PER_SEC;
-  out.events = world.total_dispatched();
-  out.handoffs = world.stats().CounterValue("shard.handoffs");
-  out.state_hash = world.StateHash();
-  out.rolling_digest = world.journal().rolling_digest();
-  out.window_hashes = world.journal().window_hashes();
-  out.mem = telemetry::mem::Aggregate();
-  for (const telemetry::ShardWindowRecord& record :
-       world.observatory().windows()) {
-    std::uint64_t pool = 0;
-    for (const telemetry::ShardWindowSample& s : record.shards) {
-      pool += s.pool_bytes;
-    }
-    out.pool_series.push_back(pool);
-  }
-  telemetry::mem::SetEnabled(false);
+  MemoryRun out;
+  bench::RunSharded(
+      w, threads, out, nullptr, [&](shard::ShardedNetwork& world) {
+        out.mem = telemetry::mem::Aggregate();
+        for (const telemetry::ShardWindowRecord& record :
+             world.observatory().windows()) {
+          std::uint64_t pool = 0;
+          for (const telemetry::ShardWindowSample& s : record.shards) {
+            pool += s.pool_bytes;
+          }
+          out.pool_series.push_back(pool);
+        }
+        telemetry::mem::SetEnabled(false);
+      });
   return out;
 }
 
-bool SameDecisions(const RunOutcome& a, const RunOutcome& b,
-                   const char* label) {
-  bool ok = true;
-  if (a.events != b.events || a.handoffs != b.handoffs) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: counters changed workload totals "
-                 "(events %llu vs %llu, handoffs %llu vs %llu)\n",
-                 label, static_cast<unsigned long long>(a.events),
-                 static_cast<unsigned long long>(b.events),
-                 static_cast<unsigned long long>(a.handoffs),
-                 static_cast<unsigned long long>(b.handoffs));
-    ok = false;
-  }
-  if (a.state_hash != b.state_hash) {
-    std::fprintf(stderr, "neutrality[%s]: final state hash diverged\n", label);
-    ok = false;
-  }
-  if (a.rolling_digest != b.rolling_digest) {
-    std::fprintf(stderr, "neutrality[%s]: journal digest diverged\n", label);
-    ok = false;
-  }
-  if (a.window_hashes != b.window_hashes) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: per-window hash timeline diverged "
-                 "(%zu vs %zu windows)\n",
-                 label, a.window_hashes.size(), b.window_hashes.size());
-    ok = false;
-  }
-  if (a.pool_series != b.pool_series) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: per-window pool-byte series diverged\n",
-                 label);
-    ok = false;
-  }
-  return ok;
+bool SamePoolSeries(const MemoryRun& a, const MemoryRun& b,
+                    const char* label) {
+  if (a.pool_series == b.pool_series) return true;
+  std::fprintf(stderr,
+               "neutrality[%s]: per-window pool-byte series diverged\n",
+               label);
+  return false;
 }
 
 // ---- Dispatch-tier attribution ----------------------------------------------
@@ -210,40 +103,20 @@ struct AttributionRun {
   std::uint64_t maxrss_end = 0;
 };
 
-/// bench_micro_substrate's 10k-ship dispatch tier with the memory plane on
-/// from before the first allocation: a populated side x side
-/// WanderingNetwork, `flows` column flows injected `rounds` times, drained
-/// to quiescence. Single-threaded, so the summed per-thread peaks are the
-/// exact high-water marks.
-AttributionRun RunDispatchTier(std::size_t side, std::uint64_t flows,
-                               std::uint64_t rounds) {
+/// The harness's dispatch tier with the memory plane on from before the
+/// first allocation, drained to quiescence. Single-threaded, so the summed
+/// per-thread peaks are the exact high-water marks.
+AttributionRun RunDispatchTier(const bench::DispatchShape& shape) {
   telemetry::mem::ResetAll();
   telemetry::mem::SetEnabled(true);
   AttributionRun run;
 
-  sim::Simulator simulator;
-  net::Topology grid = net::MakeGrid(side, side);
-  grid.SetRouteCacheEnabled(true);
-  grid.SetRouteCacheCapacity(flows * side + 1);
-  wli::WnConfig config;
-  wli::WanderingNetwork network(simulator, grid, config, /*seed=*/42);
-  network.PopulateAllNodes();
+  bench::DispatchWorld world(shape, /*cache_on=*/true);
   run.built = telemetry::mem::Aggregate();
   run.maxrss_built = telemetry::ReadMaxRssBytes();
 
-  const std::uint64_t spacing = side / flows;
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    for (std::uint64_t f = 0; f < flows; ++f) {
-      const auto col = static_cast<net::NodeId>(f * spacing + spacing / 2);
-      wli::Shuttle shuttle =
-          wli::Shuttle::Data(col, static_cast<net::NodeId>(
-                                      (side - 1) * side + col),
-                             {static_cast<std::int64_t>(r)}, /*flow=*/f);
-      shuttle.header.ttl = 255;  // column routes are side-1 hops; outlive 64
-      (void)network.Inject(std::move(shuttle));
-    }
-  }
-  run.events = simulator.RunAll();
+  world.InjectColumnFlows();
+  run.events = world.simulator.RunAll();
 
   run.end = telemetry::mem::Aggregate();
   run.maxrss_end = telemetry::ReadMaxRssBytes();
@@ -254,40 +127,23 @@ AttributionRun RunDispatchTier(std::size_t side, std::uint64_t flows,
 }  // namespace
 
 int main() {
-  Workload w;
-  w.side = EnvOr("VIATOR_MEM_SIDE", w.side);
-  w.rounds = EnvOr("VIATOR_MEM_ROUNDS", w.rounds);
-  w.per_round = EnvOr("VIATOR_MEM_LOAD", w.per_round);
-  const std::size_t dispatch_side = EnvOr("VIATOR_DISPATCH_SIDE", 104);
-  const std::uint64_t dispatch_flows = EnvOr("VIATOR_DISPATCH_FLOWS", 8);
-  const std::uint64_t dispatch_rounds = EnvOr("VIATOR_DISPATCH_ROUNDS", 32);
-  const bool require_gates = std::getenv("VIATOR_REQUIRE_OVERHEAD") != nullptr;
-  const std::size_t reps = EnvOr("VIATOR_MEM_REPS", require_gates ? 5 : 3);
+  const bench::Workload w = bench::Workload::FromEnv();
+  const bench::DispatchShape dispatch = bench::DispatchShape::FromEnv();
+  const bool require_gates = bench::RequireGates();
 
   telemetry::BenchReport report("memory");
-  report.Set("memory.grid_side", static_cast<double>(w.side));
-  report.Set("memory.rounds", static_cast<double>(w.rounds));
-  report.Set("memory.load", static_cast<double>(w.per_round));
+  bench::ReportWorkload(report, "memory", w);
   report.Set("memory.dispatch_ships",
-             static_cast<double>(dispatch_side * dispatch_side));
+             static_cast<double>(dispatch.side * dispatch.side));
   bool ok = true;
 
   // ---- Phase 1: ReplayNeutrality --------------------------------------
-  (void)RunSharded(w, false, 1);  // warmup: page-in, branch training
-  const RunOutcome off = RunSharded(w, /*counters_on=*/false, /*threads=*/1);
-  const RunOutcome on = RunSharded(w, /*counters_on=*/true, /*threads=*/1);
-  const RunOutcome on4 = RunSharded(w, /*counters_on=*/true, /*threads=*/4);
-  ok &= SameDecisions(off, on, "on-vs-off");
-  ok &= SameDecisions(off, on4, "t4-vs-t1");
-  std::printf("neutrality: %llu events, %llu handoffs, %zu hashed windows — "
-              "%s\n",
-              static_cast<unsigned long long>(off.events),
-              static_cast<unsigned long long>(off.handoffs),
-              off.window_hashes.size(), ok ? "bit-identical" : "DIVERGED");
-  report.Set("memory.events", static_cast<double>(off.events));
-  report.Set("memory.handoffs", static_cast<double>(off.handoffs));
-  report.Set("memory.hashed_windows",
-             static_cast<double>(off.window_hashes.size()));
+  const auto runs = bench::RunNeutrality(w, RunWorkload, ok);
+  ok &= SamePoolSeries(runs.off, runs.on, "on-vs-off");
+  ok &= SamePoolSeries(runs.off, runs.on4, "t4-vs-t1");
+  bench::ReportNeutrality(report, "memory", runs.off, ok);
+  const MemoryRun& on = runs.on;
+  const MemoryRun& on4 = runs.on4;
   // Cross-thread aggregation exactness: live/alloc/free byte sums of the
   // 4-thread run must equal the single-threaded run's, domain by domain.
   for (std::size_t d = 0; d < telemetry::mem::kDomainCount; ++d) {
@@ -303,8 +159,7 @@ int main() {
   }
 
   // ---- Phase 2: dispatch-tier attribution -----------------------------
-  const AttributionRun attr =
-      RunDispatchTier(dispatch_side, dispatch_flows, dispatch_rounds);
+  const AttributionRun attr = RunDispatchTier(dispatch);
   std::printf("%s", telemetry::FormatMemReport(attr.end,
                                                attr.maxrss_end).c_str());
   std::int64_t attributed_growth = 0;
@@ -353,45 +208,8 @@ int main() {
   }
 
   // ---- Phase 3: enabled overhead --------------------------------------
-  // Same statistic as the perf-plane gate: CPU time of adjacent off/on
-  // pairs, gate on the minimum pair ratio (noise can swing single pairs
-  // both ways but cannot lift the minimum), median as the point estimate.
-  double best_off = off.seconds;
-  double best_on = on.seconds;
-  std::vector<double> cpu_ratios;
-  if (off.cpu_seconds > 0.0) {
-    cpu_ratios.push_back(on.cpu_seconds / off.cpu_seconds);
-  }
-  for (std::size_t rep = 1; rep < reps; ++rep) {
-    const RunOutcome rep_off = RunSharded(w, false, 1);
-    const RunOutcome rep_on = RunSharded(w, true, 1);
-    best_off = std::min(best_off, rep_off.seconds);
-    best_on = std::min(best_on, rep_on.seconds);
-    if (rep_off.cpu_seconds > 0.0) {
-      cpu_ratios.push_back(rep_on.cpu_seconds / rep_off.cpu_seconds);
-    }
-  }
-  std::sort(cpu_ratios.begin(), cpu_ratios.end());
-  const double median_ratio =
-      cpu_ratios.empty() ? 1.0 : cpu_ratios[cpu_ratios.size() / 2];
-  const double min_ratio = cpu_ratios.empty() ? 1.0 : cpu_ratios.front();
-  const double overhead_pct = (min_ratio - 1.0) * 100.0;
-  const double median_pct = (median_ratio - 1.0) * 100.0;
-  const double wall_pct =
-      best_off > 0.0 ? (best_on - best_off) / best_off * 100.0 : 0.0;
-  std::printf("overhead: cpu %+.2f%% min / %+.2f%% median of %zu pairs, "
-              "wall best-of-%zu %+.2f%% (compiled-out is 0 by construction)\n",
-              overhead_pct, median_pct, cpu_ratios.size(), reps, wall_pct);
-  report.Set("memory.overhead_wall_off_seconds", best_off);
-  report.Set("memory.overhead_wall_on_seconds", best_on);
-  report.Set("memory.overhead_wall_pct", wall_pct);
-  report.Set("memory.overhead_cpu_min_pct_seconds", overhead_pct);
-  report.Set("memory.overhead_cpu_median_pct_seconds", median_pct);
-  if (require_gates && overhead_pct >= 3.0) {
-    std::fprintf(stderr, "memory plane overhead %.2f%% breaches the 3%% "
-                 "gate\n", overhead_pct);
-    ok = false;
-  }
+  ok &= bench::RunOverheadLeg(report, "memory.overhead_", "memory", w,
+                              runs.off, on, RunWorkload);
 
   // ---- Phase 4: growth anomalies --------------------------------------
   // Slack is the provisioned budget: this tier's warm-up (route caches and

@@ -17,7 +17,6 @@
 #include <thread>
 
 #include "base/hash.h"
-#include "telemetry/bench_report.h"
 #include "base/rng.h"
 #include "base/tlv.h"
 #include "core/facts.h"
@@ -25,6 +24,7 @@
 #include "core/ship.h"
 #include "core/wandering_network.h"
 #include "net/topology.h"
+#include "plane_harness.h"
 #include "shard/plan.h"
 #include "shard/sharded_network.h"
 #include "sim/simulator.h"
@@ -255,21 +255,15 @@ ShardedRun RunShardedTier(std::size_t side, std::size_t threads,
 /// contract: the deterministic counters must be identical for every thread
 /// count, and (only when VIATOR_REQUIRE_SPEEDUP is set on a >=4-core
 /// machine) 4 threads must clear 2x the single-thread event rate.
-std::size_t EnvOr(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
-
 bool RunShardedSweep(telemetry::BenchReport& report) {
   // Per-hop routing cost scales with active shuttles, so the committed
   // defaults keep the 256x256 grid (the scale claim) but bound the shuttle
   // load and window count to stay CI-sized. Override for bigger sweeps with
   // VIATOR_SHARD_SIDE / VIATOR_SHARD_WINDOWS / VIATOR_SHARD_LOAD — the gate
   // counters are only comparable at the baseline's settings.
-  const std::size_t side = EnvOr("VIATOR_SHARD_SIDE", 256);
-  const std::size_t windows = EnvOr("VIATOR_SHARD_WINDOWS", 12);
-  const std::uint64_t load = EnvOr("VIATOR_SHARD_LOAD", 8192);
+  const std::size_t side = bench::EnvOr("VIATOR_SHARD_SIDE", 256);
+  const std::size_t windows = bench::EnvOr("VIATOR_SHARD_WINDOWS", 12);
+  const std::uint64_t load = bench::EnvOr("VIATOR_SHARD_LOAD", 8192);
   report.Set("sharded.grid_side", static_cast<double>(side));
   report.Set("sharded.shards", 4.0);
   report.Set("sharded.windows", static_cast<double>(windows));
@@ -331,54 +325,24 @@ struct DispatchRun {
   std::uint64_t misses = 0;     // route-cache row fills (cached leg only)
 };
 
-/// One dispatch run: a populated side x side WanderingNetwork (one server
-/// ship per node — the 10k-ship scale claim), `flows` top-to-bottom column
-/// flows each injected `rounds` times, then RunAll to drain. Every forward
-/// goes through Topology::NextHop, so the cached leg fills one first-hop row
-/// per forwarding source and rides hits from then on, while the uncached leg
-/// pays a fresh per-pair BFS on every hop. Only the drain is timed — world
-/// construction and injection are setup, not dispatch.
-DispatchRun RunDispatchTier(std::size_t side, std::uint64_t flows,
-                            std::uint64_t rounds, bool cache_on) {
-  sim::Simulator simulator;
-  net::Topology grid = net::MakeGrid(side, side);
-  grid.SetRouteCacheEnabled(cache_on);
-  // Column flows touch flows*side distinct forwarding sources; keep them all
-  // resident so the cached leg measures the steady-state hit path, not LRU
-  // churn (capacity pressure has its own ctest coverage).
-  grid.SetRouteCacheCapacity(flows * side + 1);
-  wli::WnConfig config;
-  wli::WanderingNetwork network(simulator, grid, config, /*seed=*/42);
-  network.PopulateAllNodes();
-
-  const std::uint64_t spacing = side / flows;
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    for (std::uint64_t f = 0; f < flows; ++f) {
-      // Straight column routes: the unique shortest path from (0, col) to
-      // (side-1, col) is the column itself, so the legs are trivially
-      // comparable and the hop count per shuttle is exactly side-1.
-      const auto col = static_cast<net::NodeId>(f * spacing + spacing / 2);
-      wli::Shuttle shuttle =
-          wli::Shuttle::Data(col, static_cast<net::NodeId>(
-                                      (side - 1) * side + col),
-                             {static_cast<std::int64_t>(r)}, /*flow=*/f);
-      shuttle.header.ttl = 255;  // column routes are side-1 hops; outlive 64
-      (void)network.Inject(std::move(shuttle));
-    }
-  }
+/// One dispatch run over the harness's dispatch-tier world. Only the drain
+/// is timed — world construction and injection are setup, not dispatch.
+DispatchRun RunDispatchTier(const bench::DispatchShape& shape, bool cache_on) {
+  bench::DispatchWorld world(shape, cache_on);
+  world.InjectColumnFlows();
 
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t events = simulator.RunAll();
+  const std::uint64_t events = world.simulator.RunAll();
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   DispatchRun run;
   run.seconds = std::chrono::duration<double>(elapsed).count();
   run.events = events;
-  network.ForEachShip([&run](wli::Ship& ship) {
+  world.network.ForEachShip([&run](wli::Ship& ship) {
     run.delivered += ship.shuttles_consumed();
   });
-  run.hits = grid.route_cache_stats().hits;
-  run.misses = grid.route_cache_stats().misses;
+  run.hits = world.grid.route_cache_stats().hits;
+  run.misses = world.grid.route_cache_stats().misses;
   return run;
 }
 
@@ -389,16 +353,14 @@ DispatchRun RunDispatchTier(std::size_t side, std::uint64_t flows,
 /// gate-exempt names ("per_sec", "speedup"). With VIATOR_REQUIRE_SPEEDUP set
 /// the cached leg must clear 2x the uncached event rate.
 bool RunDispatchSweep(telemetry::BenchReport& report) {
-  const std::size_t side = EnvOr("VIATOR_DISPATCH_SIDE", 104);
-  const std::uint64_t flows = EnvOr("VIATOR_DISPATCH_FLOWS", 8);
-  const std::uint64_t rounds = EnvOr("VIATOR_DISPATCH_ROUNDS", 32);
-  report.Set("dispatch.grid_side", static_cast<double>(side));
-  report.Set("dispatch.ships", static_cast<double>(side * side));
-  report.Set("dispatch.flows", static_cast<double>(flows));
-  report.Set("dispatch.rounds", static_cast<double>(rounds));
+  const bench::DispatchShape shape = bench::DispatchShape::FromEnv();
+  report.Set("dispatch.grid_side", static_cast<double>(shape.side));
+  report.Set("dispatch.ships", static_cast<double>(shape.side * shape.side));
+  report.Set("dispatch.flows", static_cast<double>(shape.flows));
+  report.Set("dispatch.rounds", static_cast<double>(shape.rounds));
 
-  const DispatchRun uncached = RunDispatchTier(side, flows, rounds, false);
-  const DispatchRun cached = RunDispatchTier(side, flows, rounds, true);
+  const DispatchRun uncached = RunDispatchTier(shape, false);
+  const DispatchRun cached = RunDispatchTier(shape, true);
   const auto rate = [](const DispatchRun& run) {
     return run.seconds > 0.0 ? static_cast<double>(run.events) / run.seconds
                              : 0.0;
@@ -438,11 +400,12 @@ bool RunDispatchSweep(telemetry::BenchReport& report) {
                  static_cast<unsigned long long>(cached.delivered));
     ok = false;
   }
-  if (cached.delivered < flows * rounds) {
+  const std::uint64_t injected = shape.flows * shape.rounds;
+  if (cached.delivered < injected) {
     std::fprintf(stderr,
                  "dispatch tier: only %llu of %llu shuttles delivered\n",
                  static_cast<unsigned long long>(cached.delivered),
-                 static_cast<unsigned long long>(flows * rounds));
+                 static_cast<unsigned long long>(injected));
     ok = false;
   }
   if (std::getenv("VIATOR_REQUIRE_SPEEDUP") != nullptr && speedup < 2.0) {

@@ -1,39 +1,27 @@
 // bench_shard_observatory — the perf-plane gate (docs/PERF.md).
 //
-// Three phases over one seeded sharded workload (4 row bands of a grid,
-// traffic deliberately skewed into band 2):
+// Three phases over the planes' seeded hot-band sharded workload
+// (bench/plane_harness.h: 4 row bands of a grid, traffic deliberately
+// skewed into band 2):
 //
 //  1. ReplayNeutrality: counters-off, counters-on and counters-on-4-threads
-//     runs must produce bit-identical decisions — same per-window journal
-//     hash timeline, same rolling digest, same final state hash, same
-//     event/handoff counts. The perf plane observes; it must never steer.
+//     runs must produce bit-identical decisions. The perf plane observes;
+//     it must never steer.
 //  2. Straggler detection: the Shard Observatory's report must name the
 //     injected hot shard (band 2) as hot_shard_by_events, with a load
 //     imbalance index well away from 1.0. These values are deterministic
 //     (pure functions of seed + plan), so they are pinned against
 //     bench/baselines/BENCH_shard_observatory.json by the CI gate.
-//  3. Overhead: best-of-N wall time with counters runtime-off vs runtime-on.
-//     The enabled overhead must stay under 3% — enforced when
-//     VIATOR_REQUIRE_OVERHEAD is set (CI Release), recorded always. The
-//     compiled-out cost is exactly zero by construction: the probe macros
-//     expand to nothing (tests/test_perf_compiled_out.cpp proves no probe
-//     can fire with -DVIATOR_PERF_COUNTERS=0).
+//  3. Overhead: the harness's paired min-ratio CPU leg; enabled counters
+//     must stay under 3% when VIATOR_REQUIRE_OVERHEAD is set (CI Release),
+//     recorded always. The compiled-out cost is exactly zero by
+//     construction (tests/test_planes_compiled_out.cpp).
 //
 // Exit nonzero on any contract violation; wall metrics carry "wall" in
 // their names so the bench gate ignores them.
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <vector>
 
-#include "base/rng.h"
-#include "net/topology.h"
-#include "shard/plan.h"
-#include "shard/sharded_network.h"
-#include "telemetry/bench_report.h"
+#include "plane_harness.h"
 #include "telemetry/perf_stats.h"
 #include "telemetry/shard_metrics.h"
 
@@ -41,159 +29,43 @@ namespace {
 
 using namespace viator;
 
-std::size_t EnvOr(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
-
-struct Workload {
-  std::size_t side = 32;
-  std::size_t rounds = 16;
-  std::size_t per_round = 192;
-  std::size_t windows_per_round = 4;
-  std::uint64_t seed = 0xB5EED;
-};
-
-struct RunOutcome {
-  double seconds = 0.0;
-  double cpu_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t handoffs = 0;
-  std::uint64_t state_hash = 0;
-  std::uint64_t rolling_digest = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> window_hashes;
+struct ObservatoryRun : bench::RunOutcome {
   telemetry::StragglerReport report;
 };
 
-/// One full run: 4 row bands, three of four shuttles confined to band 2
-/// (the injected hot shard), hash_every = 1 so the journal timeline is the
-/// neutrality witness. The timed region spans injection + windows + drain —
-/// structurally identical for every counter setting and thread count.
-RunOutcome RunWorkload(const Workload& w, bool counters_on,
-                       std::size_t threads) {
+/// Counters switch on once the world is built and off as soon as the timed
+/// region ends.
+ObservatoryRun RunWorkload(const bench::Workload& w, bool counters_on,
+                           std::size_t threads) {
   telemetry::perf::ResetAll();
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = threads;
-  config.seed = w.seed;
-  config.hash_every = 1;
-  config.assignment = shard::GridRowBands(w.side, w.side, 4);
-  net::Topology grid = net::MakeGrid(w.side, w.side);
-  shard::ShardedNetwork world(grid, config);
-
-  const std::uint64_t nodes = w.side * w.side;
-  const std::uint64_t band_rows = w.side / 4;
-  const std::uint64_t hot_lo = 2 * band_rows * w.side;
-  const std::uint64_t hot_hi = 3 * band_rows * w.side - 1;
-  Rng traffic(w.seed ^ 0x0B5E70A1ULL);
-
-  telemetry::perf::SetEnabled(counters_on);
-  const std::clock_t cpu_start = std::clock();
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t flow = 1;
-  for (std::size_t round = 0; round < w.rounds; ++round) {
-    for (std::size_t i = 0; i < w.per_round; ++i) {
-      const bool hot = (i % 4) != 0;
-      const std::uint64_t lo = hot ? hot_lo : 0;
-      const std::uint64_t hi = hot ? hot_hi : nodes - 1;
-      const auto src = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      auto dst = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      if (dst == src) dst = static_cast<net::NodeId>(lo + (dst - lo + 1) %
-                                                              (hi - lo + 1));
-      (void)world.Inject(src, dst,
-                         {static_cast<std::int64_t>(round),
-                          static_cast<std::int64_t>(i)},
-                         flow++);
-    }
-    world.RunWindows(w.windows_per_round);
-  }
-  world.RunUntilQuiescent();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const std::clock_t cpu_end = std::clock();
-  telemetry::perf::SetEnabled(false);
-
-  RunOutcome out;
-  out.seconds = std::chrono::duration<double>(elapsed).count();
-  out.cpu_seconds =
-      static_cast<double>(cpu_end - cpu_start) / CLOCKS_PER_SEC;
-  out.events = world.total_dispatched();
-  out.handoffs = world.stats().CounterValue("shard.handoffs");
-  out.state_hash = world.StateHash();
-  out.rolling_digest = world.journal().rolling_digest();
-  out.window_hashes = world.journal().window_hashes();
-  out.report = world.observatory().Report();
+  ObservatoryRun out;
+  bench::RunSharded(
+      w, threads, out,
+      [&](shard::ShardedNetwork&) {
+        telemetry::perf::SetEnabled(counters_on);
+      },
+      [&](shard::ShardedNetwork& world) {
+        telemetry::perf::SetEnabled(false);
+        out.report = world.observatory().Report();
+      });
   return out;
-}
-
-bool SameDecisions(const RunOutcome& a, const RunOutcome& b,
-                   const char* label) {
-  bool ok = true;
-  if (a.events != b.events || a.handoffs != b.handoffs) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: counters changed workload totals "
-                 "(events %llu vs %llu, handoffs %llu vs %llu)\n",
-                 label, static_cast<unsigned long long>(a.events),
-                 static_cast<unsigned long long>(b.events),
-                 static_cast<unsigned long long>(a.handoffs),
-                 static_cast<unsigned long long>(b.handoffs));
-    ok = false;
-  }
-  if (a.state_hash != b.state_hash) {
-    std::fprintf(stderr, "neutrality[%s]: final state hash diverged\n", label);
-    ok = false;
-  }
-  if (a.rolling_digest != b.rolling_digest) {
-    std::fprintf(stderr, "neutrality[%s]: journal digest diverged\n", label);
-    ok = false;
-  }
-  if (a.window_hashes != b.window_hashes) {
-    std::fprintf(stderr,
-                 "neutrality[%s]: per-window hash timeline diverged "
-                 "(%zu vs %zu windows)\n",
-                 label, a.window_hashes.size(), b.window_hashes.size());
-    ok = false;
-  }
-  return ok;
 }
 
 }  // namespace
 
 int main() {
-  Workload w;
-  w.side = EnvOr("VIATOR_OBS_SIDE", w.side);
-  w.rounds = EnvOr("VIATOR_OBS_ROUNDS", w.rounds);
-  w.per_round = EnvOr("VIATOR_OBS_LOAD", w.per_round);
-  const bool require_overhead = std::getenv("VIATOR_REQUIRE_OVERHEAD") != nullptr;
-  // Container wall-clock jitter runs a few percent; when the 3% gate is
-  // armed take more samples so best-of-N converges on the true floor.
-  const std::size_t reps = EnvOr("VIATOR_OBS_REPS", require_overhead ? 5 : 3);
+  const bench::Workload w = bench::Workload::FromEnv();
 
   telemetry::BenchReport report("shard_observatory");
-  report.Set("observatory.grid_side", static_cast<double>(w.side));
-  report.Set("observatory.rounds", static_cast<double>(w.rounds));
-  report.Set("observatory.load", static_cast<double>(w.per_round));
+  bench::ReportWorkload(report, "observatory", w);
   bool ok = true;
 
   // ---- Phase 1: ReplayNeutrality --------------------------------------
-  (void)RunWorkload(w, false, 1);  // warmup: page-in, branch training
-  const RunOutcome off = RunWorkload(w, /*counters_on=*/false, /*threads=*/1);
-  const RunOutcome on = RunWorkload(w, /*counters_on=*/true, /*threads=*/1);
-  const RunOutcome on4 = RunWorkload(w, /*counters_on=*/true, /*threads=*/4);
-  ok &= SameDecisions(off, on, "on-vs-off");
-  ok &= SameDecisions(off, on4, "t4-vs-t1");
-  std::printf("neutrality: %llu events, %llu handoffs, %zu hashed windows — "
-              "%s\n",
-              static_cast<unsigned long long>(off.events),
-              static_cast<unsigned long long>(off.handoffs),
-              off.window_hashes.size(), ok ? "bit-identical" : "DIVERGED");
-  report.Set("observatory.events", static_cast<double>(off.events));
-  report.Set("observatory.handoffs", static_cast<double>(off.handoffs));
-  report.Set("observatory.hashed_windows",
-             static_cast<double>(off.window_hashes.size()));
+  const auto runs = bench::RunNeutrality(w, RunWorkload, ok);
+  bench::ReportNeutrality(report, "observatory", runs.off, ok);
 
   // ---- Phase 2: straggler / imbalance detection -----------------------
-  const telemetry::StragglerReport& straggler = on.report;
+  const telemetry::StragglerReport& straggler = runs.on.report;
   std::printf("%s", straggler.Format().c_str());
   report.Set("observatory.hot_shard",
              static_cast<double>(straggler.hot_shard_by_events));
@@ -216,51 +88,8 @@ int main() {
   }
 
   // ---- Phase 3: enabled overhead --------------------------------------
-  // Shared-runner wall clocks drift by double-digit percentages, so the
-  // gate rides on process CPU time of adjacent off/on pairs: preemption
-  // cannot inflate CPU time, and slow drift (throttling, frequency steps)
-  // hits both halves of a pair and cancels in the ratio. Median of the
-  // pair ratios, single-threaded so the measurement is the probe cost,
-  // not pool jitter. Wall numbers ride along for the trend artifact.
-  double best_off = off.seconds;
-  double best_on = on.seconds;
-  std::vector<double> cpu_ratios;
-  if (off.cpu_seconds > 0.0) cpu_ratios.push_back(on.cpu_seconds /
-                                                  off.cpu_seconds);
-  for (std::size_t rep = 1; rep < reps; ++rep) {
-    const RunOutcome rep_off = RunWorkload(w, false, 1);
-    const RunOutcome rep_on = RunWorkload(w, true, 1);
-    best_off = std::min(best_off, rep_off.seconds);
-    best_on = std::min(best_on, rep_on.seconds);
-    if (rep_off.cpu_seconds > 0.0) {
-      cpu_ratios.push_back(rep_on.cpu_seconds / rep_off.cpu_seconds);
-    }
-  }
-  std::sort(cpu_ratios.begin(), cpu_ratios.end());
-  const double median_ratio =
-      cpu_ratios.empty() ? 1.0 : cpu_ratios[cpu_ratios.size() / 2];
-  // The gate statistic is the MINIMUM pair ratio: a genuine probe-cost
-  // regression lifts every pair, so the min rises with it, while runner
-  // noise (which swings individual pairs either way) cannot push the min
-  // up. The median is the better point estimate and rides along.
-  const double min_ratio = cpu_ratios.empty() ? 1.0 : cpu_ratios.front();
-  const double overhead_pct = (min_ratio - 1.0) * 100.0;
-  const double median_pct = (median_ratio - 1.0) * 100.0;
-  const double wall_pct =
-      best_off > 0.0 ? (best_on - best_off) / best_off * 100.0 : 0.0;
-  std::printf("overhead: cpu %+.2f%% min / %+.2f%% median of %zu pairs, "
-              "wall best-of-%zu %+.2f%% (compiled-out is 0 by construction)\n",
-              overhead_pct, median_pct, cpu_ratios.size(), reps, wall_pct);
-  report.Set("overhead.wall_off_seconds", best_off);
-  report.Set("overhead.wall_on_seconds", best_on);
-  report.Set("overhead.wall_pct", wall_pct);
-  report.Set("overhead.cpu_min_pct_seconds", overhead_pct);
-  report.Set("overhead.cpu_median_pct_seconds", median_pct);
-  if (require_overhead && overhead_pct >= 3.0) {
-    std::fprintf(stderr, "perf plane overhead %.2f%% breaches the 3%% gate\n",
-                 overhead_pct);
-    ok = false;
-  }
+  ok &= bench::RunOverheadLeg(report, "overhead.", "perf", w, runs.off,
+                              runs.on, RunWorkload);
 
   telemetry::perf::ResetAll();
   (void)report.Write();

@@ -4,6 +4,7 @@
 
 #include "core/wandering_network.h"
 #include "telemetry/latency_plane.h"
+#include "telemetry/perf_counters.h"
 #include "telemetry/telemetry.h"
 #include "vm/assembler.h"
 
@@ -84,8 +85,7 @@ void Ship::Receive(Shuttle shuttle, net::NodeId arrived_from) {
 }
 
 void Ship::Consume(const Shuttle& shuttle, net::NodeId arrived_from) {
-  telemetry::Profiler::Scope prof(&network_.telemetry().profiler(),
-                                  "ship.consume");
+  VIATOR_PERF_SCOPE(kShipConsume);
   // DCP dock: the shuttle morphs to this ship class's interface; the ship's
   // congruence tracker simultaneously learns the traffic structure.
   Shuttle docked = shuttle;
@@ -187,8 +187,7 @@ void Ship::Consume(const Shuttle& shuttle, net::NodeId arrived_from) {
 
 void Ship::ExecuteShuttleCode(const Shuttle& shuttle,
                               const vm::Program& program) {
-  telemetry::Profiler::Scope prof(&network_.telemetry().profiler(),
-                                  "ee.execute");
+  VIATOR_PERF_SCOPE(kEeExecute);
   telemetry::SpanScope span(network_.telemetry(), shuttle.trace, id_, "ee",
                             "execute");
   auto& ee = os_.GetOrCreateEe(node::DefaultClassFor(os_.current_role()));

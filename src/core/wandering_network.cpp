@@ -284,7 +284,7 @@ void WanderingNetwork::ExecuteMigrations() {
 }
 
 void WanderingNetwork::Pulse() {
-  telemetry::Profiler::Scope prof(&telemetry_.profiler(), "wn.pulse");
+  VIATOR_PERF_SCOPE(kWnPulse);
   ++pulses_;
   const sim::TimePoint now = simulator_.now();
 
@@ -387,8 +387,7 @@ void WanderingNetwork::StartPulse(sim::TimePoint until) {
         if (simulator_.now() + config_.pulse_interval <= until) {
           StartPulse(until);
         }
-      },
-      "wn.pulse");
+      });
 }
 
 void WanderingNetwork::MixDigest(Hasher& hasher) const {

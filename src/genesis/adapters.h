@@ -90,9 +90,9 @@ class CachingServiceAdapter : public Snapshotable {
 };
 
 /// Wandering Observatory span collector: id RNG stream, id/drop counters and
-/// every retained span. Profiler wall-clock data is intentionally excluded
-/// (host measurements, not simulated state), so traced runs snapshot
-/// bit-identically whether or not profiling was on.
+/// every retained span. Plane measurements (cycles, bytes, latency) are
+/// intentionally excluded (host measurements, not simulated state), so
+/// traced runs snapshot bit-identically whether or not a plane was on.
 class TelemetryAdapter : public Snapshotable {
  public:
   explicit TelemetryAdapter(telemetry::Telemetry& telemetry,

@@ -116,8 +116,7 @@ void ProbePlane::StartProbes(sim::TimePoint until) {
         if (network_.simulator().now() + config_.probe_interval <= until) {
           StartProbes(until);
         }
-      },
-      "health.probe");
+      });
 }
 
 void ProbePlane::RunRound() {

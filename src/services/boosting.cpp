@@ -143,8 +143,7 @@ void ArqBooster::ArmTimer(std::uint64_t flow, std::uint64_t seq) {
         }
         ++retransmissions_;
         Transmit(flow, seq);
-      },
-      "svc.boosting");
+      });
 }
 
 Status ArqBooster::SendData(std::uint64_t flow, std::int64_t word) {

@@ -141,8 +141,7 @@ void DistanceVectorRouter::Start(sim::TimePoint until) {
             until) {
           Start(until);
         }
-      },
-      "svc.routing");
+      });
 }
 
 Status DistanceVectorRouter::Send(net::NodeId src, net::NodeId dst,

@@ -67,7 +67,7 @@ class MailboxGrid {
   MailboxGrid& operator=(const MailboxGrid&) = delete;
 
   ~MailboxGrid() {
-#if VIATOR_MEM_COUNTERS
+#if VIATOR_PLANES
     for (const Stripe& stripe : stripes_) {
       VIATOR_MEM_FREE(kMailbox,
                       stripe.pending.capacity() * sizeof(Handoff));

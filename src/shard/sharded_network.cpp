@@ -349,8 +349,7 @@ std::size_t ShardedNetwork::MergeWindow(sim::TimePoint window_end,
         arrival,
         [network, shuttle = std::move(shuttle)]() mutable {
           (void)network->Inject(std::move(shuttle));
-        },
-        "shard.handoff");
+        });
   }
   stats_.GetCounter("shard.handoffs").Add(batch.size());
 

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <chrono>
 #include <utility>
 
 #include "sim/stats.h"
@@ -42,8 +41,7 @@ void Simulator::FreeSlot(std::uint32_t slot, Callback* fn) {
   --live_events_;
 }
 
-EventHandle Simulator::ScheduleAt(TimePoint when, Callback fn,
-                                  const char* component) {
+EventHandle Simulator::ScheduleAt(TimePoint when, Callback fn) {
   if (when < now_) {
     ++clamped_events_;
     if (clamp_counter_ != nullptr) clamp_counter_->Add();
@@ -53,26 +51,20 @@ EventHandle Simulator::ScheduleAt(TimePoint when, Callback fn,
   qe.seq = next_seq_++;
   qe.slot = AllocSlot(std::move(fn));
   qe.gen = slots_[qe.slot].gen;
-  if (observer_ && component != nullptr) component_by_seq_[qe.seq] = component;
   queue_.Push(qe);
   if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
   return EventHandle(this, qe.slot, qe.gen);
 }
 
-EventHandle Simulator::ScheduleAfter(Duration delay, Callback fn,
-                                     const char* component) {
-  return ScheduleAt(now_ + delay, std::move(fn), component);
+EventHandle Simulator::ScheduleAfter(Duration delay, Callback fn) {
+  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
 bool Simulator::Step() {
   VIATOR_PERF_SCOPE(kSimDispatch);
   while (!queue_.empty()) {
     QueuedEvent ev = queue_.PopMin();
-    if (!SlotLive(ev.slot, ev.gen)) {  // tombstoned by Cancel()
-      if (observer_) component_by_seq_.erase(ev.seq);
-      continue;
-    }
-    const TimePoint prev_now = now_;
+    if (!SlotLive(ev.slot, ev.gen)) continue;  // tombstoned by Cancel()
     now_ = ev.when;
     // Free the slot before running: a handle queried (or cancelled) from
     // inside its own callback must read "already fired", exactly as the old
@@ -83,23 +75,7 @@ bool Simulator::Step() {
     if (dispatch_hook_ != nullptr) {
       dispatch_hook_(dispatch_hook_ctx_, ev.when, dispatched_);
     }
-    if (observer_) {
-      const char* component = "sim.event";
-      if (auto it = component_by_seq_.find(ev.seq);
-          it != component_by_seq_.end()) {
-        component = it->second;
-        component_by_seq_.erase(it);
-      }
-      const auto wall_start = std::chrono::steady_clock::now();
-      fn();
-      const auto wall_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall_start)
-              .count());
-      observer_(component, ev.when, ev.when - prev_now, wall_ns);
-    } else {
-      fn();
-    }
+    fn();
     return true;
   }
   return false;
@@ -129,8 +105,7 @@ std::optional<TimePoint> Simulator::NextEventTime() {
     const QueuedEvent* top = queue_.PeekMin();
     if (SlotLive(top->slot, top->gen)) return top->when;
     // Tombstoned: drop it now, exactly as Step() would.
-    QueuedEvent dead = queue_.PopMin();
-    if (observer_) component_by_seq_.erase(dead.seq);
+    (void)queue_.PopMin();
   }
   return std::nullopt;
 }

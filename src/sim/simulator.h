@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -65,41 +64,21 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Observes every dispatched event: component label (a static string, or
-  /// "sim.event" for untagged events), its scheduled time, the virtual-time
-  /// gap since the previous dispatch, and the wall-clock nanoseconds the
-  /// callback ran for. Installed by the telemetry profiler; when unset the
-  /// dispatch loop pays only a null check (zero-cost-when-off).
-  using DispatchObserver = std::function<void(
-      const char* component, TimePoint when, Duration virtual_gap,
-      std::uint64_t wall_ns)>;
-
   /// Current virtual time.
   TimePoint now() const { return now_; }
 
   /// Schedules `fn` at absolute time `when` (clamped to now if in the past).
-  /// `component` must point at storage outliving the event (string literal).
-  EventHandle ScheduleAt(TimePoint when, Callback fn,
-                         const char* component = nullptr);
+  EventHandle ScheduleAt(TimePoint when, Callback fn);
 
   /// Schedules `fn` after `delay` from now.
-  EventHandle ScheduleAfter(Duration delay, Callback fn,
-                            const char* component = nullptr);
+  EventHandle ScheduleAfter(Duration delay, Callback fn);
 
-  /// Installs (or, with nullptr, removes) the dispatch observer. Component
-  /// labels are only retained for events scheduled while an observer is
-  /// installed; removing the observer drops pending labels.
-  void SetDispatchObserver(DispatchObserver observer) {
-    observer_ = std::move(observer);
-    if (!observer_) component_by_seq_.clear();
-  }
-
-  /// Flight-recorder hook, independent of the profiler's observer: called for
-  /// every dispatched event with its scheduled time and 1-based dispatch
-  /// ordinal (`dispatched()` after the increment — restored by RestoreClock,
-  /// so journals stay comparable across a genesis restore, unlike the
-  /// scheduling sequence number), before the callback runs. A plain function
-  /// pointer keeps the unhooked dispatch path to one predicted branch.
+  /// Flight-recorder hook: called for every dispatched event with its
+  /// scheduled time and 1-based dispatch ordinal (`dispatched()` after the
+  /// increment — restored by RestoreClock, so journals stay comparable
+  /// across a genesis restore, unlike the scheduling sequence number),
+  /// before the callback runs. A plain function pointer keeps the unhooked
+  /// dispatch path to one predicted branch.
   using DispatchHook = void (*)(void* ctx, TimePoint when,
                                 std::uint64_t ordinal);
   void SetDispatchHook(DispatchHook hook, void* ctx) {
@@ -129,7 +108,7 @@ class Simulator {
 
   /// Current event-queue size, O(1). Counts tombstoned (cancelled) events
   /// still awaiting lazy removal, so this is queue *occupancy*, the number
-  /// PendingEvents() refines. Exported as a profiler gauge.
+  /// PendingEvents() refines.
   std::size_t queue_depth() const { return queue_.size(); }
 
   /// High-water mark of queue_depth() since construction.
@@ -217,11 +196,9 @@ class Simulator {
   std::vector<EventSlot> slots_;
   std::uint32_t free_head_ = kNoFreeSlot;
   static constexpr std::uint32_t kNoFreeSlot = ~static_cast<std::uint32_t>(0);
-  DispatchObserver observer_;
   DispatchHook dispatch_hook_ = nullptr;
   void* dispatch_hook_ctx_ = nullptr;
   Counter* clamp_counter_ = nullptr;
-  std::unordered_map<std::uint64_t, const char*> component_by_seq_;
 };
 
 inline void EventHandle::Cancel() {

@@ -12,13 +12,10 @@
 // contents are bit-identical at any thread count (bench_latency's
 // ReplayNeutrality + bucket-exactness gates).
 //
-// Cost contract (docs/LATENCY.md), same shape as the perf/mem planes:
-//  - compile-time off (-DVIATOR_LAT_COUNTERS=0): every probe macro expands
-//    to nothing (tests/test_lat_compiled_out.cpp);
-//  - runtime off (the default): one relaxed atomic load + predicted branch
-//    per probe;
-//  - runtime on: integer bucket arithmetic against this network's Lane,
-//    plus one hash-table touch per lifecycle transition.
+// The switch and the cost contract are the planes' shared kit
+// (telemetry/plane.h, docs/OBSERVABILITY.md); runtime on costs integer
+// bucket arithmetic against this network's Lane, plus one hash-table touch
+// per lifecycle transition.
 //
 // Determinism contract: latency values never feed a simulation decision,
 // never enter journals or state hashes. `lat_id` values come from a global
@@ -47,10 +44,7 @@
 
 #include "sim/time.h"
 #include "telemetry/latency_sketch.h"
-
-#if !defined(VIATOR_LAT_COUNTERS)
-#define VIATOR_LAT_COUNTERS 1
-#endif
+#include "telemetry/plane.h"
 
 namespace viator::telemetry::lat {
 
@@ -107,7 +101,6 @@ inline constexpr std::size_t StageClassCount(Stage stage) {
 }
 
 namespace internal {
-inline std::atomic<bool> g_enabled{false};
 /// Global flight-id spring. Relaxed and shared across lanes/threads: ids
 /// are unique, not deterministic (see the header contract).
 inline std::atomic<std::uint64_t> g_next_id{1};
@@ -115,12 +108,8 @@ inline std::atomic<std::uint64_t> g_next_id{1};
 
 /// The runtime switch. Off (default): every probe costs one predicted
 /// branch. Flip before building the world to cover construction traffic.
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-inline void SetEnabled(bool on) {
-  internal::g_enabled.store(on, std::memory_order_relaxed);
-}
+inline bool Enabled() { return plane::Switch<Stage>::On(); }
+inline void SetEnabled(bool on) { plane::Switch<Stage>::Set(on); }
 inline std::uint64_t NextFlightId() {
   return internal::g_next_id.fetch_add(1, std::memory_order_relaxed);
 }
@@ -424,11 +413,11 @@ inline void ProbeLost(Lane* lane, std::uint64_t lat_id, sim::TimePoint now) {
 
 }  // namespace viator::telemetry::lat
 
-// The probe macros instrumented code uses. With VIATOR_LAT_COUNTERS=0 they
-// expand to nothing at all — the compiled-out contract
-// (tests/test_lat_compiled_out.cpp). Arguments are only evaluated when the
-// plane is compiled in, so expressions must stay side-effect free.
-#if VIATOR_LAT_COUNTERS
+// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
+// to nothing at all — the compiled-out contract. Arguments are only
+// evaluated when the plane is compiled in, so expressions must stay
+// side-effect free.
+#if VIATOR_PLANES
 #define VIATOR_LAT_BIRTH(lane, shuttle, now) \
   ::viator::telemetry::lat::ProbeBirth((lane), (shuttle), (now))
 #define VIATOR_LAT_DELIVERED(lane, shuttle, now) \

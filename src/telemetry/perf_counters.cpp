@@ -22,6 +22,9 @@ const char* MetricName(Metric metric) {
     case Metric::kRouteCacheHit: return "perf.route_cache_hit";
     case Metric::kRouteCacheMiss: return "perf.route_cache_miss";
     case Metric::kRouteCacheFill: return "perf.route_cache_fill";
+    case Metric::kShipConsume: return "perf.ship_consume";
+    case Metric::kEeExecute: return "perf.ee_execute";
+    case Metric::kWnPulse: return "perf.wn_pulse";
     case Metric::kCount: break;
   }
   return "perf.unknown";

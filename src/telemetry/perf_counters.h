@@ -3,40 +3,22 @@
 // points, per-thread counter blocks (no sharing, no atomics on the hot
 // path), and an rdtsc-based cycle clock with a steady_clock fallback.
 //
-// Cost contract (docs/PERF.md):
-//  - compile-time off (-DVIATOR_PERF_COUNTERS=0): every probe macro expands
-//    to nothing — zero instructions, zero bytes, provably (see
-//    tests/test_perf_compiled_out.cpp);
-//  - runtime off (the default): one relaxed atomic load + predicted branch
-//    per probe;
-//  - runtime on: two cycle-clock reads per timed probe, one increment per
-//    counting probe, all against this thread's private block.
+// The switch, the registry and the cost contract are the planes' shared kit
+// (telemetry/plane.h, docs/OBSERVABILITY.md); runtime on costs two
+// cycle-clock reads per timed probe, one increment per counting probe.
+// Counter values are measurements of the host machine and never steer the
+// simulation (ReplayNeutrality, gated by bench_shard_observatory).
 //
-// Determinism contract: counter values are measurements of the host
-// machine. They never feed a simulation decision, never enter snapshots or
-// journals, and never appear in any hash — a counters-on run and a
-// counters-off run of the same seed make bit-identical decisions
-// (ReplayNeutrality, gated by bench_shard_observatory).
-//
-// This header is deliberately self-contained (no sim/net/core includes) so
-// the layers below telemetry — base/rng.cpp, sim/simulator.cpp — can embed
-// probes without inverting the library dependency order: everything is
-// inline or thread_local; the only out-of-line helpers (report formatting,
-// StatsRegistry publication) live in perf_counters.cpp inside
-// viator_telemetry, which only upper layers call.
+// The only out-of-line helpers (report formatting, StatsRegistry
+// publication) live in perf_counters.cpp inside viator_telemetry, which only
+// upper layers call.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
-#if !defined(VIATOR_PERF_COUNTERS)
-#define VIATOR_PERF_COUNTERS 1
-#endif
+#include "telemetry/plane.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
@@ -63,6 +45,9 @@ enum class Metric : std::uint8_t {
   kRouteCacheHit,     // NextHop answered from a live cached row (counted)
   kRouteCacheMiss,    // NextHop had to (re)fill a row (counted)
   kRouteCacheFill,    // one full first-hop BFS filling a cache row
+  kShipConsume,       // Ship::Consume: dock, role handler or EE, sink
+  kEeExecute,         // Ship::ExecuteShuttleCode: one WanderScript EE run
+  kWnPulse,           // WanderingNetwork::Pulse: one autopoietic pulse
   kCount,
 };
 
@@ -77,15 +62,15 @@ struct Counter {
   std::uint64_t calls = 0;
   std::uint64_t cycles = 0;
   std::uint64_t max_cycles = 0;
+
+  void Merge(const Counter& other) {
+    calls += other.calls;
+    cycles += other.cycles;
+    if (other.max_cycles > max_cycles) max_cycles = other.max_cycles;
+  }
 };
 
-/// Per-thread counter block. Written only by its owning thread; read (and
-/// zeroed) by Registry under its lock, which callers must only do while the
-/// writing threads are quiescent (e.g. at a window barrier) — the executor's
-/// own synchronization then orders the accesses.
-struct ThreadBlock {
-  std::array<Counter, kMetricCount> counters{};
-};
+using Registry = plane::Registry<Counter, kMetricCount>;
 
 /// Cycle clock: rdtsc where available (x86-64; ~20 cycles, monotonic enough
 /// for deltas on any post-2008 part with constant_tsc), otherwise
@@ -102,78 +87,11 @@ inline std::uint64_t Cycles() {
 #endif
 }
 
-namespace internal {
-inline std::atomic<bool> g_enabled{false};
-}  // namespace internal
-
 /// The runtime switch. Off (default): every probe costs one predicted
-/// branch. Flip it around a measured region; per-thread counts accumulate
-/// until ResetAll().
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-inline void SetEnabled(bool on) {
-  internal::g_enabled.store(on, std::memory_order_relaxed);
-}
+/// branch. Per-thread counts accumulate until ResetAll().
+inline bool Enabled() { return plane::Switch<Metric>::On(); }
+inline void SetEnabled(bool on) { plane::Switch<Metric>::Set(on); }
 
-/// Owns every thread's block for the lifetime of the process (blocks of
-/// finished threads are retained so their counts stay in the aggregate).
-/// Leaked singleton: probes must stay valid during static destruction.
-class Registry {
- public:
-  static Registry& Instance() {
-    static Registry* instance = new Registry;  // intentionally leaked
-    return *instance;
-  }
-
-  /// Creates and adopts the calling thread's block.
-  ThreadBlock* Attach() {
-    auto block = std::make_unique<ThreadBlock>();
-    ThreadBlock* raw = block.get();
-    std::lock_guard<std::mutex> lock(mutex_);
-    blocks_.push_back(std::move(block));
-    return raw;
-  }
-
-  /// Sum of every thread's counters. Call only while instrumented threads
-  /// are quiescent (see ThreadBlock).
-  std::array<Counter, kMetricCount> Aggregate() const {
-    std::array<Counter, kMetricCount> total{};
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& block : blocks_) {
-      for (std::size_t i = 0; i < kMetricCount; ++i) {
-        const Counter& c = block->counters[i];
-        total[i].calls += c.calls;
-        total[i].cycles += c.cycles;
-        if (c.max_cycles > total[i].max_cycles) {
-          total[i].max_cycles = c.max_cycles;
-        }
-      }
-    }
-    return total;
-  }
-
-  /// The scenario reset hook: zeroes every thread's block so successive
-  /// scenarios in one process start from a clean slate instead of
-  /// inheriting the previous run's counts. Same quiescence requirement as
-  /// Aggregate().
-  void ResetAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& block : blocks_) block->counters.fill(Counter{});
-  }
-
- private:
-  Registry() = default;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBlock>> blocks_;
-};
-
-inline ThreadBlock& LocalBlock() {
-  thread_local ThreadBlock* block = Registry::Instance().Attach();
-  return *block;
-}
-
-/// Convenience forwarders for the common calls.
 inline std::array<Counter, kMetricCount> Aggregate() {
   return Registry::Instance().Aggregate();
 }
@@ -182,17 +100,15 @@ inline void ResetAll() { Registry::Instance().ResetAll(); }
 /// Counting probe body (untimed): one branch off, branch + increment on.
 inline void Count(Metric metric) {
   if (!Enabled()) return;
-  ++LocalBlock().counters[static_cast<std::size_t>(metric)].calls;
+  ++Registry::Local().counters[static_cast<std::size_t>(metric)].calls;
 }
 
 /// Records one timed sample (used by Timer; callable directly when the
 /// caller already has a cycle delta).
 inline void Record(Metric metric, std::uint64_t cycles) {
   if (!Enabled()) return;
-  Counter& c = LocalBlock().counters[static_cast<std::size_t>(metric)];
-  ++c.calls;
-  c.cycles += cycles;
-  if (cycles > c.max_cycles) c.max_cycles = cycles;
+  Registry::Local().counters[static_cast<std::size_t>(metric)].Merge(
+      {1, cycles, cycles});
 }
 
 /// RAII timed probe: samples Cycles() on entry and exit. The enabled check
@@ -217,9 +133,9 @@ class Timer {
 
 }  // namespace viator::telemetry::perf
 
-// The probe macros instrumented code uses. With VIATOR_PERF_COUNTERS=0 they
-// expand to nothing at all — the compiled-out contract.
-#if VIATOR_PERF_COUNTERS
+// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
+// to nothing at all — the compiled-out contract.
+#if VIATOR_PLANES
 #define VIATOR_PERF_CAT2(a, b) a##b
 #define VIATOR_PERF_CAT(a, b) VIATOR_PERF_CAT2(a, b)
 #define VIATOR_PERF_SCOPE(metric)                    \

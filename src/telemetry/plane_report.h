@@ -29,9 +29,8 @@ struct GaugeValue {
 };
 
 /// Publishes `<base><suffix> = value` gauges. Gauges (not counters) on
-/// purpose, following the profiler.* precedent: published values are
-/// point-in-time mirrors of the aggregate, so re-publishing after more
-/// windows overwrites instead of double-counting.
+/// purpose: published values are point-in-time mirrors of the aggregate, so
+/// re-publishing after more windows overwrites instead of double-counting.
 inline void PublishGaugeRow(sim::StatsRegistry& stats, std::string_view base,
                             std::initializer_list<GaugeValue> fields) {
   std::string name;

@@ -1,21 +1,19 @@
 // The Wandering Observatory hub: one Telemetry object per WanderingNetwork
-// owning the span collector and event-loop profiler.
+// owning the span collector.
 //
 // Design constraints (see docs/OBSERVABILITY.md):
-//  - zero-cost-when-off: with tracing and profiling disabled, instrumented
-//    code paths pay one branch per SpanScope/Profiler::Scope and one null
-//    check per dispatched event, nothing more;
+//  - zero-cost-when-off: with tracing disabled, instrumented code paths pay
+//    one branch per SpanScope, nothing more;
 //  - determinism-neutral: trace ids come from a dedicated RNG forked off the
-//    replica seed, trace contexts are excluded from wire sizes, and profiler
-//    wall-clock data never enters snapshots — a traced run and an untraced
-//    run of the same seed make identical simulation decisions.
+//    replica seed and trace contexts are excluded from wire sizes — a traced
+//    run and an untraced run of the same seed make identical simulation
+//    decisions.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 
 #include "sim/simulator.h"
-#include "telemetry/profiler.h"
 #include "telemetry/span.h"
 #include "telemetry/trace_context.h"
 
@@ -23,7 +21,6 @@ namespace viator::telemetry {
 
 struct TelemetryConfig {
   bool enable_tracing = false;
-  bool enable_profiling = false;
   /// Bound on retained spans; past it new spans are dropped (and counted).
   std::size_t span_capacity = 65536;
 };
@@ -37,14 +34,11 @@ class Telemetry {
             std::uint64_t id_seed)
       : simulator_(simulator),
         config_(config),
-        spans_(id_seed, config.span_capacity) {
-    if (config_.enable_profiling) profiler_.Attach(simulator_);
-  }
+        spans_(id_seed, config.span_capacity) {}
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
   bool tracing_enabled() const { return config_.enable_tracing; }
-  bool profiling_enabled() const { return config_.enable_profiling; }
 
   /// Fresh trace context for a newly injected capsule (inactive context when
   /// tracing is off, so callers need no branch of their own).
@@ -54,15 +48,12 @@ class Telemetry {
 
   SpanCollector& spans() { return spans_; }
   const SpanCollector& spans() const { return spans_; }
-  Profiler& profiler() { return profiler_; }
-  const Profiler& profiler() const { return profiler_; }
   sim::Simulator& simulator() { return simulator_; }
 
  private:
   sim::Simulator& simulator_;
   TelemetryConfig config_;
   SpanCollector spans_;
-  Profiler profiler_;
 };
 
 /// RAII span: opens a child span of `parent` on construction, commits it

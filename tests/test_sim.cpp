@@ -220,6 +220,18 @@ TEST(Simulator, PendingEventsCountsLiveOnly) {
 
 // ---- Stats ----
 
+TEST(Simulator, QueueDepthTracksOccupancyAndHighWater) {
+  Simulator simulator;
+  simulator.ScheduleAfter(10, [] {});
+  simulator.ScheduleAfter(20, [] {});
+  simulator.ScheduleAfter(30, [] {});
+  EXPECT_EQ(simulator.queue_depth(), 3u);
+  EXPECT_EQ(simulator.max_queue_depth(), 3u);
+  simulator.RunAll();
+  EXPECT_EQ(simulator.queue_depth(), 0u);
+  EXPECT_EQ(simulator.max_queue_depth(), 3u);  // the high-water mark stays
+}
+
 TEST(Stats, CounterAccumulates) {
   Counter c;
   c.Add();

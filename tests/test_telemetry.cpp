@@ -1,9 +1,10 @@
-// Wandering Observatory: causal span collection, the event-loop profiler,
+// Wandering Observatory: causal span collection, plane stats publication,
 // export round-trips and the end-to-end acceptance property — a traced
 // capsule's spans reconstruct into one connected causal tree crossing
 // several ships and services.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -16,11 +17,12 @@
 #include "sim/simulator.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/export.h"
+#include "telemetry/mem_stats.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/perf_stats.h"
-#include "telemetry/profiler.h"
 #include "telemetry/span.h"
 #include "telemetry/telemetry.h"
+#include "vm/assembler.h"
 
 namespace viator {
 namespace {
@@ -269,71 +271,16 @@ TEST(Export, PrometheusTextMatchesGoldenBytes) {
             "viator_h_lat_count 1\n");
 }
 
-// ---- Profiler ---------------------------------------------------------------
+// ---- Process memory stats ---------------------------------------------------
 
-TEST(Profiler, AttributesCostPerComponent) {
-  sim::Simulator simulator;
-  telemetry::Profiler profiler;
-  profiler.Attach(simulator);
-  simulator.ScheduleAfter(10, [] {}, "fabric.deliver");
-  simulator.ScheduleAfter(20, [] {}, "fabric.deliver");
-  simulator.ScheduleAfter(30, [] {});  // unlabeled → "sim.event"
-  simulator.RunAll();
-  const auto& costs = profiler.costs();
-  ASSERT_TRUE(costs.contains("fabric.deliver"));
-  EXPECT_EQ(costs.at("fabric.deliver").calls, 2u);
-  EXPECT_EQ(costs.at("fabric.deliver").virtual_ns, 20u);  // 10 + (20-10)
-  ASSERT_TRUE(costs.contains("sim.event"));
-  EXPECT_EQ(costs.at("sim.event").calls, 1u);
-
-  telemetry::Profiler::Scope(&profiler, "manual.section");
-  EXPECT_TRUE(costs.contains("manual.section"));
-
-  std::ostringstream report, json;
-  profiler.Report(report);
-  profiler.WriteJson(json);
-  EXPECT_NE(report.str().find("fabric.deliver"), std::string::npos);
-  EXPECT_NE(json.str().find("\"manual.section\""), std::string::npos);
-}
-
-TEST(Profiler, PublishStatsExportsDeterministicGauges) {
-  sim::Simulator simulator;
-  telemetry::Profiler profiler;
-  profiler.Attach(simulator);
-  simulator.ScheduleAfter(10, [] {}, "fabric.deliver");
-  simulator.ScheduleAfter(20, [] {}, "fabric.deliver");
-  simulator.ScheduleAfter(30, [] {}, "ship.consume");
-  EXPECT_EQ(simulator.queue_depth(), 3u);
-  simulator.RunAll();
-
+TEST(MemStats, ProcGaugesArePlausible) {
   sim::StatsRegistry stats;
-  profiler.PublishStats(stats);
-  EXPECT_DOUBLE_EQ(stats.GetGauge("profiler.queue_depth").value(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.GetGauge("profiler.queue_depth_max").value(), 3.0);
-  EXPECT_DOUBLE_EQ(stats.GetGauge("profiler.events.fabric.deliver").value(),
-                   2.0);
-  EXPECT_DOUBLE_EQ(stats.GetGauge("profiler.events.ship.consume").value(),
-                   1.0);
-  // Process memory gauges ride along; they are host-varying so only
-  // presence and plausibility are asserted (maxrss is never 0 on Linux).
+  telemetry::PublishProcStats(stats, telemetry::ReadRssBytes(),
+                              telemetry::ReadMaxRssBytes());
+  // Host-varying, so only presence and plausibility are asserted (maxrss is
+  // never 0 on Linux).
   EXPECT_GT(stats.GetGauge("proc.maxrss_bytes").value(), 0.0);
   EXPECT_GE(stats.GetGauge("proc.rss_bytes").value(), 0.0);
-  // Wall-clock numbers must not leak into the registry: aside from the
-  // proc.* gauges above, every published value is identical across
-  // identical-seed runs.
-  for (const auto& [name, gauge] : stats.gauges()) {
-    EXPECT_TRUE(name.find("profiler.") != std::string::npos ||
-                name.rfind("proc.", 0) == 0)
-        << name;
-    EXPECT_EQ(name.find("wall"), std::string::npos) << name;
-  }
-}
-
-TEST(Profiler, DetachedScopeIsInert) {
-  telemetry::Profiler profiler;
-  { telemetry::Profiler::Scope scope(&profiler, "x"); }
-  { telemetry::Profiler::Scope scope(nullptr, "y"); }
-  EXPECT_TRUE(profiler.costs().empty());
 }
 
 // ---- BenchReport ------------------------------------------------------------
@@ -596,6 +543,52 @@ TEST(PerfStats, RuntimeSwitchGatesProbes) {
   EXPECT_EQ(aggregate[static_cast<std::size_t>(Metric::kMergeWindow)].calls,
             0u);
   EXPECT_EQ(aggregate[static_cast<std::size_t>(Metric::kRngDraw)].calls, 0u);
+}
+
+/// Calls of the core-layer probes over a small network run with one pulse
+/// and one shuttle carrying code, the perf plane switched `on`.
+std::array<std::uint64_t, 3> CoreProbeCalls(bool on) {
+  using telemetry::perf::Metric;
+  auto program = vm::Assemble("noop", "push 1\nsys emit\nhalt\n");
+  if (!program.ok()) {
+    ADD_FAILURE() << "the probe program must assemble";
+    return {};
+  }
+  telemetry::perf::ResetAll();
+  telemetry::perf::SetEnabled(on);
+  sim::Simulator simulator;
+  net::Topology topology = net::MakeLine(4);
+  wli::WanderingNetwork network(simulator, topology, wli::WnConfig{},
+                                /*seed=*/99);
+  network.PopulateAllNodes();
+  EXPECT_TRUE(network.PublishProgram(*program, 0).ok());
+  wli::Shuttle shuttle = wli::Shuttle::Data(0, 3, {1}, 1);
+  shuttle.code_digest = program->digest();
+  EXPECT_TRUE(network.Inject(std::move(shuttle)).ok());
+  simulator.RunAll();
+  network.Pulse();
+  simulator.RunAll();
+  telemetry::perf::SetEnabled(false);
+  EXPECT_EQ(network.ship(3)->code_executions(), 1u);
+
+  const auto aggregate = telemetry::perf::Aggregate();
+  const auto calls = [&](Metric metric) {
+    return aggregate[static_cast<std::size_t>(metric)].calls;
+  };
+  const std::array<std::uint64_t, 3> out = {calls(Metric::kShipConsume),
+                                            calls(Metric::kEeExecute),
+                                            calls(Metric::kWnPulse)};
+  telemetry::perf::ResetAll();
+  return out;
+}
+
+TEST(PerfStats, CoreLayerProbesFireOnlyWhenEnabled) {
+  for (const std::uint64_t calls : CoreProbeCalls(/*on=*/true)) {
+    EXPECT_GT(calls, 0u);
+  }
+  for (const std::uint64_t calls : CoreProbeCalls(/*on=*/false)) {
+    EXPECT_EQ(calls, 0u);
+  }
 }
 
 }  // namespace

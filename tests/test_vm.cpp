@@ -2,6 +2,7 @@
 // interpreter semantics, fuel metering and the code repository/cache.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "vm/assembler.h"
@@ -416,6 +417,13 @@ struct BinOpCase {
   const char* mnemonic;
   std::int64_t a, b, expected;
 };
+
+// Prints a case as "add(9223372036854775807,1)=-9223372036854775808". The
+// printed value is also the case's CTest name, so it must not fall back to
+// gtest's raw-byte dump, which embeds the address of `mnemonic`.
+void PrintTo(const BinOpCase& c, std::ostream* os) {
+  *os << c.mnemonic << '(' << c.a << ',' << c.b << ")=" << c.expected;
+}
 
 class BinOpSweep : public ::testing::TestWithParam<BinOpCase> {};
 

@@ -19,9 +19,11 @@
 //                                        0.25); wall-clock keys are ignored
 //   wnhealth trend  <bench-dir> <out.json>  merge every BENCH_<name>.json in
 //                                        the directory into one flat
-//                                        "<name>.<metric>" JSON — the
-//                                        per-commit bench-trajectory artifact
-//                                        CI archives as BENCH_trend.json
+//                                        "<name>.<metric>" JSON (metrics
+//                                        already under "<name>." keep their
+//                                        key) — the per-commit
+//                                        bench-trajectory artifact CI
+//                                        archives as BENCH_trend.json
 //
 // Exit codes are CI-stable: 0 pass, 1 I/O error, 2 usage, 4 gate failure.
 // Identical-seed record runs write byte-identical health.jsonl files.
@@ -115,8 +117,7 @@ int RunRecord(const std::string& out_dir, bool degrade) {
                 {services::kCacheOpGet,
                  static_cast<std::int64_t>(content_id)},
                 flow));
-          },
-          "wnhealth.workload");
+          });
       ++flow;
       at += 150 * sim::kMillisecond;
     }
@@ -234,7 +235,9 @@ int RunTrend(const std::string& bench_dir, const std::string& out_path) {
 
   // "<bench>.<metric>" keys: BENCH_health.json's "probes_emitted" becomes
   // "health.probes_emitted", so one artifact carries every bench's numbers
-  // and stays diffable commit to commit.
+  // and stays diffable commit to commit. Metrics already namespaced under
+  // their bench (BENCH_memory.json's "memory.total_live_bytes") keep their
+  // name instead of doubling the prefix.
   std::map<std::string, double> merged;
   for (const fs::path& path : reports) {
     std::ifstream in(path);
@@ -243,9 +246,11 @@ int RunTrend(const std::string& bench_dir, const std::string& out_path) {
       return 1;
     }
     const std::string stem = path.stem().string();  // BENCH_<name>
-    const std::string bench = stem.substr(std::string("BENCH_").size());
+    const std::string prefix =
+        stem.substr(std::string("BENCH_").size()) + ".";
     for (const auto& [metric, value] : health::ParseFlatJson(in)) {
-      merged[bench + "." + metric] = value;
+      merged[metric.rfind(prefix, 0) == 0 ? metric : prefix + metric] =
+          value;
     }
   }
 

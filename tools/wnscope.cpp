@@ -1,9 +1,10 @@
 // wnscope — Wandering Observatory telemetry tool.
 //
-//   wnscope record  <out-dir>            run a seeded traced scenario, write
+//   wnscope record  <out-dir>            run a seeded traced scenario with
+//                                        the perf plane on, write
 //                                        spans.jsonl, trace.json,
 //                                        metrics.jsonl, metrics.prom,
-//                                        profile.json
+//                                        perf.txt
 //   wnscope inspect <spans-file>         trace/span/component summary
 //   wnscope filter  <spans-file> <k=v>…  re-emit matching spans as JSONL
 //                                        (component=NAME, ship=N, trace=HEX)
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <set>
@@ -97,11 +99,12 @@ bool LoadSpans(const std::string& path,
 /// services (svc.caching, svc.origin).
 int RunRecord(const std::string& out_dir) {
   constexpr std::uint64_t kSeed = 424242;
+  telemetry::perf::ResetAll();
+  telemetry::perf::SetEnabled(true);
   sim::Simulator simulator;
   net::Topology topology = net::MakeGrid(3, 3);
   wli::WnConfig config;
   config.telemetry.enable_tracing = true;
-  config.telemetry.enable_profiling = true;
   wli::WanderingNetwork network(simulator, topology, config, kSeed);
   network.PopulateAllNodes();
 
@@ -123,14 +126,15 @@ int RunRecord(const std::string& out_dir) {
   }
   network.Pulse();
   simulator.RunAll();
+  telemetry::perf::SetEnabled(false);
 
   const auto& spans = network.telemetry().spans().spans();
   std::ofstream spans_out(out_dir + "/spans.jsonl");
   std::ofstream trace_out(out_dir + "/trace.json");
   std::ofstream metrics_out(out_dir + "/metrics.jsonl");
   std::ofstream prom_out(out_dir + "/metrics.prom");
-  std::ofstream profile_out(out_dir + "/profile.json");
-  if (!spans_out || !trace_out || !metrics_out || !prom_out || !profile_out) {
+  std::ofstream perf_out(out_dir + "/perf.txt");
+  if (!spans_out || !trace_out || !metrics_out || !prom_out || !perf_out) {
     std::cerr << "wnscope: cannot write into " << out_dir << "\n";
     return 1;
   }
@@ -138,7 +142,8 @@ int RunRecord(const std::string& out_dir) {
   telemetry::WriteTraceEventJson(spans, trace_out);
   telemetry::WriteMetricsJsonl(network.stats(), metrics_out);
   telemetry::WritePrometheusText(network.stats(), prom_out);
-  network.telemetry().profiler().WriteJson(profile_out);
+  perf_out << telemetry::FormatPerfReport();
+  telemetry::perf::ResetAll();
 
   const auto traces = telemetry::GroupByTrace(spans);
   std::size_t connected = 0;
@@ -203,34 +208,55 @@ int RunTimeline(const std::string& out_dir) {
   return 0;
 }
 
-/// Seeded single-threaded sharded demo with the memory plane enabled before
-/// the world is built (construction-time pool growth is attributed too).
-/// Single-threaded so the summed per-thread peaks are the exact peaks.
+/// The seeded sharded demo `mem` and `latency` share: a 12x12 grid cut into
+/// 4 row bands, run single-threaded (so the mem plane's summed per-thread
+/// peaks are the exact peaks).
+constexpr int kDemoSide = 12;
+
+shard::ShardedConfig DemoConfig(std::uint64_t seed) {
+  shard::ShardedConfig config;
+  config.shard_count = 4;
+  config.threads = 1;
+  config.seed = seed;
+  config.assignment = shard::GridRowBands(kDemoSide, kDemoSide, 4);
+  return config;
+}
+
+/// The demo's traffic: 16 rounds of 48 uniformly placed shuttles, four
+/// windows per round, then a drain. `after_window` (optional) runs at every
+/// window barrier of the rounds.
+void DriveDemo(shard::ShardedNetwork& world, std::uint64_t traffic_seed,
+               const std::function<void()>& after_window) {
+  constexpr int kNodes = kDemoSide * kDemoSide;
+  Rng traffic(traffic_seed);
+  for (int round = 0; round < 16; ++round) {
+    for (int i = 0; i < 48; ++i) {
+      const auto src =
+          static_cast<net::NodeId>(traffic.UniformInt(0, kNodes - 1));
+      auto dst = static_cast<net::NodeId>(traffic.UniformInt(0, kNodes - 1));
+      if (dst == src) dst = static_cast<net::NodeId>((dst + 1) % kNodes);
+      (void)world.Inject(src, dst, {round, i}, round * 100 + i + 1);
+    }
+    for (int window = 0; window < 4; ++window) {
+      world.RunWindows(1);
+      if (after_window) after_window();
+    }
+  }
+  world.RunUntilQuiescent();
+}
+
+/// The demo with the memory plane enabled before the world is built
+/// (construction-time pool growth is attributed too).
 int RunMem(const std::string& out_dir) {
   constexpr std::uint64_t kSeed = 616161;
   telemetry::mem::ResetAll();
   telemetry::mem::SetEnabled(true);
 
-  net::Topology global = net::MakeGrid(12, 12);
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = 1;
-  config.seed = kSeed;
-  config.assignment = shard::GridRowBands(12, 12, 4);
+  net::Topology global = net::MakeGrid(kDemoSide, kDemoSide);
   int rc = 0;
   {
-    shard::ShardedNetwork world(global, config);
-    Rng traffic(kSeed ^ 0x5eed);
-    for (int round = 0; round < 16; ++round) {
-      for (int i = 0; i < 48; ++i) {
-        const auto src = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        auto dst = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        if (dst == src) dst = static_cast<net::NodeId>((dst + 1) % 144);
-        (void)world.Inject(src, dst, {round, i}, round * 100 + i + 1);
-      }
-      world.RunWindows(4);
-    }
-    world.RunUntilQuiescent();
+    shard::ShardedNetwork world(global, DemoConfig(kSeed));
+    DriveDemo(world, kSeed ^ 0x5eed, nullptr);
 
     const auto aggregate = telemetry::mem::Aggregate();
     const std::uint64_t maxrss = telemetry::ReadMaxRssBytes();
@@ -255,31 +281,26 @@ int RunMem(const std::string& out_dir) {
   return rc;
 }
 
-/// Seeded single-threaded sharded demo with the latency plane and tracing
-/// enabled: windows are stepped one at a time so every barrier fold's
-/// worst-delivery exemplars are harvested, then the per-stage quantile table
-/// (merged across shards) is printed next to a worst-K tail drill-down. Each
-/// drill-down row carries the exemplar's trace id — resolved against the
-/// shards' span collectors right here, the same join `bench_latency` gates —
-/// and its birth sim-time, the coordinate `wnreplay seek` travels to.
+/// The demo with the latency plane and tracing enabled: every barrier
+/// fold's worst-delivery exemplars are harvested, then the per-stage
+/// quantile table (merged across shards) is printed next to a worst-K tail
+/// drill-down. Each drill-down row carries the exemplar's trace id —
+/// resolved against the shards' span collectors right here, the same join
+/// `bench_latency` gates — and its birth sim-time, the coordinate `wnreplay
+/// seek` travels to.
 int RunLatency(const std::string& out_dir) {
   constexpr std::uint64_t kSeed = 717171;
   namespace lat = telemetry::lat;
   lat::SetEnabled(true);
 
-  net::Topology global = net::MakeGrid(12, 12);
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = 1;
-  config.seed = kSeed;
-  config.assignment = shard::GridRowBands(12, 12, 4);
+  net::Topology global = net::MakeGrid(kDemoSide, kDemoSide);
+  shard::ShardedConfig config = DemoConfig(kSeed);
   config.wn.telemetry.enable_tracing = true;
   // Keep the whole run's spans alive so every drill-down trace resolves.
   config.wn.telemetry.span_capacity = 1 << 18;
   int rc = 0;
   {
     shard::ShardedNetwork world(global, config);
-    Rng traffic(kSeed ^ 0x1a7e);
     std::vector<lat::Exemplar> tail;
     const auto harvest = [&] {
       for (std::uint32_t shard = 0; shard < world.shard_count(); ++shard) {
@@ -287,19 +308,7 @@ int RunLatency(const std::string& out_dir) {
         tail.insert(tail.end(), fold.worst.begin(), fold.worst.end());
       }
     };
-    for (int round = 0; round < 16; ++round) {
-      for (int i = 0; i < 48; ++i) {
-        const auto src = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        auto dst = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        if (dst == src) dst = static_cast<net::NodeId>((dst + 1) % 144);
-        (void)world.Inject(src, dst, {round, i}, round * 100 + i + 1);
-      }
-      for (int window = 0; window < 4; ++window) {
-        world.RunWindows(1);
-        harvest();
-      }
-    }
-    world.RunUntilQuiescent();
+    DriveDemo(world, kSeed ^ 0x1a7e, harvest);
     harvest();
 
     lat::Lane merged;
