@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "genesis/manager.h"
 #include "genesis/sections.h"
 #include "genesis/snapshot.h"
+#include "genesis_world.h"
 #include "net/failure.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -479,6 +482,159 @@ TEST(GenesisValidation, ExtraRegistrationIsValidated) {
   EXPECT_TRUE(manager.RegisterExtra(good).ok());
   genesis::FailureInjectorAdapter dup(injector);
   EXPECT_FALSE(manager.RegisterExtra(dup).ok());
+}
+
+// ---- Pinned snapshot bytes --------------------------------------------------
+
+/// "<name> <id> v<version> <size> <fnv>" per section, in capture order.
+std::string SectionTable(const genesis::ParsedSnapshot& snapshot) {
+  std::ostringstream out;
+  for (const genesis::SectionRecord& section : snapshot.sections) {
+    out << genesis::SectionName(section.id) << ' ' << section.id << " v"
+        << section.version << ' ' << section.payload.size() << ' '
+        << DigestToHex(section.digest) << '\n';
+  }
+  return out.str();
+}
+
+TEST(GenesisGolden, SectionDigestsArePinned) {
+  // Every built-in section and all six adapters, captured from one seeded
+  // world and compared with committed sizes and FNV digests: any change to
+  // the snapshot bytes shows here. (The replay journal's section is not in
+  // this world: its window hashes change whenever the state hash does.)
+  testing::GenesisWorld world;
+  const wli::WanderingNetwork& wn = *world.network;
+  ASSERT_GT(wn.repository().size(), 0u);
+  ASSERT_FALSE(wn.placements().empty());
+  ASSERT_GT(wn.ledger().tracked_functions(), 0u);
+  ASSERT_FALSE(world.network->overlays().overlays().empty());
+  ASSERT_GT(world.network->reputation().reports(), 0u);
+  ASSERT_FALSE(wn.ship(3)->os().hardware().slots().empty());
+  ASSERT_GT(wn.ship(2)->facts().size(), 0u);
+  ASSERT_GT(world.cache->hits(), 0u);
+  ASSERT_GT(world.plane->probes_absorbed(), 0u);
+  ASSERT_GT(world.injector->failures_injected(), 0u);
+  ASSERT_GT(world.router->ads_sent(), 0u);
+  ASSERT_FALSE(world.network->telemetry().spans().spans().empty());
+  ASSERT_GT(wn.lat_lane().DeliveredCount(), 0u);
+
+  genesis::GenesisManager manager(*world.network);
+  world.RegisterAdapters(manager);
+  ASSERT_TRUE(manager.IsQuiescent());
+  auto bytes = manager.CaptureFull();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto parsed = genesis::ParseSnapshot(*bytes);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->sections.size(), 25u);
+  const std::string table = SectionTable(*parsed);
+
+  const std::string path =
+      std::string(VIATOR_GOLDEN_DIR) + "/genesis_sections.txt";
+  if (std::getenv("VIATOR_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path) << table;  // deliberate golden refresh
+  }
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.is_open()) << "missing tests/golden/genesis_sections.txt";
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(table, expected.str());
+}
+
+// ---- Adapter round trips -----------------------------------------------------
+
+TEST(GenesisAdapters, MobilityRoundTripIsByteIdentical) {
+  const net::RandomWaypointMobility::Config config;
+  net::RandomWaypointMobility source(5, config, Rng(11));
+  source.Pin(2);
+  for (int i = 0; i < 6; ++i) source.Step(0.8);
+  const std::vector<std::byte> bytes =
+      genesis::MobilityAdapter(source).Save();
+
+  net::RandomWaypointMobility target(5, config, Rng(99));
+  genesis::MobilityAdapter adapter(target);
+  ASSERT_TRUE(adapter.Load(bytes).ok());
+  EXPECT_EQ(adapter.Save(), bytes);
+  EXPECT_EQ(target.rng().SaveState(), source.rng().SaveState());
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(target.positions()[i].x, source.positions()[i].x);
+    EXPECT_EQ(target.positions()[i].y, source.positions()[i].y);
+    EXPECT_EQ(target.states()[i].target.x, source.states()[i].target.x);
+    EXPECT_EQ(target.states()[i].target.y, source.states()[i].target.y);
+    EXPECT_EQ(target.states()[i].speed, source.states()[i].speed);
+    EXPECT_EQ(target.states()[i].pause_left, source.states()[i].pause_left);
+    EXPECT_EQ(target.pinned()[i], source.pinned()[i]);
+  }
+  // Restored processes keep moving in lockstep.
+  source.Step(1.3);
+  target.Step(1.3);
+  EXPECT_EQ(target.positions()[4].x, source.positions()[4].x);
+
+  // A snapshot of a different population size is refused.
+  net::RandomWaypointMobility smaller(4, config, Rng(1));
+  EXPECT_FALSE(genesis::MobilityAdapter(smaller).Load(bytes).ok());
+}
+
+TEST(GenesisAdapters, DvRouterRoundTripIsByteIdentical) {
+  Replica source;
+  services::DistanceVectorRouter router(*source.network, {});
+  for (int round = 0; round < 4; ++round) {
+    router.AdvertiseRound();
+    source.simulator.RunAll();
+  }
+  ASSERT_TRUE(router.Send(0, 8, {1, 2}, 5).ok());
+  source.simulator.RunAll();
+  const std::vector<std::byte> bytes =
+      genesis::DvRouterAdapter(router).Save();
+
+  Replica fresh;
+  services::DistanceVectorRouter twin(*fresh.network, {});
+  genesis::DvRouterAdapter adapter(twin);
+  ASSERT_TRUE(adapter.Load(bytes).ok());
+  EXPECT_EQ(adapter.Save(), bytes);
+  EXPECT_EQ(twin.ads_sent(), router.ads_sent());
+  EXPECT_EQ(twin.control_bytes(), router.control_bytes());
+  EXPECT_EQ(twin.dropped_no_route(), router.dropped_no_route());
+  ASSERT_EQ(twin.tables().size(), router.tables().size());
+  for (std::size_t node = 0; node < router.tables().size(); ++node) {
+    const auto& want = router.tables()[node];
+    const auto& got = twin.tables()[node];
+    ASSERT_EQ(got.size(), want.size()) << "node " << node;
+    auto g = got.begin();
+    for (const auto& [dst, route] : want) {
+      EXPECT_EQ(g->first, dst);
+      EXPECT_EQ(g->second.next_hop, route.next_hop);
+      EXPECT_EQ(g->second.metric, route.metric);
+      EXPECT_EQ(g->second.expires, route.expires);
+      ++g;
+    }
+  }
+}
+
+TEST(GenesisAdapters, CachingServiceRoundTripIsByteIdentical) {
+  Replica source;
+  services::ContentOrigin origin(*source.network, 8);
+  services::CachingService cache(*source.network, 4, 8, /*capacity=*/3);
+  for (std::int64_t content : {1, 2, 1, 3, 4, 2}) {
+    ASSERT_TRUE(source.network
+                    ->Inject(wli::Shuttle::Data(
+                        0, 4, {services::kCacheOpGet, content},
+                        static_cast<std::uint64_t>(content)))
+                    .ok());
+    source.simulator.RunAll();
+  }
+  ASSERT_GT(cache.hits(), 0u);
+  const std::vector<std::byte> bytes =
+      genesis::CachingServiceAdapter(cache).Save();
+
+  Replica fresh;
+  services::ContentOrigin twin_origin(*fresh.network, 8);
+  services::CachingService twin(*fresh.network, 4, 8, /*capacity=*/3);
+  genesis::CachingServiceAdapter adapter(twin);
+  ASSERT_TRUE(adapter.Load(bytes).ok());
+  EXPECT_EQ(adapter.Save(), bytes);
+  EXPECT_EQ(twin.hits(), cache.hits());
+  EXPECT_EQ(twin.misses(), cache.misses());
+  EXPECT_EQ(twin.CachedObjects(), cache.CachedObjects());
 }
 
 // ---- Genome fuzzing (satellite: DecodeBlueprint never crashes) --------------
