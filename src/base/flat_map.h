@@ -70,6 +70,8 @@ template <typename K, typename V,
           telemetry::mem::Domain Domain = telemetry::mem::Domain::kFlatMap>
 class FlatMap {
  public:
+  using key_type = K;
+  using mapped_type = V;
   using value_type = std::pair<K, V>;
   using iterator = typename std::vector<value_type>::iterator;
   using const_iterator = typename std::vector<value_type>::const_iterator;

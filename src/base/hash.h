@@ -44,12 +44,21 @@ std::string DigestToHex(Digest digest);
 Digest KeyedTag(std::uint64_t key, std::span<const std::byte> data);
 
 /// Incremental structured hasher for rolling state digests (the flight
-/// recorder's `Digest(Hasher&)` hooks). Subsystems mix their
-/// nondeterminism-relevant state word by word; the order of Mix calls is part
-/// of the digest, so hooks must enumerate state in a deterministic order.
+/// recorder's window hashes, base/archive.h's HashArchive). State is mixed
+/// word by word; the order of Mix calls is part of the digest, so callers
+/// must enumerate state in a deterministic order.
+///
+/// One word costs one multiply and one xor-shift. Both steps are bijections
+/// of the running digest, so changing any single word always changes the
+/// 64-bit result; the shift folds high bits into the low ones that
+/// truncated (e.g. 52-bit) digests keep. Byte streams (HashBytes,
+/// HashCombineWord, content digests) stay byte-wise FNV-1a.
 class Hasher {
  public:
-  void Mix(std::uint64_t word) { digest_ = HashCombineWord(digest_, word); }
+  void Mix(std::uint64_t word) {
+    digest_ = (digest_ ^ word) * kFnvPrime;
+    digest_ ^= digest_ >> 32;
+  }
   void Mix(std::string_view text) {
     Mix(static_cast<std::uint64_t>(text.size()));
     digest_ = HashCombine(

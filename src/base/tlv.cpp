@@ -8,8 +8,10 @@ namespace viator {
 namespace {
 
 void AppendLe(std::vector<std::byte>& out, std::uint64_t value, int bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(bytes));
   for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xff));
+    out[at + i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
   }
 }
 
@@ -57,6 +59,24 @@ void TlvWriter::PutDouble(TlvTag tag, double value) {
 
 void TlvWriter::PutNested(TlvTag tag, std::span<const std::byte> stream) {
   PutBytes(tag, stream);
+}
+
+std::size_t TlvWriter::BeginNested(TlvTag tag) {
+  const std::size_t mark = buffer_.size();
+  PutHeader(tag, 0);  // length patched by EndNested
+  return mark;
+}
+
+void TlvWriter::EndNested(std::size_t mark) {
+  const std::size_t start = mark + kHeaderSize;
+  const Digest checksum =
+      HashBytes(std::span(buffer_).subspan(start, buffer_.size() - start));
+  PutHeader(kTlvChecksumTag, 8);
+  AppendLe(buffer_, checksum, 8);
+  const auto length = static_cast<std::uint32_t>(buffer_.size() - start);
+  for (int i = 0; i < 4; ++i) {
+    buffer_[mark + 2 + i] = static_cast<std::byte>((length >> (8 * i)) & 0xff);
+  }
 }
 
 std::vector<std::byte> TlvWriter::Finish() {

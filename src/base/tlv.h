@@ -36,6 +36,13 @@ class TlvWriter {
   /// Embeds a complete (already-finished or raw) TLV stream as one record.
   void PutNested(TlvTag tag, std::span<const std::byte> stream);
 
+  /// Opens a nested record written in place: the records put until the
+  /// matching EndNested(mark) become its payload, closed with their own
+  /// checksum trailer, byte-identical to PutNested of a separately finished
+  /// writer but without the second buffer. Nests to any depth.
+  std::size_t BeginNested(TlvTag tag);
+  void EndNested(std::size_t mark);
+
   /// Appends the checksum trailer and returns the buffer, resetting state.
   std::vector<std::byte> Finish();
 

@@ -55,11 +55,13 @@ class MorphingEngine {
   std::uint64_t morphs_attempted() const { return attempted_; }
   std::uint64_t morphs_failed() const { return failed_; }
 
-  /// Restores morph accounting from a snapshot (genesis); the interface and
-  /// adapter configuration is re-declared by the services layer.
-  void RestoreCounters(std::uint64_t attempted, std::uint64_t failed) {
-    attempted_ = attempted;
-    failed_ = failed;
+  /// Snapshot fields (the genesis morphing section): morph accounting. The
+  /// interface and adapter configuration is re-declared by the services
+  /// layer.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, attempted_);
+    a.U64(0x02, failed_);
   }
 
  private:
@@ -92,21 +94,17 @@ class CongruenceTracker {
 
   std::uint64_t observations() const { return observations_; }
 
-  /// Exact learned state, for snapshot/restore (genesis).
-  struct RawState {
-    InterfaceId predicted = 0;
-    std::map<InterfaceId, double> votes;
-    double score = 0.0;
-    std::uint64_t observations = 0;
-  };
-  RawState SaveState() const {
-    return RawState{predicted_, votes_, score_, observations_};
-  }
-  void RestoreState(RawState state) {
-    predicted_ = state.predicted;
-    votes_ = std::move(state.votes);
-    score_ = state.score;
-    observations_ = state.observations;
+  /// Snapshot fields (one record in a ship's genesis record): the exact
+  /// learned state.
+  template <class A>
+  void Visit(A& a) {
+    a.U32(0x01, predicted_);
+    a.F64(0x02, score_);
+    a.U64(0x03, observations_);
+    a.Each(0x04, votes_, [](auto& r, auto& iface, auto& weight) {
+      r.U32(0x01, iface);
+      r.F64(0x02, weight);
+    });
   }
 
  private:

@@ -118,19 +118,4 @@ std::vector<Fact> FactStore::AllFacts() const {
   return out;
 }
 
-void FactStore::RestoreState(const std::vector<Fact>& facts,
-                             sim::TimePoint window_start,
-                             std::uint64_t evictions,
-                             std::uint64_t expirations) {
-  facts_.clear();
-  for (const Fact& fact : facts) {
-    if (facts_.size() >= config_.capacity) break;
-    facts_[fact.key] = fact;
-  }
-  window_start_ = window_start;
-  evictions_ = evictions;
-  expirations_ = expirations;
-  AccountMem();
-}
-
 }  // namespace viator::wli

@@ -75,18 +75,41 @@ class FactStore {
   std::uint64_t total_evictions() const { return evictions_; }
   std::uint64_t total_expirations() const { return expirations_; }
 
-  // ---- Snapshot/restore support (genesis) ----
-
   sim::TimePoint window_start() const { return window_start_; }
 
-  /// Every live fact, sorted by key (deterministic serialization order).
+  /// Every live fact, sorted by key.
   std::vector<Fact> AllFacts() const;
 
-  /// Replaces the store's contents and counters with a snapshot. The
-  /// configured capacity still applies; excess facts are dropped.
-  void RestoreState(const std::vector<Fact>& facts,
-                    sim::TimePoint window_start, std::uint64_t evictions,
-                    std::uint64_t expirations);
+  /// Snapshot fields (inlined in a ship's genesis record, tags 0x11-0x14):
+  /// every fact sorted by key, the window start and the death counters. A
+  /// load replaces the contents; the configured capacity still applies and
+  /// excess facts are dropped.
+  template <class A>
+  void Visit(A& a) {
+    std::vector<Fact> facts;
+    if constexpr (A::kLoading) {
+      facts_.clear();
+    } else {
+      facts = AllFacts();
+    }
+    a.Each(
+        0x11, facts,
+        [](auto& r, auto& fact) {
+          r.U64(0x01, fact.key);
+          r.U64(0x02, fact.value);
+          r.F64(0x03, fact.weight);
+          r.U32(0x04, fact.touches_in_window);
+          r.U64(0x05, fact.last_touch);
+          r.U64(0x06, fact.created);
+        },
+        [this](auto&, Fact& fact) {
+          if (facts_.size() < config_.capacity) facts_[fact.key] = fact;
+        });
+    a.U64(0x12, window_start_);
+    a.U64(0x13, evictions_);
+    a.U64(0x14, expirations_);
+    if constexpr (A::kLoading) AccountMem();
+  }
 
  private:
   // Estimated heap per stored fact: the hash node (value + next pointer)

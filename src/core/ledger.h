@@ -63,12 +63,23 @@ class FunctionUsageLedger {
 
   std::size_t tracked_functions() const { return history_.size(); }
 
-  // ---- Snapshot/restore support (genesis) ----
   const std::map<FunctionId, std::vector<Episode>>& history() const {
     return history_;
   }
-  void RestoreState(std::map<FunctionId, std::vector<Episode>> history) {
-    history_ = std::move(history);
+
+  /// Snapshot fields (the genesis ledger section): every function's
+  /// episodes.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, history_, [](auto& r, auto& function, auto& episodes) {
+      r.U64(0x01, function);
+      r.Each(0x02, episodes, [](auto& n, auto& episode) {
+        n.U64(0x01, episode.host);
+        n.U64(0x02, episode.from);
+        n.U64(0x03, episode.to);
+        n.U64(0x04, episode.uses);
+      });
+    });
   }
 
  private:

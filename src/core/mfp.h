@@ -69,13 +69,13 @@ class FeedbackBus {
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t suppressed() const { return suppressed_; }
 
-  /// Restores signal accounting from a snapshot (genesis); subscriptions are
-  /// runtime callbacks and must be re-registered by their owners.
-  void RestoreCounters(std::uint64_t published, std::uint64_t delivered,
-                       std::uint64_t suppressed) {
-    published_ = published;
-    delivered_ = delivered;
-    suppressed_ = suppressed;
+  /// Snapshot fields (the genesis feedback section): signal accounting.
+  /// Subscriptions are runtime callbacks, re-registered by their owners.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, published_);
+    a.U64(0x02, delivered_);
+    a.U64(0x03, suppressed_);
   }
 
  private:

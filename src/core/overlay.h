@@ -65,13 +65,30 @@ class OverlayManager {
 
   std::uint64_t spawned_total() const { return spawned_total_; }
 
-  // ---- Snapshot/restore support (genesis) ----
   OverlayId next_id() const { return next_id_; }
-  void RestoreState(std::map<OverlayId, Overlay> overlays, OverlayId next_id,
-                    std::uint64_t spawned_total) {
-    overlays_ = std::move(overlays);
-    next_id_ = next_id;
-    spawned_total_ = spawned_total;
+
+  /// Snapshot fields (the genesis overlays section, before the network's
+  /// class overlays): id allocation and every overlay with its members and
+  /// virtual links.
+  template <class A>
+  void Visit(A& a) {
+    a.U32(0x01, next_id_);
+    a.U64(0x02, spawned_total_);
+    a.Each(0x03, overlays_, [](auto& r, auto& id, auto& overlay) {
+      r.U32(0x01, id);
+      r.Str(0x02, overlay.name);
+      r.Repeated(0x03, overlay.members);
+      r.U64(0x04, overlay.qos_latency_bound);
+      r.Each(0x05, overlay.links, [](auto& n, auto& link) {
+        n.U64(0x01, link.a);
+        n.U64(0x02, link.b);
+        n.U64(0x03, link.path_latency);
+        n.Repeated(0x04, link.physical_path);
+      });
+    });
+    if constexpr (A::kLoading) {
+      for (auto& [id, overlay] : overlays_) overlay.id = id;
+    }
   }
 
  private:

@@ -42,10 +42,17 @@ class DemandTracker {
 
   using Key = std::pair<net::NodeId, node::FirstLevelRole>;
 
-  // ---- Snapshot/restore support (genesis) ----
   const std::map<Key, double>& demand() const { return demand_; }
-  void RestoreState(std::map<Key, double> demand) {
-    demand_ = std::move(demand);
+
+  /// Snapshot fields (the genesis demand section).
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, demand_, [](auto& r, auto& key, auto& amount) {
+      r.U64(0x01, key.first);
+      r.Enum(0x02, key.second, node::FirstLevelRole::kRoleCount,
+             "first-level role");
+      r.F64(0x03, amount);
+    });
   }
 
  private:

@@ -440,19 +440,6 @@ std::unordered_map<int, double> Ship::DrainClassActivity() {
   return out;
 }
 
-void Ship::MixDigest(Hasher& hasher) const {
-  hasher.Mix(id_);
-  hasher.Mix(static_cast<std::uint64_t>(class_));
-  for (std::uint64_t word : rng_.SaveState()) hasher.Mix(word);
-  hasher.Mix(honest_ ? 1u : 0u);
-  hasher.Mix(shuttles_consumed_);
-  hasher.Mix(shuttles_forwarded_);
-  hasher.Mix(code_executions_);
-  hasher.Mix(code_misses_);
-  hasher.Mix(static_cast<std::uint64_t>(facts_.size()));
-  os_.MixDigest(hasher);
-}
-
 Result<std::int64_t> Ship::Invoke(vm::Syscall id,
                                   std::span<const std::int64_t> args) {
   using vm::Syscall;

@@ -10,10 +10,12 @@
 // self-reconfiguration).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -113,24 +115,13 @@ class Ship : public vm::Environment {
   /// input); reading resets the window.
   std::unordered_map<int, double> DrainClassActivity();
 
-  // ---- Snapshot/restore support (genesis) ----
-
-  /// The ship-local RNG stream (kRandom syscall draws), exposed so a restore
-  /// can resume it exactly.
+  /// The ship-local RNG stream (kRandom syscall draws).
   Rng& rng() { return rng_; }
   const Rng& rng() const { return rng_; }
-
-  /// Mixes the ship-visible state (identity, RNG stream, workload counters,
-  /// NodeOS role/cache/hardware state) into a rolling state digest
-  /// (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
 
   /// Current per-class activity window without draining it.
   const std::unordered_map<int, double>& class_activity() const {
     return class_activity_;
-  }
-  void RestoreClassActivity(std::unordered_map<int, double> activity) {
-    class_activity_ = std::move(activity);
   }
 
   /// Shuttles parked awaiting demand-loaded code. A quiescent network (the
@@ -139,12 +130,62 @@ class Ship : public vm::Environment {
     return waiting_for_code_.size();
   }
 
-  void RestoreCounters(std::uint64_t consumed, std::uint64_t forwarded,
-                       std::uint64_t executions, std::uint64_t misses) {
-    shuttles_consumed_ = consumed;
-    shuttles_forwarded_ = forwarded;
-    code_executions_ = executions;
-    code_misses_ = misses;
+  /// Snapshot fields (one record of the genesis ships section): identity,
+  /// RNG stream, workload counters, class activity, the NodeOS role state,
+  /// facts, functions, congruence, then the NodeOS code state. Identity is
+  /// read by the network on load, which creates the ship (AddShip) before
+  /// loading the rest into it. Handlers, sinks and parked shuttles are
+  /// runtime state: services re-install them, and snapshots are quiescent.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (!A::kLoading) {
+      a.U64(0x01, id_);
+      a.Enum(0x02, class_, node::kShipClassCount, "ship class");
+    }
+    a.Bool(0x03, honest_);
+    a.Record(0x04, rng_);
+    a.U64(0x05, shuttles_consumed_);
+    a.U64(0x06, shuttles_forwarded_);
+    a.U64(0x07, code_executions_);
+    a.U64(0x08, code_misses_);
+    // Class activity travels sorted by class (the live map is unordered).
+    std::vector<std::pair<int, double>> activity;
+    if constexpr (A::kLoading) {
+      class_activity_.clear();
+    } else {
+      activity.assign(class_activity_.begin(), class_activity_.end());
+      std::sort(activity.begin(), activity.end());
+    }
+    a.Each(
+        0x09, activity,
+        [](auto& r, auto& entry) {
+          r.U64(0x01, entry.first);
+          r.F64(0x02, entry.second);
+        },
+        [this](auto&, auto& entry) {
+          class_activity_[entry.first] = entry.second;
+        });
+    os_.VisitRoleState(a);
+    facts_.Visit(a);
+    if constexpr (A::kLoading) {
+      a.Payloads(0x15, [this](std::span<const std::byte> bytes) -> Status {
+        auto quantum = DecodeKnowledgeQuantum(bytes);
+        if (!quantum.ok()) return quantum.status();
+        if (quantum->function.role >= node::FirstLevelRole::kRoleCount) {
+          return InvalidArgument("net function role out of range");
+        }
+        functions_.Install(std::move(quantum->function));
+        return OkStatus();
+      });
+    } else {
+      a.Blobs(0x15, functions_.functions(), [](const NetFunction& function) {
+        KnowledgeQuantum quantum;
+        quantum.function = function;
+        return EncodeKnowledgeQuantum(quantum);
+      });
+    }
+    a.Record(0x16, congruence_);
+    os_.VisitCodeState(a);
   }
 
  private:

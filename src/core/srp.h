@@ -64,12 +64,17 @@ class ReputationSystem {
     bool excluded = false;
   };
 
-  // ---- Snapshot/restore support (genesis) ----
   const std::map<net::NodeId, Entry>& entries() const { return entries_; }
-  void RestoreState(std::map<net::NodeId, Entry> entries,
-                    std::uint64_t reports) {
-    entries_ = std::move(entries);
-    reports_ = reports;
+
+  /// Snapshot fields (the genesis reputation section).
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, reports_);
+    a.Each(0x02, entries_, [](auto& r, auto& node, auto& entry) {
+      r.U64(0x01, node);
+      r.F64(0x02, entry.score);
+      r.Bool(0x03, entry.excluded);
+    });
   }
 
  private:
@@ -101,10 +106,17 @@ class ClusterManager {
 
   using Pair = std::pair<net::NodeId, net::NodeId>;
 
-  // ---- Snapshot/restore support (genesis) ----
   const std::map<Pair, double>& affinities() const { return affinity_; }
-  void RestoreState(std::map<Pair, double> affinities) {
-    affinity_ = std::move(affinities);
+
+  /// Snapshot fields (the genesis clusters section): every pairwise
+  /// affinity.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, affinity_, [](auto& r, auto& pair, auto& affinity) {
+      r.U64(0x01, pair.first);
+      r.U64(0x02, pair.second);
+      r.F64(0x03, affinity);
+    });
   }
 
  private:

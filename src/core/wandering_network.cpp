@@ -391,28 +391,11 @@ void WanderingNetwork::StartPulse(sim::TimePoint until) {
 }
 
 void WanderingNetwork::MixDigest(Hasher& hasher) const {
-  for (std::uint64_t word : rng_.SaveState()) hasher.Mix(word);
-  topology_.MixDigest(hasher);
-  fabric_.MixDigest(hasher);
-  hasher.Mix(static_cast<std::uint64_t>(ship_count_));
-  for (const auto& ship : ships_) {
-    if (ship) ship->MixDigest(hasher);
-  }
-  repository_.MixDigest(hasher);
-  hasher.Mix(static_cast<std::uint64_t>(placements_.size()));
-  for (const auto& [function, host] : placements_) {
-    hasher.Mix(function);
-    hasher.Mix(host);
-  }
-  hasher.Mix(static_cast<std::uint64_t>(origins_.size()));
-  for (const auto& [digest, origin] : origins_) {
-    hasher.Mix(digest);
-    hasher.Mix(origin);
-  }
-  hasher.Mix(next_function_id_);
-  hasher.Mix(migrations_executed_);
-  hasher.Mix(functions_emerged_);
-  hasher.Mix(pulses_);
+  HashArchive archive(hasher);
+  const_cast<WanderingNetwork*>(this)->ForEachSection(
+      [&](std::uint32_t, bool decision_state, auto&& visit) {
+        if (decision_state) visit(archive);
+      });
 }
 
 net::NodeId WanderingNetwork::FirstShipNode() const {

@@ -16,8 +16,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/hash.h"
 #include "base/rng.h"
 #include "base/status.h"
@@ -31,6 +33,7 @@
 #include "core/shuttle.h"
 #include "core/shuttle_pool.h"
 #include "core/srp.h"
+#include "genesis/section_ids.h"
 #include "net/fabric.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -178,13 +181,48 @@ class WanderingNetwork {
   /// Starts the periodic pulse until `until`.
   void StartPulse(sim::TimePoint until);
 
-  /// Mixes the whole network state — RNG streams, fabric accounting,
-  /// topology structure, every ship (node order), placements, repository
-  /// contents and orchestrator counters — into a rolling state digest
-  /// (flight-recorder hook). Deliberately excludes the simulator clock,
-  /// dispatch count and the stats registry so that runs differing only in
-  /// observation probes stay comparable.
+  /// Mixes every field of every decision-state section (ForEachSection) into
+  /// a rolling state digest (the flight recorder's window hashes): topology,
+  /// code repository and origins, every ship (node order) with its facts,
+  /// functions, congruence, code cache, EEs and hardware, placements and
+  /// their roles, ledger, reputation, clusters, demand, overlays and class
+  /// overlays, morphing and feedback counters, orchestrator counters, the
+  /// network RNG and the fabric (link configs included, via the topology).
+  /// The clock, stats, trace, memory peaks and latency sketches stay out so
+  /// that runs differing only in observation probes stay comparable.
   void MixDigest(Hasher& hasher) const;
+
+  /// The built-in genesis sections, one row each, in capture and restore
+  /// order: `row(id, decision_state, visit)`, where `visit(archive)` walks
+  /// the section's fields (base/archive.h). The order is restore dependency
+  /// order: topology and clock first, then code, then ships (AddShip forks
+  /// the network RNG and installs fabric handlers), then engine state, and
+  /// only then the RNG streams the earlier steps perturbed; the memory
+  /// watermarks follow every reschedule. Decision-state rows are the ones
+  /// MixDigest hashes.
+  template <class Row>
+  void ForEachSection(Row&& row) {
+    using namespace genesis;  // section ids
+    row(kSectionTopology, true, [this](auto& a) { topology_.Visit(a); });
+    row(kSectionClock, false, [this](auto& a) { simulator_.Visit(a); });
+    row(kSectionRepository, true, [this](auto& a) { VisitRepository(a); });
+    row(kSectionShips, true, [this](auto& a) { VisitShips(a); });
+    row(kSectionPlacements, true, [this](auto& a) { VisitPlacements(a); });
+    row(kSectionLedger, true, [this](auto& a) { ledger_.Visit(a); });
+    row(kSectionReputation, true, [this](auto& a) { reputation_.Visit(a); });
+    row(kSectionClusters, true, [this](auto& a) { clusters_.Visit(a); });
+    row(kSectionDemand, true, [this](auto& a) { demand_.Visit(a); });
+    row(kSectionOverlays, true, [this](auto& a) { VisitOverlays(a); });
+    row(kSectionMorphing, true, [this](auto& a) { morphing_.Visit(a); });
+    row(kSectionFeedback, true, [this](auto& a) { feedback_.Visit(a); });
+    row(kSectionNetworkCounters, true, [this](auto& a) { VisitCounters(a); });
+    row(kSectionNetworkRng, true, [this](auto& a) { rng_.Visit(a); });
+    row(kSectionFabric, true, [this](auto& a) { fabric_.Visit(a); });
+    row(kSectionStats, false, [this](auto& a) { stats_.Visit(a); });
+    row(kSectionTrace, false, [this](auto& a) { trace_.Visit(a); });
+    row(kSectionMemPeaks, false, [this](auto& a) { VisitMemPeaks(a); });
+    row(kSectionLatency, false, [this](auto& a) { lat_lane_.Visit(a); });
+  }
 
   // ---- Figure-1 metrics ----
 
@@ -227,43 +265,111 @@ class WanderingNetwork {
   telemetry::lat::Lane& lat_lane() { return lat_lane_; }
   const telemetry::lat::Lane& lat_lane() const { return lat_lane_; }
   FunctionId NextFunctionId() { return next_function_id_++; }
-  FunctionId next_function_id() const { return next_function_id_; }
-
-  // ---- Genesis (whole-network snapshot/restore) support ----
 
   vm::CodeRepository& repository() { return repository_; }
   const vm::CodeRepository& repository() const { return repository_; }
-  const std::map<Digest, net::NodeId>& origins() const { return origins_; }
-  const std::map<FunctionId, node::FirstLevelRole>& placement_roles() const {
-    return placement_roles_;
-  }
-  const std::map<node::SecondLevelClass, OverlayId>& class_overlays() const {
-    return class_overlays_;
-  }
-
-  /// Raw placement restore: records where a function lives without the
-  /// deploy side effects (ledger episode, role switch) — those are restored
-  /// from their own snapshot sections.
-  void RestorePlacement(FunctionId function, net::NodeId host,
-                        node::FirstLevelRole role) {
-    placements_[function] = host;
-    placement_roles_[function] = role;
-  }
-  void RestoreOrigin(Digest digest, net::NodeId origin) {
-    origins_[digest] = origin;
-  }
-  void RestoreClassOverlay(node::SecondLevelClass cls, OverlayId overlay) {
-    class_overlays_[cls] = overlay;
-  }
-  void RestoreCounters(std::uint64_t migrations, std::uint64_t emerged,
-                       std::uint64_t pulse_count, FunctionId next_function) {
-    migrations_executed_ = migrations;
-    functions_emerged_ = emerged;
-    pulses_ = pulse_count;
-    next_function_id_ = next_function;
-  }
 
  private:
+  // ---- Section field lists (ForEachSection rows) ----
+
+  // Stored programs, then every program's origin node.
+  template <class A>
+  void VisitRepository(A& a) {
+    repository_.Visit(a);
+    a.Each(0x02, origins_, [](auto& r, auto& digest, auto& origin) {
+      r.U64(0x01, digest);
+      r.U64(0x02, origin);
+    });
+  }
+
+  // One record per ship, in node order. A load creates each ship on a
+  // node of the restored topology (at most once) before its fields load.
+  template <class A>
+  void VisitShips(A& a) {
+    if constexpr (A::kLoading) {
+      if (ship_count_ != 0) {
+        a.Fail(FailedPrecondition(
+            "ship restore requires a network with no ships"));
+        return;
+      }
+      a.Records(0x01, [this](auto& record) {
+        std::uint64_t node = net::kInvalidNode;
+        node::ShipClass ship_class = node::ShipClass::kServer;
+        record.U64(0x01, node);
+        record.Enum(0x02, ship_class, node::kShipClassCount, "ship class");
+        if (!record.ok()) return;
+        if (node >= topology_.node_count()) {
+          record.Fail(InvalidArgument(
+              "ship record for node " + std::to_string(node) +
+              " outside the " + std::to_string(topology_.node_count()) +
+              "-node topology"));
+          return;
+        }
+        if (ship(static_cast<net::NodeId>(node)) != nullptr) {
+          record.Fail(InvalidArgument("duplicate ship record for node " +
+                                      std::to_string(node)));
+          return;
+        }
+        AddShip(static_cast<net::NodeId>(node), ship_class).Visit(record);
+      });
+    } else {
+      for (const auto& ship : ships_) {
+        if (ship) a.Record(0x01, *ship);
+      }
+    }
+  }
+
+  // Where each function lives and the role it fills there.
+  template <class A>
+  void VisitPlacements(A& a) {
+    if constexpr (A::kLoading) placement_roles_.clear();
+    a.Each(0x01, placements_, [this](auto& r, auto& function, auto& host) {
+      r.U64(0x01, function);
+      r.U64(0x02, host);
+      node::FirstLevelRole role = node::FirstLevelRole::kCaching;
+      if constexpr (!A::kLoading) {
+        const auto it = placement_roles_.find(function);
+        if (it != placement_roles_.end()) role = it->second;
+      }
+      r.Enum(0x03, role, node::FirstLevelRole::kRoleCount, "first-level role");
+      if constexpr (A::kLoading) placement_roles_[function] = role;
+    });
+  }
+
+  // The overlay manager, then which overlay serves each function class.
+  template <class A>
+  void VisitOverlays(A& a) {
+    overlays_.Visit(a);
+    a.Each(0x04, class_overlays_, [](auto& r, auto& cls, auto& overlay) {
+      r.Enum(0x01, cls, node::SecondLevelClass::kClassCount,
+             "second-level class");
+      r.U32(0x02, overlay);
+    });
+  }
+
+  template <class A>
+  void VisitCounters(A& a) {
+    a.U64(0x01, migrations_executed_);
+    a.U64(0x02, functions_emerged_);
+    a.U64(0x03, pulses_);
+    a.U64(0x04, next_function_id_);
+  }
+
+  // Memory watermarks: advisory telemetry (see genesis/section_ids.h). A
+  // load folds the calendar-queue peak into what the rebuild reached and
+  // keeps the fresh pool's peak when the tag is absent.
+  template <class A>
+  void VisitMemPeaks(A& a) {
+    std::uint64_t queue_peak = simulator_.queue_peak_heap_bytes();
+    std::uint64_t pool_peak = shuttle_pool_.peak_retained_bytes();
+    a.U64(0x01, queue_peak);
+    a.U64(0x02, pool_peak);
+    if constexpr (A::kLoading) {
+      simulator_.RestoreQueuePeakHeapBytes(queue_peak);
+      shuttle_pool_.RestorePeakRetainedBytes(pool_peak);
+    }
+  }
+
   void ExecuteMigrations();
   net::NodeId FirstShipNode() const;
 

@@ -1,16 +1,25 @@
 // Snapshotable adapters for subsystems the WanderingNetwork does not own:
-// network processes (failure injection, mobility) and services (routing,
-// caching). Register them on a GenesisManager to ride in the extras region
-// of every snapshot.
+// network processes (failure injection, mobility), services (routing,
+// caching) and the observability planes (span collector, health plane).
+// Register them on a GenesisManager to ride in the extras region of every
+// snapshot.
 //
-// Each adapter serializes durable state only. Scheduled closures (pending
-// failure repairs, in-flight cache misses) cannot cross a snapshot; capture
-// at quiescent points where none are outstanding.
+// One template serves them all: each target declares its durable state in
+// a Visit field list (base/archive.h), which Save() and Load() run.
+// Scheduled closures (pending failure repairs, in-flight cache misses,
+// probes in flight) cannot cross a snapshot; capture at quiescent points
+// where none are outstanding.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
-#include "genesis/snapshot.h"
+#include "base/archive.h"
+#include "genesis/section_ids.h"
 #include "genesis/snapshotable.h"
 #include "health/probe.h"
 #include "net/failure.h"
@@ -21,112 +30,55 @@
 
 namespace viator::genesis {
 
+/// A section name usable as a template argument.
+template <std::size_t N>
+struct AdapterName {
+  constexpr AdapterName(const char (&text)[N]) {  // NOLINT: implicit
+    std::copy_n(text, N, chars);
+  }
+  char chars[N];
+};
+
+/// The extra section of one `T` object: its Visit fields. The id defaults
+/// to kExtraSectionBase + kDefaultOffset.
+template <class T, std::uint32_t kDefaultOffset, AdapterName kName>
+class SnapshotAdapter final : public Snapshotable {
+ public:
+  explicit SnapshotAdapter(T& target,
+                           std::uint32_t id = kExtraSectionBase +
+                                              kDefaultOffset)
+      : target_(target), id_(id) {}
+
+  std::uint32_t section_id() const override { return id_; }
+  std::string section_name() const override { return kName.chars; }
+  std::vector<std::byte> Save() const override { return SaveFields(target_); }
+  Status Load(std::span<const std::byte> payload) override {
+    return LoadFields(payload, target_);
+  }
+
+ private:
+  T& target_;
+  std::uint32_t id_;
+};
+
 /// Failure-process RNG stream + injection counter.
-class FailureInjectorAdapter : public Snapshotable {
- public:
-  explicit FailureInjectorAdapter(net::FailureInjector& injector,
-                                  std::uint32_t id = kExtraSectionBase + 0)
-      : injector_(injector), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "failure-injector"; }
-  std::vector<std::byte> Save() const override;
-  Status Load(std::span<const std::byte> payload) override;
-
- private:
-  net::FailureInjector& injector_;
-  std::uint32_t id_;
-};
-
+using FailureInjectorAdapter =
+    SnapshotAdapter<net::FailureInjector, 0, "failure-injector">;
 /// Full kinematic state of a random-waypoint process.
-class MobilityAdapter : public Snapshotable {
- public:
-  explicit MobilityAdapter(net::RandomWaypointMobility& mobility,
-                           std::uint32_t id = kExtraSectionBase + 1)
-      : mobility_(mobility), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "mobility"; }
-  std::vector<std::byte> Save() const override;
-  Status Load(std::span<const std::byte> payload) override;
-
- private:
-  net::RandomWaypointMobility& mobility_;
-  std::uint32_t id_;
-};
-
+using MobilityAdapter =
+    SnapshotAdapter<net::RandomWaypointMobility, 1, "mobility">;
 /// Distance-vector routing tables + control-plane counters.
-class DvRouterAdapter : public Snapshotable {
- public:
-  explicit DvRouterAdapter(services::DistanceVectorRouter& router,
-                           std::uint32_t id = kExtraSectionBase + 2)
-      : router_(router), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "dv-router"; }
-  std::vector<std::byte> Save() const override;
-  Status Load(std::span<const std::byte> payload) override;
-
- private:
-  services::DistanceVectorRouter& router_;
-  std::uint32_t id_;
-};
-
+using DvRouterAdapter =
+    SnapshotAdapter<services::DistanceVectorRouter, 2, "dv-router">;
 /// LRU content cache of a CachingService, bodies included.
-class CachingServiceAdapter : public Snapshotable {
- public:
-  explicit CachingServiceAdapter(services::CachingService& cache,
-                                 std::uint32_t id = kExtraSectionBase + 3)
-      : cache_(cache), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "caching-service"; }
-  std::vector<std::byte> Save() const override;
-  Status Load(std::span<const std::byte> payload) override;
-
- private:
-  services::CachingService& cache_;
-  std::uint32_t id_;
-};
-
+using CachingServiceAdapter =
+    SnapshotAdapter<services::CachingService, 3, "caching-service">;
 /// Wandering Observatory span collector: id RNG stream, id/drop counters and
-/// every retained span. Plane measurements (cycles, bytes, latency) are
-/// intentionally excluded (host measurements, not simulated state), so
-/// traced runs snapshot bit-identically whether or not a plane was on.
-class TelemetryAdapter : public Snapshotable {
- public:
-  explicit TelemetryAdapter(telemetry::Telemetry& telemetry,
-                            std::uint32_t id = kExtraSectionBase + 4)
-      : telemetry_(telemetry), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "telemetry"; }
-  std::vector<std::byte> Save() const override;
-  Status Load(std::span<const std::byte> payload) override;
-
- private:
-  telemetry::Telemetry& telemetry_;
-  std::uint32_t id_;
-};
-
+/// every retained span.
+using TelemetryAdapter = SnapshotAdapter<telemetry::Telemetry, 4, "telemetry">;
 /// Whole health plane: probe RNG/counters, the pending-probe set, per-ship
-/// registry series (EWMAs + histogram sketches) and the anomaly detector's
-/// event log and episode flags. Capture at quiescent points with no probes
-/// in flight (pending_count() == 0), like parked shuttles.
-class HealthAdapter : public Snapshotable {
- public:
-  explicit HealthAdapter(health::ProbePlane& plane,
-                         std::uint32_t id = kExtraSectionBase + 5)
-      : plane_(plane), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "health"; }
-  std::vector<std::byte> Save() const override;
-  Status Load(std::span<const std::byte> payload) override;
-
- private:
-  health::ProbePlane& plane_;
-  std::uint32_t id_;
-};
+/// registry series and the anomaly detector's event log and episodes.
+/// Capture with no probes in flight (pending_count() == 0).
+using HealthAdapter = SnapshotAdapter<health::ProbePlane, 5, "health">;
 
 }  // namespace viator::genesis

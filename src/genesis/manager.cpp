@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "base/archive.h"
 #include "base/hash.h"
-#include "genesis/sections.h"
 
 namespace viator::genesis {
 
@@ -41,28 +41,11 @@ bool GenesisManager::IsQuiescent() const {
 
 std::vector<GenesisManager::BuiltSection> GenesisManager::BuildSections() {
   std::vector<BuiltSection> sections;
-  auto add = [&sections](std::uint32_t id, std::vector<std::byte> payload) {
-    sections.push_back(BuiltSection{id, 1, std::move(payload)});
-  };
-  add(kSectionTopology, SaveTopology(network_.topology()));
-  add(kSectionClock, SaveClock(network_.simulator()));
-  add(kSectionRepository, SaveRepository(network_));
-  add(kSectionShips, SaveShips(network_));
-  add(kSectionPlacements, SavePlacements(network_));
-  add(kSectionLedger, SaveLedger(network_));
-  add(kSectionReputation, SaveReputation(network_));
-  add(kSectionClusters, SaveClusters(network_));
-  add(kSectionDemand, SaveDemand(network_));
-  add(kSectionOverlays, SaveOverlays(network_));
-  add(kSectionMorphing, SaveMorphing(network_));
-  add(kSectionFeedback, SaveFeedback(network_));
-  add(kSectionNetworkCounters, SaveNetworkCounters(network_));
-  add(kSectionNetworkRng, SaveRng(network_.rng()));
-  add(kSectionFabric, SaveFabric(network_));
-  add(kSectionStats, SaveStats(network_.stats()));
-  add(kSectionTrace, SaveTrace(network_.trace()));
-  add(kSectionMemPeaks, SaveMemPeaks(network_));
-  add(kSectionLatency, SaveLatency(network_));
+  network_.ForEachSection([&sections](std::uint32_t id, bool, auto&& visit) {
+    SaveArchive archive;
+    visit(archive);
+    sections.push_back(BuiltSection{id, 1, archive.Finish()});
+  });
   for (const Snapshotable* extra : extras_) {
     sections.push_back(
         BuiltSection{extra->section_id(), extra->section_version(),
@@ -141,60 +124,22 @@ Status GenesisManager::RestoreFull(std::span<const std::byte> bytes) {
     return FailedPrecondition("restore requires an idle simulator");
   }
 
-  // Dependency order: substrate (topology, clock) first, then code, then
-  // ships (AddShip forks the network RNG and installs fabric handlers), then
-  // engine state, and only then the RNG streams the earlier steps perturbed.
+  // Sections apply in the table's dependency order; absent sections keep
+  // the fresh state.
   const ParsedSnapshot& snap = *snapshot;
-  struct Step {
-    std::uint32_t id;
-    Status (*apply)(std::span<const std::byte>, wli::WanderingNetwork&);
-  };
-  static constexpr Step kSteps[] = {
-      {kSectionTopology,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadTopology(p, n.topology());
-       }},
-      {kSectionClock,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadClock(p, n.simulator());
-       }},
-      {kSectionRepository, &LoadRepository},
-      {kSectionShips, &LoadShips},
-      {kSectionPlacements, &LoadPlacements},
-      {kSectionLedger, &LoadLedger},
-      {kSectionReputation, &LoadReputation},
-      {kSectionClusters, &LoadClusters},
-      {kSectionDemand, &LoadDemand},
-      {kSectionOverlays, &LoadOverlays},
-      {kSectionMorphing, &LoadMorphing},
-      {kSectionFeedback, &LoadFeedback},
-      {kSectionNetworkCounters, &LoadNetworkCounters},
-      {kSectionNetworkRng,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadRng(p, n.rng());
-       }},
-      {kSectionFabric, &LoadFabric},
-      {kSectionStats,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadStats(p, n.stats());
-       }},
-      {kSectionTrace,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadTrace(p, n.trace());
-       }},
-      // Last on purpose: by now every pending event has been rescheduled,
-      // so the monotone queue-peak restore sits on top of the rebuild.
-      {kSectionMemPeaks, &LoadMemPeaks},
-      {kSectionLatency, &LoadLatency},
-  };
-  for (const Step& step : kSteps) {
-    const SectionRecord* section = snap.Find(step.id);
-    if (section == nullptr) continue;  // absent sections keep fresh state
-    if (Status s = step.apply(section->payload, network_); !s.ok()) {
-      return Status(s.code(), "restoring section '" + SectionName(step.id) +
-                                  "': " + std::string(s.message()));
+  Status status;
+  network_.ForEachSection([&](std::uint32_t id, bool, auto&& visit) {
+    const SectionRecord* section = snap.Find(id);
+    if (!status.ok() || section == nullptr) return;
+    LoadArchive archive(section->payload);
+    if (archive.ok()) visit(archive);
+    if (!archive.ok()) {
+      status = Status(archive.status().code(),
+                      "restoring section '" + SectionName(id) +
+                          "': " + archive.status().message());
     }
-  }
+  });
+  if (!status.ok()) return status;
   for (Snapshotable* extra : extras_) {
     const SectionRecord* section = snap.Find(extra->section_id());
     if (section == nullptr) continue;

@@ -19,6 +19,7 @@
 
 #include "base/hash.h"
 #include "base/status.h"
+#include "genesis/section_ids.h"
 #include "sim/time.h"
 #include "telemetry/mem_counters.h"
 
@@ -31,43 +32,6 @@ inline constexpr std::uint64_t kSnapshotMagic = 0x31305345'4E454756ULL;
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 enum class SnapshotKind : std::uint32_t { kFull = 0, kDelta = 1 };
-
-/// Well-known section identifiers. Extra sections registered through
-/// GenesisManager::RegisterExtra live at kExtraSectionBase and above.
-enum SectionId : std::uint32_t {
-  kSectionClock = 1,
-  kSectionNetworkRng,
-  kSectionStats,
-  kSectionTrace,
-  kSectionTopology,
-  kSectionFabric,
-  kSectionRepository,
-  kSectionShips,
-  kSectionPlacements,
-  kSectionLedger,
-  kSectionReputation,
-  kSectionClusters,
-  kSectionDemand,
-  kSectionOverlays,
-  kSectionMorphing,
-  kSectionFeedback,
-  kSectionNetworkCounters,
-  /// Memory watermarks (pool / queue peak bytes). Advisory telemetry: the
-  /// peaks round-trip a restore so a resumed world remembers its high-water
-  /// marks, but they are not decision state — pools restore empty by
-  /// design, so a resumed run's subsequent watermarks may lawfully diverge
-  /// from the uninterrupted run's (see GenesisResume tests).
-  kSectionMemPeaks,
-  /// Latency Observatory sketches (telemetry/latency_plane.h): the exact
-  /// bucket arrays + integer totals of every per-(stage, class) quantile
-  /// sketch plus the current window's delivery sketch. Advisory telemetry
-  /// like the peaks above — never decision state — but integer-exact, so a
-  /// capture → restore → capture cycle reproduces the section bit for bit.
-  /// Open-flight side entries are transient and deliberately not captured
-  /// (snapshots are quiescent; nothing is in flight).
-  kSectionLatency,
-  kExtraSectionBase = 0x1000,
-};
 
 /// Human name for a section id ("clock", "ships", "extra:4097", ...).
 std::string SectionName(std::uint32_t id);

@@ -2,10 +2,12 @@
 // genesis snapshot as an "extra" section (services, failure/mobility
 // processes — anything the WanderingNetwork does not own directly).
 //
-// Core subsystems are serialized by the free functions in sections.h; this
-// interface exists so external state can join the same container without
-// the genesis library knowing every service type (manager calls Save()/
-// Load() through the base class).
+// Core subsystems are serialized through the network's section table
+// (WanderingNetwork::ForEachSection); this interface exists so external
+// state can join the same container without the genesis library knowing
+// every service type (manager calls Save()/Load() through the base class).
+// SnapshotAdapter (genesis/adapters.h) implements it for any object with a
+// Visit field list.
 #pragma once
 
 #include <cstddef>

@@ -105,62 +105,15 @@ void HealthRegistry::PublishScores(sim::StatsRegistry& stats) const {
       .Set(static_cast<double>(ships_.size()));
 }
 
-HealthRegistry::RawState HealthRegistry::SaveState() const {
-  RawState state;
-  state.ships.reserve(ships_.size());
-  for (const auto& [node, s] : ships_) {
-    RawState::ShipState out;
-    out.ship = node;
-    out.queue_ewma = s.queue_ewma;
-    out.hop_latency_ewma = s.hop_latency_ewma;
-    out.service_latency_ewma = s.service_latency_ewma;
-    out.samples = s.samples;
-    out.service_samples = s.service_samples;
-    out.expected_visits = s.expected_visits;
-    out.missed_visits = s.missed_visits;
-    out.code_executions = s.code_executions;
-    out.code_misses = s.code_misses;
-    out.hop_latency_ns = s.hop_latency_ns.SaveState();
-    out.queue_bytes = s.queue_bytes.SaveState();
-    state.ships.push_back(std::move(out));
-  }
-  state.hops_observed = hops_observed_;
-  state.spans_ingested = spans_ingested_;
-  state.span_cursor = span_cursor_;
-  return state;
-}
-
-void HealthRegistry::RestoreState(const RawState& state) {
-  ships_.clear();
-  for (const RawState::ShipState& in : state.ships) {
-    ShipHealth s;
-    s.queue_ewma = in.queue_ewma;
-    s.hop_latency_ewma = in.hop_latency_ewma;
-    s.service_latency_ewma = in.service_latency_ewma;
-    s.samples = in.samples;
-    s.service_samples = in.service_samples;
-    s.expected_visits = in.expected_visits;
-    s.missed_visits = in.missed_visits;
-    s.code_executions = in.code_executions;
-    s.code_misses = in.code_misses;
-    s.hop_latency_ns.RestoreState(in.hop_latency_ns);
-    s.queue_bytes.RestoreState(in.queue_bytes);
-    ships_.emplace(in.ship, std::move(s));
-  }
-  hops_observed_ = state.hops_observed;
-  spans_ingested_ = state.spans_ingested;
-  span_cursor_ = state.span_cursor;
-}
-
 // ---- AnomalyDetector -------------------------------------------------------
 
 bool AnomalyDetector::Raise(HealthEventKind kind, net::NodeId ship,
                             sim::TimePoint now, double value, double threshold,
                             std::string detail,
                             std::vector<HealthEvent>& fresh) {
-  auto& flag = active_[{static_cast<std::uint8_t>(kind), ship}];
-  if (flag) return false;  // episode already reported
-  flag = true;
+  if (!active_.insert({static_cast<std::uint8_t>(kind), ship}).second) {
+    return false;  // episode already reported
+  }
   HealthEvent event;
   event.time = now;
   event.kind = kind;
@@ -174,8 +127,7 @@ bool AnomalyDetector::Raise(HealthEventKind kind, net::NodeId ship,
 }
 
 void AnomalyDetector::Clear(HealthEventKind kind, net::NodeId ship) {
-  const auto it = active_.find({static_cast<std::uint8_t>(kind), ship});
-  if (it != active_.end()) it->second = false;
+  active_.erase({static_cast<std::uint8_t>(kind), ship});
 }
 
 std::vector<HealthEvent> AnomalyDetector::CheckRecord(
@@ -269,28 +221,6 @@ std::vector<HealthEvent> AnomalyDetector::Evaluate(
     prev_code_counters_[node] = {s.code_executions, s.code_misses};
   }
   return fresh;
-}
-
-AnomalyDetector::RawState AnomalyDetector::SaveState() const {
-  RawState state;
-  state.events = events_;
-  for (const auto& [key, flag] : active_) {
-    if (flag) state.active.push_back(key);
-  }
-  for (const auto& [node, counters] : prev_code_counters_) {
-    state.prev_code_counters.emplace_back(node, counters);
-  }
-  return state;
-}
-
-void AnomalyDetector::RestoreState(RawState state) {
-  events_ = std::move(state.events);
-  active_.clear();
-  for (const auto& key : state.active) active_[key] = true;
-  prev_code_counters_.clear();
-  for (const auto& [node, counters] : state.prev_code_counters) {
-    prev_code_counters_[node] = counters;
-  }
 }
 
 }  // namespace viator::health

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -165,32 +166,33 @@ class HealthRegistry {
   /// ship count into `stats`, making scores visible to every exporter.
   void PublishScores(sim::StatsRegistry& stats) const;
 
-  /// Exact state for genesis snapshots; restoring reproduces every accessor
-  /// bit-for-bit.
-  struct RawState {
-    struct ShipState {
-      net::NodeId ship = net::kInvalidNode;
-      double queue_ewma = 0.0;
-      double hop_latency_ewma = 0.0;
-      double service_latency_ewma = 0.0;
-      std::uint64_t samples = 0;
-      std::uint64_t service_samples = 0;
-      std::uint64_t expected_visits = 0;
-      std::uint64_t missed_visits = 0;
-      std::uint64_t code_executions = 0;
-      std::uint64_t code_misses = 0;
-      sim::Histogram::RawState hop_latency_ns;
-      sim::Histogram::RawState queue_bytes;
-    };
-    std::vector<ShipState> ships;
-    std::uint64_t hops_observed = 0;
-    std::uint64_t spans_ingested = 0;
-    std::uint64_t span_cursor = 0;
-  };
-  RawState SaveState() const;
-  void RestoreState(const RawState& state);
+  /// Snapshot fields (inside the genesis health section): every ship's
+  /// series, EWMAs and histogram sketches, then the ingest counters.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x09, ships_, [](auto& r, auto& node, auto& ship) {
+      r.U64(0x01, node);
+      r.F64(0x02, ship.queue_ewma);
+      r.F64(0x03, ship.hop_latency_ewma);
+      r.F64(0x04, ship.service_latency_ewma);
+      r.U64(0x05, ship.samples);
+      r.U64(0x06, ship.service_samples);
+      r.U64(0x07, ship.expected_visits);
+      r.U64(0x08, ship.missed_visits);
+      r.U64(0x09, ship.code_executions);
+      r.U64(0x0A, ship.code_misses);
+      r.Record(0x0B, [&](auto& n) { ship.hop_latency_ns.Visit(n, kHistogramTags); });
+      r.Record(0x0C, [&](auto& n) { ship.queue_bytes.Visit(n, kHistogramTags); });
+    });
+    a.U64(0x0A, hops_observed_);
+    a.U64(0x0B, spans_ingested_);
+    a.U64(0x0C, span_cursor_);
+  }
 
  private:
+  static constexpr sim::Histogram::Tags kHistogramTags = {
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
+
   void Ewma(double& acc, double sample, std::uint64_t prior_count) const;
 
   HealthConfig config_;
@@ -220,16 +222,30 @@ class AnomalyDetector {
 
   const std::vector<HealthEvent>& events() const { return events_; }
 
-  struct RawState {
-    std::vector<HealthEvent> events;
-    /// Active (kind, ship) condition episodes.
-    std::vector<std::pair<std::uint8_t, net::NodeId>> active;
-    /// Per-ship (executions, misses) seen at the previous Evaluate().
-    std::vector<std::pair<net::NodeId, std::pair<std::uint64_t, std::uint64_t>>>
-        prev_code_counters;
-  };
-  RawState SaveState() const;
-  void RestoreState(RawState state);
+  /// Snapshot fields (inside the genesis health section, after the
+  /// registry's): the event log, the active condition episodes and each
+  /// ship's code counters at the previous Evaluate().
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x0D, events_, [](auto& r, auto& event) {
+      r.U64(0x01, event.time);
+      r.Enum(0x02, event.kind, HealthEventKind::kKindCount,
+             "health event kind");
+      r.U64(0x03, event.ship);
+      r.F64(0x04, event.value);
+      r.F64(0x05, event.threshold);
+      r.Str(0x06, event.detail);
+    });
+    a.Each(0x0E, active_, [](auto& r, auto& episode) {
+      r.U32(0x01, episode.first);
+      r.U64(0x02, episode.second);
+    });
+    a.Each(0x0F, prev_code_counters_, [](auto& r, auto& node, auto& counters) {
+      r.U64(0x01, node);
+      r.U64(0x02, counters.first);
+      r.U64(0x03, counters.second);
+    });
+  }
 
  private:
   /// Raises (kind, ship) unless its episode is already active. Returns true
@@ -241,7 +257,8 @@ class AnomalyDetector {
 
   HealthConfig config_;
   std::vector<HealthEvent> events_;
-  std::map<std::pair<std::uint8_t, net::NodeId>, bool> active_;
+  // Active (kind, ship) condition episodes.
+  std::set<std::pair<std::uint8_t, net::NodeId>> active_;
   std::map<net::NodeId, std::pair<std::uint64_t, std::uint64_t>>
       prev_code_counters_;
 };

@@ -305,38 +305,4 @@ HealthReport ProbePlane::BuildReport() const {
   return report;
 }
 
-ProbePlane::RawState ProbePlane::SaveState() const {
-  RawState state;
-  state.rng_state = rng_.SaveState();
-  state.next_probe_id = next_probe_id_;
-  state.rounds = rounds_;
-  state.probes_emitted = probes_emitted_;
-  state.probes_absorbed = probes_absorbed_;
-  state.probes_lost = probes_lost_;
-  state.probes_ttl_expired = probes_ttl_expired_;
-  for (const auto& [id, pending] : pending_) {
-    state.pending.push_back({id, pending.emitted, pending.waypoints});
-  }
-  state.registry = registry_.SaveState();
-  state.detector = detector_.SaveState();
-  return state;
-}
-
-void ProbePlane::RestoreState(RawState state) {
-  rng_.RestoreState(state.rng_state);
-  next_probe_id_ = state.next_probe_id;
-  rounds_ = state.rounds;
-  probes_emitted_ = state.probes_emitted;
-  probes_absorbed_ = state.probes_absorbed;
-  probes_lost_ = state.probes_lost;
-  probes_ttl_expired_ = state.probes_ttl_expired;
-  pending_.clear();
-  for (RawState::Pending& pending : state.pending) {
-    pending_[pending.probe_id] =
-        PendingProbe{pending.emitted, std::move(pending.waypoints)};
-  }
-  registry_.RestoreState(state.registry);
-  detector_.RestoreState(std::move(state.detector));
-}
-
 }  // namespace viator::health

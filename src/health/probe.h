@@ -106,28 +106,26 @@ class ProbePlane {
   /// Snapshot of scores, events and counters for export (report.h).
   HealthReport BuildReport() const;
 
-  /// Exact plane state for genesis: RNG, ids, counters and the pending set.
-  /// Registry/detector state ride along so one section restores the whole
-  /// health plane.
-  struct RawState {
-    std::array<std::uint64_t, 4> rng_state{};
-    std::uint64_t next_probe_id = 1;
-    std::uint64_t rounds = 0;
-    std::uint64_t probes_emitted = 0;
-    std::uint64_t probes_absorbed = 0;
-    std::uint64_t probes_lost = 0;
-    std::uint64_t probes_ttl_expired = 0;
-    struct Pending {
-      std::uint64_t probe_id = 0;
-      sim::TimePoint emitted = 0;
-      std::vector<net::NodeId> waypoints;
-    };
-    std::vector<Pending> pending;
-    HealthRegistry::RawState registry;
-    AnomalyDetector::RawState detector;
-  };
-  RawState SaveState() const;
-  void RestoreState(RawState state);
+  /// Snapshot fields (genesis HealthAdapter): the itinerary RNG stream, ids,
+  /// counters and the pending set, then the registry and the detector, so
+  /// one section restores the whole health plane.
+  template <class A>
+  void Visit(A& a) {
+    rng_.Visit(a);
+    a.U64(0x02, next_probe_id_);
+    a.U64(0x03, rounds_);
+    a.U64(0x04, probes_emitted_);
+    a.U64(0x05, probes_absorbed_);
+    a.U64(0x06, probes_lost_);
+    a.U64(0x07, probes_ttl_expired_);
+    a.Each(0x08, pending_, [](auto& r, auto& probe_id, auto& pending) {
+      r.U64(0x01, probe_id);
+      r.U64(0x02, pending.emitted);
+      r.Repeated(0x03, pending.waypoints);
+    });
+    registry_.Visit(a);
+    detector_.Visit(a);
+  }
 
  private:
   void OnProbe(wli::Ship& ship, wli::Shuttle shuttle, net::NodeId from);

@@ -251,6 +251,14 @@ std::vector<std::string> CompareBenchMetrics(
       continue;
     }
     const double cur = it->second;
+    if (name.find("digest") != std::string::npos) {
+      // A hash near the pinned one is as wrong as any other.
+      if (cur != base) {
+        regressions.push_back("metric " + name + " changed " + Num(base) +
+                              " -> " + Num(cur) + " (digests match exactly)");
+      }
+      continue;
+    }
     const double denom = std::max(std::fabs(base), 1e-12);
     const double drift = std::fabs(cur - base) / denom;
     if (drift > options.tolerance) {

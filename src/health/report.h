@@ -79,13 +79,15 @@ struct BenchGateOptions {
   double tolerance = 0.25;
   /// Metrics whose name contains any of these substrings are skipped:
   /// wall-clock-derived values vary across machines and never gate.
+  /// (Fixed rule alongside: metrics whose name contains "digest" are state
+  /// hashes, which gate exactly, whatever the tolerance.)
   std::vector<std::string> ignore_substrings = {"wall", "per_sec", "mops",
                                                 "seconds", "speedup"};
 };
 
-/// Regressions of `current` against `baseline`: missing metrics and values
-/// drifting beyond the tolerance band. Metrics only in `current` are new,
-/// not regressions.
+/// Regressions of `current` against `baseline`: missing metrics, digests
+/// that differ at all and other values drifting beyond the tolerance band.
+/// Metrics only in `current` are new, not regressions.
 std::vector<std::string> CompareBenchMetrics(
     const std::map<std::string, double>& baseline,
     const std::map<std::string, double>& current,

@@ -74,30 +74,21 @@ class Fabric {
   /// decision ever reads it.
   void BindLatencyLane(telemetry::lat::Lane* lane) { lat_lane_ = lane; }
 
-  /// Mixes the loss-RNG state and transmission accounting into a rolling
-  /// state digest (flight-recorder hook). Deliberately excludes per-direction
-  /// queue state, which is transient in-flight detail.
-  void MixDigest(Hasher& hasher) const {
-    for (std::uint64_t word : rng_.SaveState()) hasher.Mix(word);
-    hasher.Mix(static_cast<std::uint64_t>(link_bytes_.size()));
-    for (std::uint64_t bytes : link_bytes_) hasher.Mix(bytes);
-    hasher.Mix(frames_delivered_);
-    hasher.Mix(frames_dropped_);
-    hasher.Mix(bytes_sent_);
-    hasher.Mix(next_frame_id_);
-  }
-
-  /// Restores transmission accounting from a snapshot. Only meaningful on a
-  /// quiescent fabric (no frames in flight); per-direction queue state is
-  /// rebuilt lazily and starts empty.
-  void RestoreState(std::vector<std::uint64_t> link_bytes,
-                    std::uint64_t frames_delivered, std::uint64_t frames_dropped,
-                    std::uint64_t bytes_sent, std::uint64_t next_frame) {
-    link_bytes_ = std::move(link_bytes);
-    frames_delivered_ = frames_delivered;
-    frames_dropped_ = frames_dropped;
-    bytes_sent_ = bytes_sent;
-    next_frame_id_ = next_frame;
+  /// Snapshot fields (the genesis fabric section): transmission accounting,
+  /// the loss-RNG stream and per-link byte counts. Per-direction queue
+  /// state is transient in-flight detail: snapshots are quiescent and a
+  /// restored fabric rebuilds it lazily, empty.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, frames_delivered_);
+    a.U64(0x02, frames_dropped_);
+    a.U64(0x03, bytes_sent_);
+    a.U64(0x04, next_frame_id_);
+    const bool has_rng = a.Record(0x05, rng_);
+    if constexpr (A::kLoading) {
+      if (!has_rng) a.Fail(InvalidArgument("fabric section missing RNG state"));
+    }
+    a.Repeated(0x06, link_bytes_);
   }
 
  private:

@@ -37,10 +37,14 @@ class FailureInjector {
 
   std::uint64_t failures_injected() const { return failures_injected_; }
 
-  /// Failure-process RNG and counter restore, for snapshot/restore (genesis).
   Rng& rng() { return rng_; }
-  void RestoreState(std::uint64_t failures_injected) {
-    failures_injected_ = failures_injected;
+
+  /// Snapshot fields (genesis FailureInjectorAdapter): the failure-process
+  /// RNG stream and the injection counter.
+  template <class A>
+  void Visit(A& a) {
+    a.Record(0x01, rng_);
+    a.U64(0x02, failures_injected_);
   }
 
  private:

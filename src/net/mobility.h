@@ -44,16 +44,51 @@ class RandomWaypointMobility {
     double pause_left = 0.0;
   };
 
-  // ---- Snapshot/restore support (genesis) ----
   Rng& rng() { return rng_; }
   const std::vector<NodeState>& states() const { return states_; }
   const std::vector<bool>& pinned() const { return pinned_; }
-  /// Restores the full kinematic state; vectors must match the node count.
-  void RestoreState(std::vector<Position> positions,
-                    std::vector<NodeState> states, std::vector<bool> pinned) {
-    positions_ = std::move(positions);
-    states_ = std::move(states);
-    pinned_ = std::move(pinned);
+
+  /// Snapshot fields (genesis MobilityAdapter): the waypoint RNG stream and
+  /// one record per node with its position, waypoint, speed, pause and pin.
+  /// A load must cover exactly this process's node count.
+  template <class A>
+  void Visit(A& a) {
+    a.Record(0x01, rng_);
+    struct Node {
+      Position position;
+      NodeState state;
+      bool pinned = false;
+    };
+    std::vector<Node> nodes;
+    if constexpr (!A::kLoading) {
+      for (std::size_t i = 0; i < positions_.size(); ++i) {
+        nodes.push_back({positions_[i], states_[i], pinned_[i]});
+      }
+    }
+    a.Each(0x02, nodes, [](auto& r, auto& node) {
+      r.F64(0x01, node.position.x);
+      r.F64(0x02, node.position.y);
+      r.F64(0x03, node.state.target.x);
+      r.F64(0x04, node.state.target.y);
+      r.F64(0x05, node.state.speed);
+      r.F64(0x06, node.state.pause_left);
+      r.Bool(0x07, node.pinned);
+    });
+    if constexpr (A::kLoading) {
+      if (!a.ok()) return;
+      if (nodes.size() != positions_.size()) {
+        a.Fail(InvalidArgument(
+            "mobility snapshot covers " + std::to_string(nodes.size()) +
+            " nodes but the process has " +
+            std::to_string(positions_.size())));
+        return;
+      }
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        positions_[i] = nodes[i].position;
+        states_[i] = nodes[i].state;
+        pinned_[i] = nodes[i].pinned;
+      }
+    }
   }
 
  private:

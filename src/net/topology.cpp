@@ -284,17 +284,26 @@ Topology Topology::InducedSubgraph(const std::vector<NodeId>& members) const {
   return sub;
 }
 
-void Topology::MixDigest(Hasher& hasher) const {
-  hasher.Mix(static_cast<std::uint64_t>(node_count_));
-  hasher.Mix(static_cast<std::uint64_t>(links_.size()));
-  for (const Link& link : links_) {
-    hasher.Mix(link.a);
-    hasher.Mix(link.b);
-    hasher.Mix(link.up ? 1u : 0u);
+Status Topology::Rebuild(std::uint64_t node_count) {
+  std::vector<bool> node_up = std::move(node_up_);
+  std::vector<Link> links = std::move(links_);
+  node_up_.clear();
+  links_.clear();
+  if (node_up.size() != node_count) {
+    return InvalidArgument("topology node flag count mismatch");
   }
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    hasher.Mix(node_up_[n] ? 1u : 0u);
+  for (const Link& link : links) {
+    if (link.a >= node_count || link.b >= node_count || link.a == link.b) {
+      return InvalidArgument("topology link endpoint out of range");
+    }
   }
+  if (node_count > 0) AddNodes(node_count);
+  for (const Link& link : links) AddLink(link.a, link.b, link.config);
+  for (NodeId n = 0; n < node_up.size(); ++n) {
+    if (!node_up[n]) SetNodeUp(n, false);
+  }
+  for (LinkId id = 0; id < links.size(); ++id) SetLinkUp(id, links[id].up);
+  return OkStatus();
 }
 
 // ---- Generators -----------------------------------------------------------

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "base/hash.h"
+#include "base/status.h"
 #include "base/rng.h"
 #include "net/types.h"
 #include "sim/time.h"
@@ -146,11 +147,42 @@ class Topology {
   /// up/down states are preserved. Duplicate members are invalid.
   Topology InducedSubgraph(const std::vector<NodeId>& members) const;
 
-  /// Mixes the structural state (node/link counts, endpoints, up flags) into
-  /// a rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
+  /// Snapshot fields (the genesis topology section): node count, per-node
+  /// up flags, then per link its endpoints, config and up flag. A load needs
+  /// an empty topology and rebuilds it in capture order (see Rebuild).
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      if (node_count_ != 0 || !links_.empty()) {
+        a.Fail(FailedPrecondition(
+            "topology restore requires an empty topology"));
+        return;
+      }
+    }
+    std::uint64_t nodes = node_count_;
+    a.U64(0x01, nodes);
+    a.Repeated(0x02, node_up_);
+    a.Each(0x03, links_, [](auto& r, auto& link) {
+      r.U64(0x01, link.a);
+      r.U64(0x02, link.b);
+      r.F64(0x03, link.config.bandwidth_bps);
+      r.U64(0x04, link.config.latency);
+      r.F64(0x05, link.config.loss_probability);
+      r.U32(0x06, link.config.queue_capacity_bytes);
+      r.Bool(0x07, link.up);
+    });
+    if constexpr (A::kLoading) {
+      if (a.ok()) a.Check(Rebuild(nodes));
+    }
+  }
 
  private:
+  // Turns the raw node flags and links a load left in node_up_/links_ into
+  // a topology: validates them, then adds nodes and links, applies node
+  // flags and finally the exact link flags, so the result matches the
+  // capture bit for bit. On error the topology is left empty.
+  Status Rebuild(std::uint64_t node_count);
+
   // One cached first-hop row: first_hop[dst] on the shortest path from
   // `from`, kInvalidNode when unreachable. Valid iff gen == generation_.
   struct CacheRow {

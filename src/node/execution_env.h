@@ -49,12 +49,26 @@ class ExecutionEnvironment {
   std::uint64_t faults() const { return faults_; }
   std::uint64_t fuel_consumed() const { return fuel_consumed_; }
 
-  /// Restores usage accounting from a snapshot (genesis).
-  void RestoreUsage(std::uint64_t invocations, std::uint64_t faults,
-                    std::uint64_t fuel_consumed) {
-    invocations_ = invocations;
-    faults_ = faults;
-    fuel_consumed_ = fuel_consumed;
+  /// Snapshot fields (one EE record in a ship's genesis record). A load
+  /// starts after id, class and binding: the NodeOS reads those itself to
+  /// recreate the EE first. Residents re-register under the quota.
+  template <class A>
+  void Visit(A& a, std::uint32_t max_resident) {
+    if constexpr (A::kLoading) {
+      std::vector<Digest> residents;
+      a.Repeated(0x04, residents);
+      for (Digest digest : residents) {
+        if (a.ok()) a.Check(AddResident(digest, max_resident));
+      }
+    } else {
+      a.U32(0x01, id_);
+      a.Enum(0x02, cls_, SecondLevelClass::kClassCount, "second-level class");
+      a.Enum(0x03, binding_, kRoleBindingCount, "EE binding");
+      a.Repeated(0x04, residents_);
+    }
+    a.U64(0x05, invocations_);
+    a.U64(0x06, faults_);
+    a.U64(0x07, fuel_consumed_);
   }
 
  private:

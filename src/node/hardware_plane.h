@@ -91,23 +91,35 @@ class HardwarePlane {
 
   std::uint64_t reconfigurations() const { return reconfigurations_; }
 
-  /// Restores the reconfiguration counter after replaying Install/Activate
-  /// calls from a snapshot (genesis).
-  void RestoreReconfigurations(std::uint64_t count) {
-    reconfigurations_ = count;
-  }
-
-  /// Mixes gate usage, slot occupancy and activation flags into a rolling
-  /// state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(gates_used_);
-    hasher.Mix(reconfigurations_);
-    hasher.Mix(static_cast<std::uint64_t>(occupied_.size()));
-    for (const Slot& slot : occupied_) {
-      hasher.Mix(slot.module.module_id);
-      hasher.Mix(slot.module.driver_digest);
-      hasher.Mix(slot.driver_active ? 1u : 0u);
-    }
+  /// Snapshot fields (inlined in a ship's genesis record, tags 0x1B-0x1C):
+  /// every installed module with its activation flag, then the
+  /// reconfiguration counter. A load replays Install/ActivateDriver, so
+  /// gate and slot checks apply, before the counter overwrites what the
+  /// replay counted.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(
+        0x1B, occupied_,
+        [](auto& r, auto& slot) {
+          r.U32(0x01, slot.module.module_id);
+          r.Str(0x02, slot.module.name);
+          r.Enum(0x03, slot.module.accelerates, SecondLevelClass::kClassCount,
+                 "second-level class");
+          r.U32(0x04, slot.module.gate_count);
+          r.F64(0x05, slot.module.speedup);
+          r.U64(0x06, slot.module.driver_digest);
+          r.Bool(0x07, slot.driver_active);
+        },
+        [this](auto& r, Slot& slot) {
+          const auto installed = Install(slot.module);
+          if (!installed.ok()) {
+            r.Fail(installed.status());
+          } else if (slot.driver_active) {
+            r.Check(ActivateDriver(slot.module.module_id,
+                                   slot.module.driver_digest));
+          }
+        });
+    a.U64(0x1C, reconfigurations_);
   }
 
  private:

@@ -7,10 +7,13 @@
 // generation, which is the knob the E12 ablation sweeps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "base/hash.h"
 #include "base/status.h"
@@ -71,19 +74,62 @@ class NodeOs {
   ExecutionEnvironment* FindEe(SecondLevelClass cls);
   std::size_t ee_count() const { return ees_.size(); }
 
-  /// Full EE registry, keyed by class (snapshot enumeration; genesis).
+  /// Full EE registry, keyed by class.
   const std::map<SecondLevelClass, std::unique_ptr<ExecutionEnvironment>>&
   ees() const {
     return ees_;
   }
 
-  /// Restores role state and the switch counter from a snapshot, without the
-  /// generation gating or latency of a real switch.
-  void RestoreRoleState(FirstLevelRole current, FirstLevelRole next,
-                        std::uint64_t switches) {
-    current_role_ = current;
-    next_step_ = next;
-    role_switches_ = switches;
+  /// Snapshot fields, first half (inlined in a ship's genesis record, tags
+  /// 0x0A-0x10, before the ship's facts): role state and resource usage. A
+  /// load sets the roles without the gating or latency of a real switch.
+  template <class A>
+  void VisitRoleState(A& a) {
+    a.Enum(0x0A, current_role_, FirstLevelRole::kRoleCount, "first-level role");
+    a.Enum(0x0B, next_step_, FirstLevelRole::kRoleCount, "first-level role");
+    a.U64(0x0C, role_switches_);
+    accountant_.Visit(a);
+  }
+
+  /// Snapshot fields, second half (tags 0x17-0x1C, after the ship's facts,
+  /// functions and congruence): code cache, EEs in id order and the
+  /// hardware plane. A load recreates each EE and checks that it gets its
+  /// captured id back.
+  template <class A>
+  void VisitCodeState(A& a) {
+    code_cache_.Visit(a);
+    const std::uint32_t max_resident = accountant_.quota().max_resident_programs;
+    if constexpr (A::kLoading) {
+      a.Records(0x1A, [&](auto& record) {
+        std::uint32_t id = 0;
+        SecondLevelClass cls = SecondLevelClass::kSupplementary;
+        RoleBinding binding = RoleBinding::kAuxiliary;
+        record.U32(0x01, id);
+        record.Enum(0x02, cls, SecondLevelClass::kClassCount,
+                    "second-level class");
+        record.Enum(0x03, binding, kRoleBindingCount, "EE binding");
+        if (!record.ok()) return;
+        ExecutionEnvironment& ee = GetOrCreateEe(cls, binding);
+        if (ee.id() != id) {
+          record.Fail(Internal("EE id mismatch on restore (snapshot id " +
+                               std::to_string(id) + ", recreated id " +
+                               std::to_string(ee.id()) + ")"));
+          return;
+        }
+        ee.set_binding(binding);
+        ee.Visit(record, max_resident);
+      });
+    } else {
+      std::vector<ExecutionEnvironment*> by_id;
+      for (const auto& [cls, ee] : ees_) by_id.push_back(ee.get());
+      std::sort(by_id.begin(), by_id.end(), [](const auto* x, const auto* y) {
+        return x->id() < y->id();
+      });
+      a.Each(0x1A, by_id, [max_resident](auto& r, ExecutionEnvironment* ee) {
+        ee->Visit(r, max_resident);
+      });
+    }
+    hardware_.Visit(a);
   }
 
   // ---- Code admission ----
@@ -109,20 +155,6 @@ class NodeOs {
   /// Docks a netbot: installs its module, admits the carried driver, then
   /// activates the module (one transaction, per the paper's "docking time").
   Result<sim::Duration> DockNetbot(const Netbot& netbot);
-
-  /// Mixes role state, EE registry shape, code-cache residency and hardware
-  /// plane occupancy into a rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(static_cast<std::uint64_t>(current_role_));
-    hasher.Mix(static_cast<std::uint64_t>(next_step_));
-    hasher.Mix(role_switches_);
-    hasher.Mix(static_cast<std::uint64_t>(ees_.size()));
-    for (const auto& [cls, ee] : ees_) {
-      hasher.Mix(static_cast<std::uint64_t>(cls));
-    }
-    code_cache_.MixDigest(hasher);
-    hardware_.MixDigest(hasher);
-  }
 
  private:
   sim::Duration SwitchLatency(SwitchMechanism mechanism) const;

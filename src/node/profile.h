@@ -41,12 +41,14 @@ enum class SecondLevelClass : std::uint8_t {
 
 /// Generic ship roles (paper footnote 21): every function specializes one.
 enum class ShipClass : std::uint8_t { kServer = 0, kClient, kAgent };
+inline constexpr ShipClass kShipClassCount = ShipClass{3};
 
 /// How a function is bound on a ship.
 enum class RoleBinding : std::uint8_t {
   kModal,      // resident, default service, priority access to its EE
   kAuxiliary,  // optional, transported/installed via shuttles
 };
+inline constexpr RoleBinding kRoleBindingCount = RoleBinding{2};
 
 /// How a role switch is realized — determines its latency (experiment E3).
 enum class SwitchMechanism : std::uint8_t {

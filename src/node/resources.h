@@ -45,13 +45,13 @@ class ResourceAccountant {
   std::uint64_t memory_used() const { return memory_used_; }
   std::uint32_t pending_shuttles() const { return pending_shuttles_; }
 
-  /// Restores usage accounting from a snapshot (genesis).
-  void RestoreUsage(std::uint64_t epoch_fuel, std::uint64_t total_fuel,
-                    std::uint64_t memory, std::uint32_t pending) {
-    epoch_fuel_used_ = epoch_fuel;
-    total_fuel_used_ = total_fuel;
-    memory_used_ = memory;
-    pending_shuttles_ = pending;
+  /// Snapshot fields (inlined in a ship's genesis record, tags 0x0D-0x10).
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x0D, epoch_fuel_used_);
+    a.U64(0x0E, total_fuel_used_);
+    a.U64(0x0F, memory_used_);
+    a.U32(0x10, pending_shuttles_);
   }
 
  private:

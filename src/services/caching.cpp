@@ -108,20 +108,6 @@ CachingService::CachedObjects() const {
   return out;
 }
 
-void CachingService::RestoreState(
-    const std::vector<std::pair<std::uint64_t, std::vector<std::int64_t>>>&
-        objects,
-    std::uint64_t hits, std::uint64_t misses) {
-  lru_.clear();
-  objects_.clear();
-  // Insert LRU-first so the final recency order matches the capture.
-  for (auto it = objects.rbegin(); it != objects.rend(); ++it) {
-    StoreObject(it->first, it->second);
-  }
-  hits_ = hits;
-  misses_ = misses;
-}
-
 void CachingService::OnShuttle(wli::Ship& ship, const wli::Shuttle& shuttle) {
   if (shuttle.payload.empty()) return;
   const std::int64_t op = shuttle.payload[0];

@@ -58,35 +58,40 @@ class CachingService {
   std::uint64_t misses() const { return misses_; }
   double HitRatio() const;
 
-  // ---- Snapshot/restore support (genesis) ----
-
   /// Cached content ids from most- to least-recently used, with bodies.
   std::vector<std::pair<std::uint64_t, std::vector<std::int64_t>>>
   CachedObjects() const;
 
-  /// Replays cached objects (given MRU-first, as CachedObjects returns) and
-  /// restores hit/miss accounting. Pending-miss queues are runtime state
-  /// and must be empty at capture.
-  void RestoreState(
-      const std::vector<std::pair<std::uint64_t, std::vector<std::int64_t>>>&
-          objects,
-      std::uint64_t hits, std::uint64_t misses);
-
-  /// Mixes cache residency (LRU order, object bodies) and hit/miss
-  /// accounting into a rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(hits_);
-    hasher.Mix(misses_);
-    hasher.Mix(static_cast<std::uint64_t>(lru_.size()));
-    for (std::uint64_t content_id : lru_) {
-      hasher.Mix(content_id);
-      const auto& body = objects_.at(content_id).first;
-      hasher.Mix(static_cast<std::uint64_t>(body.size()));
-      for (std::int64_t word : body) {
-        hasher.Mix(static_cast<std::uint64_t>(word));
+  /// Snapshot fields (genesis CachingServiceAdapter): hit/miss accounting
+  /// and every cached object, most recent first, body included. A load
+  /// stores them least recent first, so recency order comes back as
+  /// captured. Pending-miss queues are runtime state and must be empty at
+  /// capture.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, hits_);
+    a.U64(0x02, misses_);
+    const auto fields = [](auto& r, auto& content_id, auto& body) {
+      r.U64(0x01, content_id);
+      r.Repeated(0x02, body);
+    };
+    if constexpr (A::kLoading) {
+      std::vector<std::pair<std::uint64_t, std::vector<std::int64_t>>> objects;
+      a.Each(0x03, objects, fields);
+      lru_.clear();
+      objects_.clear();
+      for (auto it = objects.rbegin(); it != objects.rend(); ++it) {
+        StoreObject(it->first, std::move(it->second));
       }
+    } else {
+      a.Each(0x03, lru_, [&](auto& r, auto& content_id) {
+        fields(r, content_id, objects_.at(content_id).first);
+      });
     }
   }
+
+  /// Mixes the Visit fields into a rolling state digest.
+  void MixDigest(Hasher& hasher) const { HashFields(*this, hasher); }
 
  private:
   void OnShuttle(wli::Ship& ship, const wli::Shuttle& shuttle);

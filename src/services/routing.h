@@ -84,33 +84,38 @@ class DistanceVectorRouter {
   /// genesis snapshot bytes are identical to the old std::map layout.
   using RouteTable = base::FlatMap<net::NodeId, Route>;
 
-  // ---- Snapshot/restore support (genesis) ----
   const std::vector<RouteTable>& tables() const { return tables_; }
-  void RestoreState(std::vector<RouteTable> tables, std::uint64_t ads_sent,
-                    std::uint64_t control_bytes,
-                    std::uint64_t dropped_no_route) {
-    tables_ = std::move(tables);
-    ads_sent_ = ads_sent;
-    control_bytes_ = control_bytes;
-    dropped_no_route_ = dropped_no_route;
-  }
 
-  /// Mixes routing tables and control accounting into a rolling state digest
-  /// (flight-recorder hook). Route expiries are virtual-time values and thus
-  /// replay deterministically, so they are included.
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(ads_sent_);
-    hasher.Mix(control_bytes_);
-    hasher.Mix(dropped_no_route_);
-    hasher.Mix(static_cast<std::uint64_t>(tables_.size()));
-    for (const auto& table : tables_) {
-      hasher.Mix(static_cast<std::uint64_t>(table.size()));
-      for (const auto& [dst, route] : table) {
-        hasher.Mix(dst);
-        hasher.Mix(route.next_hop);
-        hasher.Mix(route.metric);
-        hasher.Mix(static_cast<std::uint64_t>(route.expires));
+  /// Snapshot fields (genesis DvRouterAdapter): control accounting and every
+  /// node's table. Route expiries are virtual-time values and thus replay
+  /// deterministically. A load must cover exactly this router's node count.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, ads_sent_);
+    a.U64(0x02, control_bytes_);
+    a.U64(0x03, dropped_no_route_);
+    const auto table_fields = [](auto& r, auto& table) {
+      r.Each(0x01, table, [](auto& n, auto& dst, auto& route) {
+        n.U64(0x01, dst);
+        n.U64(0x02, route.next_hop);
+        n.U32(0x03, route.metric);
+        n.U64(0x04, route.expires);
+      });
+    };
+    if constexpr (A::kLoading) {
+      std::vector<RouteTable> tables;
+      a.Each(0x04, tables, table_fields);
+      if (!a.ok()) return;
+      if (tables.size() != tables_.size()) {
+        a.Fail(InvalidArgument("routing snapshot covers " +
+                               std::to_string(tables.size()) +
+                               " nodes but the router has " +
+                               std::to_string(tables_.size())));
+        return;
       }
+      tables_ = std::move(tables);
+    } else {
+      a.Each(0x04, tables_, table_fields);
     }
   }
 

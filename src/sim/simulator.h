@@ -146,6 +146,22 @@ class Simulator {
   Status RestoreClock(TimePoint now, std::uint64_t dispatched_count,
                       std::uint64_t schedule_ordinal = kKeepScheduleOrdinal);
 
+  /// Snapshot fields (the genesis clock section): virtual time, dispatch
+  /// count and schedule ordinal. Loads go through RestoreClock's checks; an
+  /// absent ordinal (older snapshots) keeps the fresh counter.
+  template <class A>
+  void Visit(A& a) {
+    TimePoint now = now_;
+    std::uint64_t dispatched = dispatched_;
+    std::uint64_t ordinal = A::kLoading ? kKeepScheduleOrdinal : next_seq_;
+    a.U64(0x01, now);
+    a.U64(0x02, dispatched);
+    a.U64(0x03, ordinal);
+    if constexpr (A::kLoading) {
+      if (a.ok()) a.Check(RestoreClock(now, dispatched, ordinal));
+    }
+  }
+
   /// Memory-observatory accessors (docs/MEMORY.md): current and peak heap
   /// bytes behind the calendar queue, plus the slot pool's footprint
   /// (capacity, O(1)). Deterministic — benches pin them, genesis carries

@@ -58,7 +58,7 @@ double Histogram::Quantile(double p) const {
   const double target = p * static_cast<double>(count_);
   double seen = static_cast<double>(zeros_);
   if (target <= seen) return 0.0;
-  for (int i = 0; i < kBuckets; ++i) {
+  for (int i = 0; i < kBucketCount; ++i) {
     const double in_bucket = static_cast<double>(buckets_[i]);
     if (seen + in_bucket >= target && in_bucket > 0.0) {
       const double lo = BucketLow(i);
@@ -73,34 +73,21 @@ double Histogram::Quantile(double p) const {
 
 void Histogram::Reset() { *this = Histogram(); }
 
-Histogram::RawState Histogram::SaveState() const {
-  RawState state;
-  state.count = count_;
-  state.sum = sum_;
-  state.sum_sq = sum_sq_;
-  state.min = min_;
-  state.max = max_;
-  state.zeros = zeros_;
-  state.bucket_origin = kBucketOrigin;
-  state.buckets.assign(buckets_, buckets_ + kBuckets);
-  return state;
-}
-
-void Histogram::RestoreState(const RawState& state) {
-  count_ = state.count;
-  sum_ = state.sum;
-  sum_sq_ = state.sum_sq;
-  min_ = state.min;
-  max_ = state.max;
-  zeros_ = state.zeros;
-  // A state saved with a different (e.g. legacy 0) origin shifts into the
-  // current layout; the legacy range [2^0, 2^64) sits entirely inside ours.
-  const int shift = static_cast<int>(state.bucket_origin) - kBucketOrigin;
-  std::fill(buckets_, buckets_ + kBuckets, 0);
-  for (int i = 0; i < static_cast<int>(state.buckets.size()); ++i) {
-    const int j = std::clamp(i + shift, 0, kBuckets - 1);
-    buckets_[j] += state.buckets[i];
-  }
+Histogram Histogram::FromBuckets(std::uint64_t count, double sum,
+                                 double sum_sq, double min, double max,
+                                 std::uint64_t zeros,
+                                 std::span<const std::uint64_t> buckets) {
+  Histogram h;
+  h.count_ = count;
+  h.sum_ = sum;
+  h.sum_sq_ = sum_sq;
+  h.min_ = min;
+  h.max_ = max;
+  h.zeros_ = zeros;
+  const std::size_t n =
+      std::min(buckets.size(), static_cast<std::size_t>(kBucketCount));
+  std::copy_n(buckets.begin(), n, h.buckets_);
+  return h;
 }
 
 void TimeSeries::Record(TimePoint t, double value) {
@@ -118,13 +105,6 @@ void TimeSeries::Record(TimePoint t, double value) {
     samples_.resize(w);
     stride_ *= 2;
   }
-}
-
-void TimeSeries::RestoreState(std::vector<Sample> samples, std::uint64_t stride,
-                              std::uint64_t ticks) {
-  samples_ = std::move(samples);
-  stride_ = stride == 0 ? 1 : stride;
-  ticks_ = ticks;
 }
 
 double TimeSeries::Mean() const {

@@ -8,12 +8,17 @@
 // `component.metric_name`, e.g. "wn.shuttles_injected", "ship.consume".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "base/flat_map.h"
+#include "base/status.h"
+#include "base/tlv.h"
 #include "sim/time.h"
 
 namespace viator::sim {
@@ -21,6 +26,8 @@ namespace viator::sim {
 /// Monotonically increasing event count (packets sent, cache hits, ...).
 class Counter {
  public:
+  friend class StatsRegistry;
+
   void Add(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
   void Reset() { value_ = 0; }
@@ -32,6 +39,8 @@ class Counter {
 /// Instantaneous level that can move both ways (queue depth, live facts).
 class Gauge {
  public:
+  friend class StatsRegistry;
+
   void Set(double v) { value_ = v; }
   void Add(double d) { value_ += d; }
   double value() const { return value_; }
@@ -62,40 +71,64 @@ class Histogram {
 
   void Reset();
 
-  /// Exact internal state, for snapshot/restore (genesis). Restoring a saved
-  /// state reproduces every accessor bit-for-bit.
-  ///
-  /// `bucket_origin` is the half-exponent of bucket 0 (bucket i spans
-  /// [2^((i+origin)/2), 2^((i+origin+1)/2))). States saved before fractional
-  /// buckets existed carry the legacy origin 0; RestoreState shifts their
-  /// buckets into place, so old genesis snapshots stay loadable (their
-  /// sub-1.0 samples remain in `zeros`, exactly as they were recorded).
-  struct RawState {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::uint64_t zeros = 0;
-    std::int32_t bucket_origin = 0;  // legacy default; SaveState overwrites
-    std::vector<std::uint64_t> buckets;
+  /// Values below the bucketed range (exact zeros and samples < 2^-32).
+  std::uint64_t zeros() const { return zeros_; }
+  /// Half-power-of-two bucket counts: bucket i spans
+  /// [2^((i+kBucketOrigin)/2), 2^((i+kBucketOrigin+1)/2)).
+  std::span<const std::uint64_t> buckets() const { return buckets_; }
+
+  /// A histogram with an exact summary and bucket counts (the latency plane
+  /// mirrors its sketches into the registry this way).
+  static Histogram FromBuckets(std::uint64_t count, double sum, double sum_sq,
+                               double min, double max, std::uint64_t zeros,
+                               std::span<const std::uint64_t> buckets);
+
+  /// Tags of the snapshot fields; a histogram rides inside another record
+  /// (stats registry entries, health ship records), each with its own tags.
+  struct Tags {
+    TlvTag count, sum, sum_sq, min, max, zeros, origin, bucket;
   };
-  RawState SaveState() const;
-  void RestoreState(const RawState& state);
+
+  /// Snapshot fields. States saved before fractional buckets carry no
+  /// origin (legacy origin 0); a load shifts their buckets into the current
+  /// layout, so old snapshots stay loadable (their sub-1.0 samples remain in
+  /// `zeros`, exactly as they were recorded).
+  template <class A>
+  void Visit(A& a, const Tags& tags) {
+    a.U64(tags.count, count_);
+    a.F64(tags.sum, sum_);
+    a.F64(tags.sum_sq, sum_sq_);
+    a.F64(tags.min, min_);
+    a.F64(tags.max, max_);
+    a.U64(tags.zeros, zeros_);
+    std::int32_t origin = A::kLoading ? 0 : kBucketOrigin;
+    a.U64(tags.origin, origin);
+    if constexpr (A::kLoading) {
+      std::uint64_t saved[kBucketCount] = {};
+      a.Repeated(tags.bucket, std::span(saved));
+      const int shift = static_cast<int>(origin) - kBucketOrigin;
+      std::fill(std::begin(buckets_), std::end(buckets_), 0);
+      for (int i = 0; i < kBucketCount; ++i) {
+        buckets_[std::clamp(i + shift, 0, kBucketCount - 1)] += saved[i];
+      }
+    } else {
+      a.Repeated(tags.bucket, buckets());
+    }
+  }
 
   /// Half-exponent of bucket 0: buckets start at 2^(kBucketOrigin/2) = 2^-32.
   static constexpr std::int32_t kBucketOrigin = -64;
+  /// 192 half-power-of-two buckets: half-exponents -64..127 cover
+  /// [2^-32, 2^64).
+  static constexpr int kBucketCount = 192;
 
  private:
-  // 192 half-power-of-two buckets: half-exponents -64..127 cover
-  // [2^-32, 2^64).
-  static constexpr int kBuckets = 192;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  std::uint64_t buckets_[kBuckets] = {};
+  std::uint64_t buckets_[kBucketCount] = {};
   std::uint64_t zeros_ = 0;
 };
 
@@ -134,12 +167,30 @@ class TimeSeries {
     ticks_ = 0;
   }
 
-  /// Replaces samples and down-sampling position verbatim (genesis restore).
-  /// Bypasses Record() so restoring never re-triggers decimation.
-  void RestoreState(std::vector<Sample> samples, std::uint64_t stride,
-                    std::uint64_t ticks);
+  /// Snapshot fields (inside a stats registry record): down-sampling
+  /// position and every retained sample. A load replaces them verbatim,
+  /// bypassing Record() so it never re-triggers decimation; payloads from
+  /// before bounded series carry neither stride nor ticks (one tick per
+  /// kept sample).
+  template <class A>
+  void Visit(A& a) {
+    std::uint64_t stride = A::kLoading ? 0 : stride_;
+    std::uint64_t ticks = A::kLoading ? kNoTicks : ticks_;
+    a.U64(0x0C, stride);
+    a.U64(0x0D, ticks);
+    a.Each(0x0B, samples_, [](auto& r, auto& sample) {
+      r.U64(0x01, sample.time);
+      r.F64(0x02, sample.value);
+    });
+    if constexpr (A::kLoading) {
+      stride_ = stride == 0 ? 1 : stride;
+      ticks_ = ticks == kNoTicks ? samples_.size() : ticks;
+    }
+  }
 
  private:
+  static constexpr std::uint64_t kNoTicks = ~std::uint64_t{0};
+
   std::vector<Sample> samples_;
   std::size_t max_samples_ = 0;
   std::uint64_t stride_ = 1;  // keep records with ticks_ % stride_ == 0
@@ -183,12 +234,55 @@ class StatsRegistry {
     return series_.Find(name);
   }
 
+  /// Snapshot fields (the genesis stats section): one named record per
+  /// counter, gauge, histogram and series. A load overwrites the named
+  /// metrics and leaves others in place.
+  template <class A>
+  void Visit(A& a) {
+    VisitNamed(a, 0x01, counters_, [](auto& r, Counter& counter) {
+      r.U64(0x02, counter.value_);
+    });
+    VisitNamed(a, 0x02, gauges_, [](auto& r, Gauge& gauge) {
+      r.F64(0x03, gauge.value_);
+    });
+    VisitNamed(a, 0x03, histograms_, [](auto& r, Histogram& histogram) {
+      histogram.Visit(r, {0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0E, 0x0A});
+    });
+    VisitNamed(a, 0x04, series_, [](auto& r, TimeSeries& series) {
+      series.Visit(r);
+    });
+  }
+
   const MetricMap<Counter>& counters() const { return counters_; }
   const MetricMap<Gauge>& gauges() const { return gauges_; }
   const MetricMap<Histogram>& histograms() const { return histograms_; }
   const MetricMap<TimeSeries>& series() const { return series_; }
 
  private:
+  // One record per metric: its name (tag 0x01), then `fields`.
+  template <class A, class T, class Fields>
+  static void VisitNamed(A& a, TlvTag tag, MetricMap<T>& metrics,
+                         Fields fields) {
+    if constexpr (A::kLoading) {
+      a.Records(tag, [&](auto& record) {
+        std::string_view name;
+        record.Str(0x01, name);
+        if (name.empty()) {
+          record.Fail(InvalidArgument("unnamed metric in stats section"));
+          return;
+        }
+        fields(record, metrics.GetOrCreate(name));
+      });
+    } else {
+      for (const auto& [name, metric] : metrics) {
+        a.Record(tag, [&](auto& record) {
+          record.Str(0x01, name);
+          fields(record, const_cast<T&>(metric));
+        });
+      }
+    }
+  }
+
   MetricMap<Counter> counters_;
   MetricMap<Gauge> gauges_;
   MetricMap<Histogram> histograms_;

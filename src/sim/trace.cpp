@@ -72,11 +72,6 @@ void TraceSink::WriteJsonl(std::ostream& out) const {
   }
 }
 
-void TraceSink::RestoreEntry(Entry entry) {
-  entries_.push_back(std::move(entry));
-  while (entries_.size() > capacity_) entries_.pop_front();
-}
-
 std::size_t TraceSink::CountContaining(std::string_view needle) const {
   std::size_t n = 0;
   for (const auto& e : entries_) {

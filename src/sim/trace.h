@@ -14,6 +14,7 @@
 namespace viator::sim {
 
 enum class TraceLevel : std::uint8_t { kDebug = 0, kInfo, kWarn, kError };
+inline constexpr TraceLevel kTraceLevelCount = TraceLevel{4};
 
 std::string_view TraceLevelName(TraceLevel level);
 
@@ -53,9 +54,21 @@ class TraceSink {
   /// output — the offline diff format for deterministic-resume checks.
   void WriteJsonl(std::ostream& out) const;
 
-  /// Re-appends an entry verbatim (snapshot restore): bypasses the level
-  /// filter and stdout echo, but still enforces the capacity bound.
-  void RestoreEntry(Entry entry);
+  /// Snapshot fields (the genesis trace section): one record per retained
+  /// entry. A load replaces the entries verbatim, bypassing the level filter
+  /// and stdout echo but still enforcing the capacity bound.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, entries_, [](auto& r, auto& entry) {
+      r.U64(0x01, entry.time);
+      r.Enum(0x02, entry.level, kTraceLevelCount, "trace level");
+      r.Str(0x03, entry.component);
+      r.Str(0x04, entry.message);
+    });
+    if constexpr (A::kLoading) {
+      while (entries_.size() > capacity_) entries_.pop_front();
+    }
+  }
 
   void Clear() { entries_.clear(); }
 

@@ -450,23 +450,24 @@ void WritePrometheusText(const sim::StatsRegistry& stats, std::ostream& out) {
     // [2^((i+origin)/2), 2^((i+origin+1)/2)), so its upper bound is exact.
     // Empty buckets are skipped — Prometheus semantics are cumulative, so
     // sparse output loses nothing and keeps the text stable for goldens.
-    const sim::Histogram::RawState raw = hist.SaveState();
-    std::uint64_t cumulative = raw.zeros;
+    constexpr int origin = sim::Histogram::kBucketOrigin;
+    const std::span<const std::uint64_t> buckets = hist.buckets();
+    std::uint64_t cumulative = hist.zeros();
     if (cumulative > 0) {
       // Everything below the bucketed range (zeros and sub-2^-32 samples).
       out << pname << "_bucket{le=\""
-          << ShortestDouble(std::exp2(raw.bucket_origin / 2.0)) << "\"} "
+          << ShortestDouble(std::exp2(origin / 2.0)) << "\"} "
           << cumulative << "\n";
     }
-    for (std::size_t i = 0; i < raw.buckets.size(); ++i) {
-      if (raw.buckets[i] == 0) continue;
-      cumulative += raw.buckets[i];
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      if (buckets[i] == 0) continue;
+      cumulative += buckets[i];
       const double upper =
-          std::exp2((static_cast<double>(i) + raw.bucket_origin + 1) / 2.0);
+          std::exp2((static_cast<double>(i) + origin + 1) / 2.0);
       out << pname << "_bucket{le=\"" << ShortestDouble(upper) << "\"} "
           << cumulative << "\n";
     }
-    out << pname << "_bucket{le=\"+Inf\"} " << raw.count << "\n"
+    out << pname << "_bucket{le=\"+Inf\"} " << hist.count() << "\n"
         << pname << "_sum " << ShortestDouble(hist.sum()) << "\n"
         << pname << "_count " << hist.count() << "\n";
   }

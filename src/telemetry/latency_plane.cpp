@@ -48,25 +48,22 @@ std::size_t HistogramBucketFor(std::uint64_t v) {
 /// representative value (documented approximation, docs/LATENCY.md).
 void MirrorSketch(sim::StatsRegistry& stats, const std::string& name,
                   const LatencySketch& sketch) {
-  sim::Histogram::RawState raw;
-  raw.count = sketch.count();
-  raw.sum = static_cast<double>(sketch.sum());
-  raw.min = static_cast<double>(sketch.MinValue());
-  raw.max = static_cast<double>(sketch.MaxValue());
-  raw.zeros = sketch.buckets()[0];  // only value 0 maps below 2^-32
-  raw.bucket_origin = sim::Histogram::kBucketOrigin;
-  raw.buckets.assign(192, 0);
+  std::uint64_t buckets[sim::Histogram::kBucketCount] = {};
   double sum_sq = 0.0;
   for (std::size_t i = 1; i < LatencySketch::kBucketCount; ++i) {
     const std::uint64_t n = sketch.buckets()[i];
     if (n == 0) continue;
     const std::uint64_t rep = LatencySketch::BucketRepresentative(i);
-    raw.buckets[HistogramBucketFor(rep)] += n;
+    buckets[HistogramBucketFor(rep)] += n;
     sum_sq += static_cast<double>(n) * static_cast<double>(rep) *
               static_cast<double>(rep);
   }
-  raw.sum_sq = sum_sq;
-  stats.GetHistogram(name).RestoreState(raw);
+  stats.GetHistogram(name) = sim::Histogram::FromBuckets(
+      sketch.count(), static_cast<double>(sketch.sum()), sum_sq,
+      static_cast<double>(sketch.MinValue()),
+      static_cast<double>(sketch.MaxValue()),
+      sketch.buckets()[0],  // only value 0 maps below 2^-32
+      buckets);
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/status.h"
 #include "sim/time.h"
 #include "telemetry/latency_sketch.h"
 #include "telemetry/plane.h"
@@ -298,6 +299,57 @@ class Lane {
     exemplar_capacity_ = capacity == 0 ? 1 : capacity;
   }
   std::size_t exemplar_capacity() const { return exemplar_capacity_; }
+
+  /// Snapshot fields (the genesis latency section): one record per
+  /// non-empty (stage, class) sketch with its coordinates, then the window
+  /// delivery sketch when non-empty. Open flights are transient and not
+  /// captured (snapshots are quiescent). A load resets the lane first.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      Reset();
+      a.Records(0x01, [this](auto& record) {
+        std::uint32_t stage = 0;
+        std::uint32_t index = 0;
+        LatencySketch sketch;
+        record.U32(0x01, stage);
+        record.U32(0x02, index);
+        sketch.Visit(record);
+        if (!record.ok()) return;
+        if (stage >= kStageCount ||
+            index >= StageClassCount(static_cast<Stage>(stage))) {
+          record.Fail(InvalidArgument(
+              "latency sketch coordinates out of range"));
+          return;
+        }
+        MutableSketch(static_cast<Stage>(stage), index) = sketch;
+      });
+      a.Record(0x02, [this](auto& record) {
+        window_delivery_.Visit(record);
+      });
+    } else {
+      for (std::uint32_t stage = 0; stage < kStageCount; ++stage) {
+        const auto s = static_cast<Stage>(stage);
+        for (std::uint32_t index = 0; index < StageClassCount(s); ++index) {
+          LatencySketch& sketch = MutableSketch(s, index);
+          if (sketch.empty()) continue;
+          a.Record(0x01, [&](auto& record) {
+            record.U32(0x01, stage);
+            record.U32(0x02, index);
+            sketch.Visit(record);
+          });
+        }
+      }
+      if (!window_delivery_.empty()) {
+        a.Record(0x02, [this](auto& record) {
+          const std::uint32_t origin = 0;  // the window sketch has no class
+          record.U32(0x01, origin);
+          record.U32(0x02, origin);
+          window_delivery_.Visit(record);
+        });
+      }
+    }
+  }
 
   /// Full reset (bench scenario isolation): sketches, table, window state.
   void Reset() {

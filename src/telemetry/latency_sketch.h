@@ -144,14 +144,14 @@ class LatencySketch {
     return buckets_;
   }
 
-  /// Genesis restore support: re-seats one bucket / the exact totals
-  /// verbatim (the loader rebuilds a sketch from its sparse serialization).
-  void RestoreBucket(std::size_t index, std::uint64_t bucket_count) {
-    if (index < kBucketCount) buckets_[index] = bucket_count;
-  }
-  void RestoreTotals(std::uint64_t count, std::uint64_t sum) {
-    count_ = count;
-    sum_ = sum;
+  /// Snapshot fields (inside a genesis latency record, after its stage and
+  /// class): exact totals, then each non-empty bucket as an index/count
+  /// record pair.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x03, count_);
+    a.U64(0x04, sum_);
+    a.Sparse(0x05, 0x06, buckets_);
   }
 
   friend bool operator==(const LatencySketch&, const LatencySketch&) = default;

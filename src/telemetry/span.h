@@ -73,33 +73,26 @@ class SpanCollector {
     // ids, so exported files from successive windows never collide.
   }
 
-  /// Exact collector state for genesis. Capacity is configuration and is not
-  /// part of the state.
-  struct RawState {
-    std::array<std::uint64_t, 4> rng_state{};
-    std::uint64_t last_span_id = 0;
-    std::uint64_t traces_started = 0;
-    std::uint64_t spans_recorded = 0;
-    std::uint64_t spans_dropped = 0;
-    std::vector<SpanRecord> spans;
-  };
-  RawState SaveState() const {
-    RawState state;
-    state.rng_state = rng_.SaveState();
-    state.last_span_id = last_span_id_;
-    state.traces_started = traces_started_;
-    state.spans_recorded = spans_recorded_;
-    state.spans_dropped = spans_dropped_;
-    state.spans = spans_;
-    return state;
-  }
-  void RestoreState(RawState state) {
-    rng_.RestoreState(state.rng_state);
-    last_span_id_ = state.last_span_id;
-    traces_started_ = state.traces_started;
-    spans_recorded_ = state.spans_recorded;
-    spans_dropped_ = state.spans_dropped;
-    spans_ = std::move(state.spans);
+  /// Snapshot fields (genesis TelemetryAdapter): the id RNG stream, id and
+  /// drop counters, and every retained span. Capacity is configuration, not
+  /// state.
+  template <class A>
+  void Visit(A& a) {
+    rng_.Visit(a);
+    a.U64(0x02, last_span_id_);
+    a.U64(0x03, traces_started_);
+    a.U64(0x04, spans_recorded_);
+    a.U64(0x05, spans_dropped_);
+    a.Each(0x06, spans_, [](auto& r, auto& span) {
+      r.U64(0x01, span.trace_id);
+      r.U64(0x02, span.span_id);
+      r.U64(0x03, span.parent_span_id);
+      r.U64(0x04, span.ship);
+      r.Str(0x05, span.component);
+      r.Str(0x06, span.name);
+      r.U64(0x07, span.start);
+      r.U64(0x08, span.end);
+    });
   }
 
  private:

@@ -48,6 +48,15 @@ class Telemetry {
 
   SpanCollector& spans() { return spans_; }
   const SpanCollector& spans() const { return spans_; }
+
+  /// Snapshot fields (genesis TelemetryAdapter): the span collector's. Plane
+  /// measurements (cycles, bytes, latency) are host measurements, not
+  /// simulated state, so traced runs snapshot bit-identically whether or
+  /// not a plane was on.
+  template <class A>
+  void Visit(A& a) {
+    spans_.Visit(a);
+  }
   sim::Simulator& simulator() { return simulator_; }
 
  private:

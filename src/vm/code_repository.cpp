@@ -72,21 +72,4 @@ const Program* CodeCache::Peek(Digest digest) const {
   return it == entries_.end() ? nullptr : &it->second.program;
 }
 
-std::vector<Digest> CodeCache::LruDigests() const {
-  return {lru_.begin(), lru_.end()};
-}
-
-void CodeRepository::MixDigest(Hasher& hasher) const {
-  hasher.Mix(static_cast<std::uint64_t>(programs_.size()));
-  for (Digest digest : Digests()) hasher.Mix(digest);
-}
-
-void CodeCache::MixDigest(Hasher& hasher) const {
-  hasher.Mix(static_cast<std::uint64_t>(bytes_used_));
-  hasher.Mix(hits_);
-  hasher.Mix(misses_);
-  hasher.Mix(static_cast<std::uint64_t>(lru_.size()));
-  for (Digest digest : lru_) hasher.Mix(digest);
-}
-
 }  // namespace viator::vm

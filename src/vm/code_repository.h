@@ -37,9 +37,22 @@ class CodeRepository {
   /// snapshot serialization).
   std::vector<Digest> Digests() const;
 
-  /// Mixes the stored program set into a rolling state digest
-  /// (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
+  /// Snapshot fields (inside the genesis repository section): every stored
+  /// program image, in ascending digest order. A load verifies and installs
+  /// each image.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      a.Payloads(0x01, [this](std::span<const std::byte> image) -> Status {
+        auto program = Program::Deserialize(image);
+        if (!program.ok()) return program.status();
+        return Install(*std::move(program)).status();
+      });
+    } else {
+      a.Images(0x01, Digests(),
+               [this](Digest digest) -> const Program& { return *Find(digest); });
+    }
+  }
 
   std::size_t size() const { return programs_.size(); }
 
@@ -67,17 +80,31 @@ class CodeCache {
   /// Program lookup without recency/stat side effects (nullptr on miss).
   const Program* Peek(Digest digest) const;
 
-  /// Resident digests from most- to least-recently used (snapshot order).
-  std::vector<Digest> LruDigests() const;
-
-  /// Mixes residency (LRU order), byte usage and hit/miss accounting into a
-  /// rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
-
-  /// Restores hit/miss accounting from a snapshot.
-  void RestoreCounters(std::uint64_t hits, std::uint64_t misses) {
-    hits_ = hits;
-    misses_ = misses;
+  /// Snapshot fields (inlined in a ship's genesis record, tags 0x17-0x19):
+  /// the resident program images most recent first, then hit/miss
+  /// accounting. A load Put()s the images least recent first, so recency
+  /// order and byte usage come back as captured.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      std::vector<Program> most_recent_first;
+      a.Payloads(0x17, [&](std::span<const std::byte> image) -> Status {
+        auto program = Program::Deserialize(image);
+        if (!program.ok()) return program.status();
+        most_recent_first.push_back(*std::move(program));
+        return OkStatus();
+      });
+      for (auto it = most_recent_first.rbegin();
+           it != most_recent_first.rend() && a.ok(); ++it) {
+        a.Check(Put(*it));
+      }
+    } else {
+      a.Images(0x17, lru_, [this](Digest digest) -> const Program& {
+        return entries_.at(digest).program;
+      });
+    }
+    a.U64(0x18, hits_);
+    a.U64(0x19, misses_);
   }
 
   std::uint64_t hits() const { return hits_; }

@@ -8,11 +8,11 @@
 #include <sstream>
 #include <vector>
 
+#include "base/archive.h"
 #include "core/genetic_transcoder.h"
 #include "core/wandering_network.h"
 #include "genesis/adapters.h"
 #include "genesis/manager.h"
-#include "genesis/sections.h"
 #include "genesis/snapshot.h"
 #include "genesis_world.h"
 #include "net/failure.h"
@@ -96,8 +96,8 @@ TEST(GenesisResume, SnapshotRestoreContinuesBitIdentically) {
   // The trace log and the serialized stats of the resumed run must be
   // byte-identical to the uninterrupted run.
   EXPECT_EQ(TraceJsonl(resumed), TraceJsonl(ref));
-  EXPECT_EQ(genesis::SaveStats(resumed.network->stats()),
-            genesis::SaveStats(ref.network->stats()));
+  EXPECT_EQ(SaveFields(resumed.network->stats()),
+            SaveFields(ref.network->stats()));
   EXPECT_EQ(resumed.simulator.now(), ref.simulator.now());
   EXPECT_EQ(resumed.simulator.dispatched(), ref.simulator.dispatched());
   EXPECT_EQ(resumed.network->pulses(), ref.network->pulses());
@@ -309,8 +309,8 @@ TEST(GenesisDelta, DeltaMergeEqualsDirectFullCapture) {
   Replica restored = Replica(Replica::Mode::kFresh);
   genesis::GenesisManager target(*restored.network);
   ASSERT_TRUE(target.RestoreFull(*merged).ok());
-  EXPECT_EQ(genesis::SaveStats(restored.network->stats()),
-            genesis::SaveStats(replica.network->stats()));
+  EXPECT_EQ(SaveFields(restored.network->stats()),
+            SaveFields(replica.network->stats()));
   EXPECT_EQ(restored.simulator.now(), replica.simulator.now());
 
   // The merged state resumes identically to the source.

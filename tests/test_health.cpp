@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "base/archive.h"
 #include "core/wandering_network.h"
 #include "genesis/adapters.h"
 #include "genesis/manager.h"
@@ -147,7 +148,7 @@ TEST(HealthRegistry, SaveRestoreRoundTripsExactly) {
   registry.RecordLoss({2});
 
   health::HealthRegistry restored(config);
-  restored.RestoreState(registry.SaveState());
+  ASSERT_TRUE(LoadFields(SaveFields(registry), restored).ok());
   EXPECT_DOUBLE_EQ(restored.ScoreOf(1), registry.ScoreOf(1));
   EXPECT_DOUBLE_EQ(restored.ScoreOf(2), registry.ScoreOf(2));
   EXPECT_EQ(restored.hops_observed(), registry.hops_observed());
@@ -209,7 +210,7 @@ TEST(AnomalyDetector, SaveRestoreKeepsEventsAndEpisodes) {
   ASSERT_EQ(detector.CheckRecord(record, 500).size(), 1u);
 
   health::AnomalyDetector restored(config);
-  restored.RestoreState(detector.SaveState());
+  ASSERT_TRUE(LoadFields(SaveFields(detector), restored).ok());
   ASSERT_EQ(restored.events().size(), 1u);
   EXPECT_EQ(restored.events()[0].detail, detector.events()[0].detail);
   // The active episode survived: no duplicate on re-check.
@@ -563,6 +564,24 @@ TEST(BenchGate, ComparesMetricsWithToleranceAndIgnores) {
   ASSERT_EQ(regressions.size(), 2u);
   EXPECT_NE(regressions[0].find("cache_hits"), std::string::npos);
   EXPECT_NE(regressions[1].find("dispatch_count"), std::string::npos);
+}
+
+TEST(BenchGate, DigestKeysMatchExactly) {
+  // A pinned state digest gates exactly: one off fails, although it is
+  // well inside the tolerance band that still lets a count drift.
+  const std::map<std::string, double> baseline = {
+      {"digest52_3x3", 2470794326736335.0}, {"decisions_3x3", 2468.0}};
+  health::BenchGateOptions options;
+  options.tolerance = 0.25;
+  std::map<std::string, double> current = {
+      {"digest52_3x3", 2470794326736336.0}, {"decisions_3x3", 2500.0}};
+  const auto regressions =
+      health::CompareBenchMetrics(baseline, current, options);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("digest52_3x3"), std::string::npos);
+
+  current["digest52_3x3"] = baseline.at("digest52_3x3");
+  EXPECT_TRUE(health::CompareBenchMetrics(baseline, current, options).empty());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/archive.h"
 #include "base/rng.h"
 #include "health/slo_burn.h"
 #include "telemetry/latency_plane.h"
@@ -133,13 +134,16 @@ TEST(LatencySketch, SparseRestoreRebuildsBitIdentically) {
   LatencySketch original;
   for (int i = 0; i < 1000; ++i) original.Record(rng.Next() >> 24);
 
+  const std::vector<std::byte> sparse = SaveFields(original);
+  std::size_t nonzero = 0;
+  for (std::uint64_t n : original.buckets()) nonzero += n != 0 ? 1 : 0;
+  // Totals (2 records) plus one index and one count record per non-zero
+  // bucket, 6 header bytes each, plus the checksum trailer.
+  EXPECT_EQ(sparse.size(), 2 * 14 + nonzero * (10 + 14) + 14);
+
   LatencySketch rebuilt;
-  for (std::size_t i = 0; i < LatencySketch::kBucketCount; ++i) {
-    if (original.buckets()[i] != 0) {
-      rebuilt.RestoreBucket(i, original.buckets()[i]);
-    }
-  }
-  rebuilt.RestoreTotals(original.count(), original.sum());
+  rebuilt.Record(12345);  // a load replaces, never merges
+  ASSERT_TRUE(LoadFields(sparse, rebuilt).ok());
   EXPECT_EQ(rebuilt, original);
 }
 

@@ -7,7 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/rng.h"
+#include "base/tlv.h"
 #include "sim/replica.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -298,13 +300,28 @@ TEST(Stats, HistogramTinyValuesUnderflowToZeroQuantile) {
   EXPECT_GT(h.sum(), 0.0);
 }
 
+// A histogram's snapshot fields as a stats registry record carries them.
+constexpr Histogram::Tags kStatsTags = {0x04, 0x05, 0x06, 0x07,
+                                        0x08, 0x09, 0x0E, 0x0A};
+struct HistogramRecord {
+  Histogram& histogram;
+  template <class A>
+  void Visit(A& a) {
+    histogram.Visit(a, kStatsTags);
+  }
+};
+
 TEST(Stats, HistogramStateRoundTripIsExact) {
   Histogram h;
   for (double v : {0.001, 0.37, 1.0, 42.0, 1e9}) h.Record(v);
-  const auto state = h.SaveState();
-  EXPECT_EQ(state.bucket_origin, Histogram::kBucketOrigin);
+  const std::vector<std::byte> state = SaveFields(HistogramRecord{h});
+  LoadArchive saved(state);
+  std::int32_t origin = 0;
+  saved.U64(kStatsTags.origin, origin);
+  EXPECT_EQ(origin, Histogram::kBucketOrigin);
   Histogram restored;
-  restored.RestoreState(state);
+  HistogramRecord record{restored};
+  ASSERT_TRUE(LoadFields(state, record).ok());
   EXPECT_EQ(restored.count(), h.count());
   EXPECT_DOUBLE_EQ(restored.sum(), h.sum());
   EXPECT_DOUBLE_EQ(restored.stddev(), h.stddev());
@@ -319,15 +336,21 @@ TEST(Stats, HistogramLegacyStateShiftsIntoNewBuckets) {
   // quantiles keep reporting the same magnitudes.
   Histogram reference;
   for (int i = 0; i < 64; ++i) reference.Record(16.0);
-  Histogram::RawState legacy = reference.SaveState();
-  // Rewrite the state the way an old writer laid it out: origin 0, bucket
-  // index = floor(2·log2(v)).
-  std::vector<std::uint64_t> old_buckets(legacy.buckets.size(), 0);
-  old_buckets[8] = 64;  // floor(2·log2(16)) = 8
-  legacy.buckets = old_buckets;
-  legacy.bucket_origin = 0;
+  // Write the fields the way an old writer laid them out: no origin (0),
+  // bucket index = floor(2·log2(v)).
+  TlvWriter legacy;
+  legacy.PutU64(kStatsTags.count, reference.count());
+  legacy.PutDouble(kStatsTags.sum, reference.sum());
+  legacy.PutDouble(kStatsTags.sum_sq, 64 * 16.0 * 16.0);
+  legacy.PutDouble(kStatsTags.min, reference.min());
+  legacy.PutDouble(kStatsTags.max, reference.max());
+  legacy.PutU64(kStatsTags.zeros, reference.zeros());
+  for (int i = 0; i < Histogram::kBucketCount; ++i) {
+    legacy.PutU64(kStatsTags.bucket, i == 8 ? 64 : 0);  // floor(2·log2(16))
+  }
   Histogram restored;
-  restored.RestoreState(legacy);
+  HistogramRecord record{restored};
+  ASSERT_TRUE(LoadFields(legacy.Finish(), record).ok());
   EXPECT_EQ(restored.count(), reference.count());
   EXPECT_DOUBLE_EQ(restored.Quantile(0.5), reference.Quantile(0.5));
 }
@@ -377,11 +400,16 @@ TEST(Stats, TimeSeriesCapDecimatesDeterministically) {
 TEST(Stats, TimeSeriesRestoreBypassesDecimation) {
   TimeSeries ts;
   ts.set_max_samples(4);
-  std::vector<TimeSeries::Sample> samples;
+  TlvWriter fields;  // as a stats registry series record carries them
+  fields.PutU64(0x0C, /*stride=*/16);
+  fields.PutU64(0x0D, /*ticks=*/96);
   for (int k = 0; k < 6; ++k) {
-    samples.push_back({static_cast<TimePoint>(k * 16), 1.0});
+    TlvWriter sample;
+    sample.PutU64(0x01, static_cast<TimePoint>(k * 16));
+    sample.PutDouble(0x02, 1.0);
+    fields.PutNested(0x0B, sample.Finish());
   }
-  ts.RestoreState(samples, /*stride=*/16, /*ticks=*/96);
+  ASSERT_TRUE(LoadFields(fields.Finish(), ts).ok());
   EXPECT_EQ(ts.samples().size(), 6u);  // verbatim, even past the cap
   EXPECT_EQ(ts.stride(), 16u);
   EXPECT_EQ(ts.ticks(), 96u);
@@ -453,7 +481,9 @@ TEST(Trace, ZeroCapacityRetainsNothing) {
   TraceSink sink(0);
   sink.Log(0, TraceLevel::kError, "a", "dropped");
   EXPECT_TRUE(sink.entries().empty());
-  sink.RestoreEntry({0, TraceLevel::kError, "a", "also dropped"});
+  TraceSink source(4);
+  source.Log(0, TraceLevel::kError, "a", "also dropped");
+  ASSERT_TRUE(LoadFields(SaveFields(source), sink).ok());
   EXPECT_TRUE(sink.entries().empty());
   std::ostringstream out;
   sink.WriteJsonl(out);
@@ -463,13 +493,15 @@ TEST(Trace, ZeroCapacityRetainsNothing) {
 TEST(Trace, RestoreEntryBypassesMinLevelButNotCapacity) {
   TraceSink sink(2);
   sink.set_min_level(TraceLevel::kError);
-  // Log() filters below min level; RestoreEntry() must not (a snapshot
+  // Log() filters below min level; a snapshot load must not (a snapshot
   // records what was retained, regardless of the current filter).
   sink.Log(0, TraceLevel::kDebug, "a", "filtered");
   EXPECT_TRUE(sink.entries().empty());
-  sink.RestoreEntry({1, TraceLevel::kDebug, "a", "restored-1"});
-  sink.RestoreEntry({2, TraceLevel::kDebug, "a", "restored-2"});
-  sink.RestoreEntry({3, TraceLevel::kDebug, "a", "restored-3"});
+  TraceSink source(8);
+  source.Log(1, TraceLevel::kDebug, "a", "restored-1");
+  source.Log(2, TraceLevel::kDebug, "a", "restored-2");
+  source.Log(3, TraceLevel::kDebug, "a", "restored-3");
+  ASSERT_TRUE(LoadFields(SaveFields(source), sink).ok());
   ASSERT_EQ(sink.entries().size(), 2u);  // capacity still enforced
   EXPECT_EQ(sink.entries().front().message, "restored-2");
   EXPECT_EQ(sink.entries().back().message, "restored-3");

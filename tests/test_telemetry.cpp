@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "base/archive.h"
 #include "core/wandering_network.h"
 #include "net/topology.h"
 #include "services/caching.h"
@@ -86,7 +87,7 @@ TEST(SpanCollector, StateRoundTripIsExact) {
   collector.Commit(record);
 
   telemetry::SpanCollector restored(/*id_seed=*/999, /*capacity=*/8);
-  restored.RestoreState(collector.SaveState());
+  ASSERT_TRUE(LoadFields(SaveFields(collector), restored).ok());
   ASSERT_EQ(restored.spans().size(), 1u);
   EXPECT_EQ(restored.spans()[0].component, "svc.caching");
   EXPECT_EQ(restored.traces_started(), 1u);
