@@ -33,8 +33,9 @@
 // against its count on load). Repeated integers are U64 records, repeated
 // bools U32 records. Save and hash archives only read, so a const object is
 // walked through Walk() (and container elements reach field lists as
-// mutable references in every archive); loads need `if constexpr (A::kLoading)` only where
-// restoring is more than assignment (rebuilds, validation, creation order).
+// mutable references in every archive). Loads need `if constexpr
+// (A::kLoading)` only where restoring is more than assignment (rebuilds,
+// validation, creation order).
 #pragma once
 
 #include <cstddef>
@@ -116,9 +117,6 @@ class SaveArchive {
   template <class E>
   void Enum(TlvTag tag, const E& value, E /*count*/, const char* /*what*/) {
     U32(tag, static_cast<std::uint32_t>(value));
-  }
-  void Bytes(TlvTag tag, std::span<const std::byte> bytes) {
-    writer_.PutBytes(tag, bytes);
   }
   /// Content-addressed objects stored by their own codec: one record per
   /// digest in `digests`, holding find(digest).Serialize().
@@ -213,9 +211,6 @@ class HashArchive {
   void Enum(TlvTag, const E& value, E, const char*) {
     hasher_.Mix(static_cast<std::uint64_t>(value));
   }
-  void Bytes(TlvTag, std::span<const std::byte> bytes) {
-    hasher_.MixBytes(bytes);
-  }
   template <class Range, class Find>
   void Images(TlvTag, const Range& digests, Find&&) {
     hasher_.Mix(static_cast<std::uint64_t>(std::size(digests)));
@@ -273,6 +268,8 @@ class LoadArchive {
       : stream_(stream), status_(&own_status_) {
     Check(TlvReader(stream).Verify());
   }
+  LoadArchive(const LoadArchive&) = delete;
+  LoadArchive& operator=(const LoadArchive&) = delete;
 
   bool ok() const { return status_->ok(); }
   const Status& status() const { return *status_; }

@@ -75,8 +75,6 @@ class FactStore {
   std::uint64_t total_evictions() const { return evictions_; }
   std::uint64_t total_expirations() const { return expirations_; }
 
-  sim::TimePoint window_start() const { return window_start_; }
-
   /// Every live fact, sorted by key.
   std::vector<Fact> AllFacts() const;
 

@@ -181,8 +181,12 @@ class HealthRegistry {
       r.U64(0x08, ship.missed_visits);
       r.U64(0x09, ship.code_executions);
       r.U64(0x0A, ship.code_misses);
-      r.Record(0x0B, [&](auto& n) { ship.hop_latency_ns.Visit(n, kHistogramTags); });
-      r.Record(0x0C, [&](auto& n) { ship.queue_bytes.Visit(n, kHistogramTags); });
+      r.Record(0x0B, [&](auto& n) {
+        ship.hop_latency_ns.Visit(n, kHistogramTags);
+      });
+      r.Record(0x0C, [&](auto& n) {
+        ship.queue_bytes.Visit(n, kHistogramTags);
+      });
     });
     a.U64(0x0A, hops_observed_);
     a.U64(0x0B, spans_ingested_);

@@ -15,7 +15,7 @@
 // decision-identical to the per-pair BFS it replaces: BFS parent assignment
 // is first-touch in deterministic neighbor order, so propagating first-hop
 // labels in one sweep yields exactly ShortestPath(from, to)[1] for every
-// destination. The cache never feeds MixDigest (it is derived state).
+// destination. The cache is derived state: never snapshotted or hashed.
 #pragma once
 
 #include <cstdint>

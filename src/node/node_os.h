@@ -98,7 +98,8 @@ class NodeOs {
   template <class A>
   void VisitCodeState(A& a) {
     code_cache_.Visit(a);
-    const std::uint32_t max_resident = accountant_.quota().max_resident_programs;
+    const std::uint32_t max_resident =
+        accountant_.quota().max_resident_programs;
     if constexpr (A::kLoading) {
       a.Records(0x1A, [&](auto& record) {
         std::uint32_t id = 0;

@@ -4,8 +4,8 @@
 // nondeterminism-relevant point of a run: raw RNG draws (labelled by stream:
 // 0 = network orchestrator, 1 = fabric loss process, 2+node = ship-local),
 // simulator dispatch order (time, seq) and per-step rolling state hashes
-// computed from the MixDigest(Hasher&) hooks across core/net/vm/node/
-// services. Recording is append-plus-hash only — the hooks never draw from
+// (WanderingNetwork::MixDigest: every field of the decision-state snapshot
+// sections). Recording is append-plus-hash only — the hooks never draw from
 // any RNG and never touch simulation state, so a journaled run makes
 // bit-identical decisions to an unjournaled one (replay neutrality).
 //

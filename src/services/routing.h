@@ -80,7 +80,7 @@ class DistanceVectorRouter {
 
   /// Per-node routing table: probed on every data hop, mutated only on
   /// advertisement/expiry, so a sorted flat vector beats a node-based map.
-  /// Iteration stays in ascending destination order — MixDigest folds and
+  /// Iteration stays in ascending destination order — state digests and
   /// genesis snapshot bytes are identical to the old std::map layout.
   using RouteTable = base::FlatMap<net::NodeId, Route>;
 

@@ -19,8 +19,9 @@ namespace viator::telemetry {
 /// stage is classed by service role), with exact count/sum and the sketch
 /// buckets re-expressed in the Histogram's half-power-of-two geometry via
 /// each bucket's representative value, plus `lat.delivered`/`lat.dropped`
-/// gauges. Idempotent (RestoreState/Set overwrite): safe to call after
-/// every window batch. Aggregate shard lanes with Lane::MergeInto first.
+/// gauges. Idempotent (histograms and gauges are overwritten): safe to call
+/// after every window batch. Aggregate shard lanes with Lane::MergeInto
+/// first.
 void PublishLatStats(sim::StatsRegistry& stats, const lat::Lane& lane);
 
 /// Fixed-width quantile table: count/p50/p95/p99/max per non-empty

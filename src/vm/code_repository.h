@@ -49,8 +49,9 @@ class CodeRepository {
         return Install(*std::move(program)).status();
       });
     } else {
-      a.Images(0x01, Digests(),
-               [this](Digest digest) -> const Program& { return *Find(digest); });
+      a.Images(0x01, Digests(), [this](Digest digest) -> const Program& {
+        return *Find(digest);
+      });
     }
   }
 

@@ -609,7 +609,7 @@ TEST(GenesisGolden, SectionDigestsArePinned) {
   EXPECT_EQ(table, expected.str());
 }
 
-// ---- Adapter round trips -----------------------------------------------------
+// ---- Adapter round trips ----------------------------------------------------
 
 TEST(GenesisAdapters, MobilityRoundTripIsByteIdentical) {
   const net::RandomWaypointMobility::Config config;
