@@ -38,11 +38,12 @@
 // validation, creation order).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <algorithm>
-#include <cstring>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -97,47 +98,45 @@ void VisitEntry(Fields& fields, A& a, E& entry) {
 
 }  // namespace archive_internal
 
-class SaveArchive {
+/// The walk the save and hash archives share. Fields reduce to what a Sink
+/// provides: Word(tag, word, width), Text(tag, text), Bytes(tag, bytes),
+/// Open(tag)/Close(mark) around a nested record, and Count(n) ahead of a
+/// sequence. A sink may also hide any field method to treat it apart.
+template <class Sink>
+class WriteArchive {
  public:
   static constexpr bool kLoading = false;
 
   template <class T>
   void U64(TlvTag tag, const T& value) {
-    writer_.PutU64(tag, archive_internal::Word(value));
+    sink().Word(tag, archive_internal::Word(value), 8);
   }
   template <class T>
   void U32(TlvTag tag, const T& value) {
-    writer_.PutU32(tag, static_cast<std::uint32_t>(value));
+    sink().Word(tag, static_cast<std::uint32_t>(value), 4);
   }
-  void F64(TlvTag tag, double value) { writer_.PutDouble(tag, value); }
-  void Bool(TlvTag tag, bool value) { writer_.PutU32(tag, value ? 1 : 0); }
-  void Str(TlvTag tag, std::string_view value) {
-    writer_.PutString(tag, value);
+  void F64(TlvTag tag, double value) {
+    sink().Word(tag, std::bit_cast<std::uint64_t>(value), 8);
   }
+  void Bool(TlvTag tag, bool value) { sink().U32(tag, value ? 1u : 0u); }
+  void Str(TlvTag tag, std::string_view value) { sink().Text(tag, value); }
   template <class E>
   void Enum(TlvTag tag, const E& value, E /*count*/, const char* /*what*/) {
-    U32(tag, static_cast<std::uint32_t>(value));
-  }
-  /// Content-addressed objects stored by their own codec: one record per
-  /// digest in `digests`, holding find(digest).Serialize().
-  template <class Range, class Find>
-  void Images(TlvTag tag, const Range& digests, Find&& find) {
-    for (const auto& digest : digests) {
-      writer_.PutBytes(tag, find(digest).Serialize());
-    }
+    sink().U32(tag, static_cast<std::uint32_t>(value));
   }
   /// One record per element, holding encode(element).
   template <class Range, class Encode>
   void Blobs(TlvTag tag, const Range& elements, Encode&& encode) {
-    for (const auto& element : elements) writer_.PutBytes(tag, encode(element));
+    sink().Count(std::size(elements));
+    for (const auto& element : elements) sink().Bytes(tag, encode(element));
   }
   /// The nonzero entries of `values` as (U32 index, U64 value) record pairs.
   void Sparse(TlvTag index_tag, TlvTag value_tag,
               std::span<const std::uint64_t> values) {
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (values[i] == 0) continue;
-      writer_.PutU32(index_tag, static_cast<std::uint32_t>(i));
-      writer_.PutU64(value_tag, values[i]);
+      sink().U32(index_tag, i);
+      sink().U64(value_tag, values[i]);
     }
   }
 
@@ -146,115 +145,104 @@ class SaveArchive {
   /// for loads).
   template <class Fields>
   bool Record(TlvTag tag, Fields&& fields) {
-    const std::size_t mark = writer_.BeginNested(tag);
-    if constexpr (archive_internal::Visitable<std::remove_cvref_t<Fields>,
-                                              SaveArchive>) {
-      const_cast<std::remove_cvref_t<Fields>&>(fields).Visit(*this);
+    const std::size_t mark = sink().Open(tag);
+    using Target = std::remove_cvref_t<Fields>;
+    if constexpr (archive_internal::Visitable<Target, Sink>) {
+      const_cast<Target&>(fields).Visit(sink());
     } else {
-      fields(*this);
+      fields(sink());
     }
-    writer_.EndNested(mark);
+    sink().Close(mark);
     return true;
   }
   /// One nested record per element (maps: per entry, as key and value).
   /// The optional `add` is for loads only (see LoadArchive::Each).
   template <class C, class Fields, class... Add>
   void Each(TlvTag tag, const C& container, Fields&& fields, Add&&...) {
+    sink().Count(container.size());
     for (auto& entry : const_cast<C&>(container)) {
-      Record(tag, [&](SaveArchive& r) {
-        archive_internal::VisitEntry(fields, r, entry);
+      Record(tag, [&](Sink& record) {
+        archive_internal::VisitEntry(fields, record, entry);
       });
     }
   }
   /// One record per element: integers as U64, bools as U32.
   template <class C>
   void Repeated(TlvTag tag, const C& values) {
+    sink().Count(std::size(values));
     for (const auto& value : values) {
       if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
                                    bool>) {
-        Bool(tag, value);
+        sink().Bool(tag, value);
       } else {
-        U64(tag, value);
+        sink().U64(tag, value);
       }
     }
   }
   /// A fixed number of U64 records under one tag.
   void Words(TlvTag tag, std::span<const std::uint64_t> words) {
-    for (std::uint64_t word : words) writer_.PutU64(tag, word);
+    for (std::uint64_t word : words) sink().U64(tag, word);
+  }
+
+ private:
+  Sink& sink() { return static_cast<Sink&>(*this); }
+};
+
+class SaveArchive : public WriteArchive<SaveArchive> {
+ public:
+  /// Content-addressed objects stored by their own codec: one record per
+  /// digest in `digests`, holding find(digest).Serialize().
+  template <class Range, class Find>
+  void Images(TlvTag tag, const Range& digests, Find&& find) {
+    for (const auto& digest : digests) {
+      writer_.PutBytes(tag, find(digest).Serialize());
+    }
   }
 
   /// Appends the checksum trailer and returns the stream.
   std::vector<std::byte> Finish() { return writer_.Finish(); }
 
  private:
+  friend class WriteArchive<SaveArchive>;
+  void Word(TlvTag tag, std::uint64_t word, int width) {
+    if (width == 4) {
+      writer_.PutU32(tag, static_cast<std::uint32_t>(word));
+    } else {
+      writer_.PutU64(tag, word);
+    }
+  }
+  void Text(TlvTag tag, std::string_view text) { writer_.PutString(tag, text); }
+  void Bytes(TlvTag tag, std::span<const std::byte> bytes) {
+    writer_.PutBytes(tag, bytes);
+  }
+  std::size_t Open(TlvTag tag) { return writer_.BeginNested(tag); }
+  void Close(std::size_t mark) { writer_.EndNested(mark); }
+  void Count(std::size_t) {}
+
   TlvWriter writer_;
 };
 
-class HashArchive {
+class HashArchive : public WriteArchive<HashArchive> {
  public:
-  static constexpr bool kLoading = false;
-
   explicit HashArchive(Hasher& hasher) : hasher_(hasher) {}
 
-  template <class T>
-  void U64(TlvTag, const T& value) {
-    hasher_.Mix(archive_internal::Word(value));
-  }
-  template <class T>
-  void U32(TlvTag, const T& value) {
-    hasher_.Mix(static_cast<std::uint32_t>(value));
-  }
-  void F64(TlvTag, double value) { hasher_.MixDouble(value); }
-  void Bool(TlvTag, bool value) { hasher_.Mix(value ? 1u : 0u); }
-  void Str(TlvTag, std::string_view value) { hasher_.Mix(value); }
-  template <class E>
-  void Enum(TlvTag, const E& value, E, const char*) {
-    hasher_.Mix(static_cast<std::uint64_t>(value));
-  }
   template <class Range, class Find>
   void Images(TlvTag, const Range& digests, Find&&) {
-    hasher_.Mix(static_cast<std::uint64_t>(std::size(digests)));
+    Count(std::size(digests));
     for (const auto& digest : digests) hasher_.Mix(digest);
-  }
-  template <class Range, class Encode>
-  void Blobs(TlvTag, const Range& elements, Encode&& encode) {
-    hasher_.Mix(static_cast<std::uint64_t>(std::size(elements)));
-    for (const auto& element : elements) hasher_.MixBytes(encode(element));
-  }
-  void Sparse(TlvTag, TlvTag, std::span<const std::uint64_t> values) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] == 0) continue;
-      hasher_.Mix(i);
-      hasher_.Mix(values[i]);
-    }
-  }
-  template <class Fields>
-  bool Record(TlvTag, Fields&& fields) {
-    if constexpr (archive_internal::Visitable<std::remove_cvref_t<Fields>,
-                                              HashArchive>) {
-      const_cast<std::remove_cvref_t<Fields>&>(fields).Visit(*this);
-    } else {
-      fields(*this);
-    }
-    return true;
-  }
-  template <class C, class Fields, class... Add>
-  void Each(TlvTag, const C& container, Fields&& fields, Add&&...) {
-    hasher_.Mix(static_cast<std::uint64_t>(container.size()));
-    for (auto& entry : const_cast<C&>(container)) {
-      archive_internal::VisitEntry(fields, *this, entry);
-    }
-  }
-  template <class C>
-  void Repeated(TlvTag tag, const C& values) {
-    hasher_.Mix(static_cast<std::uint64_t>(values.size()));
-    for (const auto& value : values) U64(tag, value);
-  }
-  void Words(TlvTag, std::span<const std::uint64_t> words) {
-    for (std::uint64_t word : words) hasher_.Mix(word);
   }
 
  private:
+  friend class WriteArchive<HashArchive>;
+  void Word(TlvTag, std::uint64_t word, int) { hasher_.Mix(word); }
+  void Text(TlvTag, std::string_view text) { hasher_.Mix(text); }
+  void Bytes(TlvTag, std::span<const std::byte> bytes) {
+    hasher_.MixBytes(bytes);
+  }
+  std::size_t Open(TlvTag) { return 0; }
+  void Close(std::size_t) {}
+  void Count(std::size_t n) { hasher_.Mix(n); }
+
   Hasher& hasher_;
 };
 
@@ -283,18 +271,17 @@ class LoadArchive {
 
   template <class T>
   void U64(TlvTag tag, T& value) {
-    std::uint64_t raw;
-    if (ReadScalar(tag, &raw, 8)) value = static_cast<T>(raw);
+    if (const auto word = Scalar(tag, 8)) value = static_cast<T>(*word);
   }
   template <class T>
   void U32(TlvTag tag, T& value) {
-    std::uint32_t raw;
-    if (ReadScalar(tag, &raw, 4)) value = static_cast<T>(raw);
+    if (const auto word = Scalar(tag, 4)) value = static_cast<T>(*word);
   }
-  void F64(TlvTag tag, double& value) { ReadScalar(tag, &value, 8); }
+  void F64(TlvTag tag, double& value) {
+    if (const auto word = Scalar(tag, 8)) value = std::bit_cast<double>(*word);
+  }
   void Bool(TlvTag tag, bool& value) {
-    std::uint32_t raw;
-    if (ReadScalar(tag, &raw, 4)) value = raw != 0;
+    if (const auto word = Scalar(tag, 4)) value = *word != 0;
   }
   void Str(TlvTag tag, std::string& value) {
     std::string_view view;
@@ -310,13 +297,13 @@ class LoadArchive {
   }
   template <class E>
   void Enum(TlvTag tag, E& value, E count, const char* what) {
-    std::uint32_t raw;
-    if (!ReadScalar(tag, &raw, 4)) return;
-    if (raw >= static_cast<std::uint32_t>(count)) {
+    const auto word = Scalar(tag, 4);
+    if (!word) return;
+    if (*word >= static_cast<std::uint64_t>(count)) {
       Fail(InvalidArgument(std::string(what) + " out of range"));
-      return;
+    } else {
+      value = static_cast<E>(*word);
     }
-    value = static_cast<E>(raw);
   }
   /// Calls `fn(payload)` (returning Status) for each consecutive record
   /// with `tag`: raw payloads an object's own codec decodes.
@@ -332,20 +319,19 @@ class LoadArchive {
   void Records(TlvTag tag, Fields&& fields) {
     if (!Seek(tag)) return;
     while (ok() && AtTag(tag)) {
-      LoadArchive inner = Nested(Take());
-      fields(inner);
+      LoadArchive record = Nested(Take());
+      fields(record);
     }
   }
-
   template <class Fields>
   bool Record(TlvTag tag, Fields&& fields) {
     if (!Seek(tag)) return false;
-    LoadArchive inner = Nested(Take());
+    LoadArchive record = Nested(Take());
     if constexpr (archive_internal::Visitable<std::remove_cvref_t<Fields>,
                                               LoadArchive>) {
-      fields.Visit(inner);
+      fields.Visit(record);
     } else {
-      fields(inner);
+      fields(record);
     }
     return true;
   }
@@ -370,10 +356,10 @@ class LoadArchive {
   void Each(TlvTag tag, C&, Fields&& fields, Add&& add) {
     if (!Seek(tag)) return;
     while (ok() && AtTag(tag)) {
-      LoadArchive inner = Nested(Take());
+      LoadArchive record = Nested(Take());
       typename archive_internal::Element<C>::type element{};
-      archive_internal::VisitEntry(fields, inner, element);
-      if (ok()) add(inner, element);
+      archive_internal::VisitEntry(fields, record, element);
+      if (ok()) add(record, element);
     }
   }
   template <class C>
@@ -390,39 +376,40 @@ class LoadArchive {
       values.push_back(value);
     }
   }
-  /// Up to values.size() consecutive U64 records into a fixed array.
+  /// Up to values.size() consecutive U64 records into a fixed array;
+  /// returns how many there were.
   template <std::size_t N>
-  void Repeated(TlvTag tag, std::span<std::uint64_t, N> values) {
+  std::size_t Repeated(TlvTag tag, std::span<std::uint64_t, N> values) {
     std::size_t count = 0;
-    if (!Seek(tag)) return;
+    if (!Seek(tag)) return 0;
     while (ok() && AtTag(tag)) {
       if (count == values.size()) {
         Fail(InvalidArgument("too many repeated values"));
-        return;
+        break;
       }
       U64(tag, values[count++]);
     }
+    return count;
   }
   /// (index, value) record pairs into `values`, which a load zeroes
   /// first. Indexes past the end are ignored.
   void Sparse(TlvTag index_tag, TlvTag value_tag,
               std::span<std::uint64_t> values) {
     std::fill(values.begin(), values.end(), 0);
-    bool have_index = false;
-    std::uint32_t index = 0;
+    std::optional<std::uint32_t> index;
     while (ok()) {
       if (AtTag(index_tag)) {
-        U32(index_tag, index);
-        have_index = true;
+        index.emplace();
+        U32(index_tag, *index);
       } else if (AtTag(value_tag)) {
-        if (!have_index) {
+        if (!index) {
           Fail(InvalidArgument("sparse value without an index"));
           return;
         }
         std::uint64_t value = 0;
         U64(value_tag, value);
-        if (index < values.size()) values[index] = value;
-        have_index = false;
+        if (*index < values.size()) values[*index] = value;
+        index.reset();
       } else {
         return;
       }
@@ -430,16 +417,7 @@ class LoadArchive {
   }
   /// Exactly words.size() consecutive U64 records.
   void Words(TlvTag tag, std::span<std::uint64_t> words) {
-    std::size_t count = 0;
-    if (Seek(tag)) {
-      while (ok() && AtTag(tag)) {
-        if (count == words.size()) {
-          Fail(InvalidArgument("too many state words"));
-          return;
-        }
-        U64(tag, words[count++]);
-      }
-    }
+    const std::size_t count = Repeated(tag, words);
     if (ok() && count != words.size()) {
       Fail(InvalidArgument("expected " + std::to_string(words.size()) +
                            " state words, found " + std::to_string(count)));
@@ -457,17 +435,16 @@ class LoadArchive {
     return LoadArchive(payload, status_);
   }
 
-  TlvTag TagAt(std::size_t at) const {
-    return static_cast<TlvTag>(static_cast<unsigned>(stream_[at]) |
-                               static_cast<unsigned>(stream_[at + 1]) << 8);
-  }
-  std::size_t LengthAt(std::size_t at) const {
-    std::uint32_t length = 0;
-    for (int i = 0; i < 4; ++i) {
-      length |= static_cast<std::uint32_t>(stream_[at + 2 + i]) << (8 * i);
+  // Little-endian, as TlvWriter puts it.
+  std::uint64_t Le(std::size_t at, std::size_t bytes) const {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      value |= static_cast<std::uint64_t>(stream_[at + i]) << (8 * i);
     }
-    return length;
+    return value;
   }
+  TlvTag TagAt(std::size_t at) const { return static_cast<TlvTag>(Le(at, 2)); }
+  std::size_t LengthAt(std::size_t at) const { return Le(at + 2, 4); }
 
   /// True when the record at the cursor has `tag` (and is intact).
   bool AtTag(TlvTag tag) {
@@ -512,27 +489,19 @@ class LoadArchive {
     return payload;
   }
 
-  bool ReadScalar(TlvTag tag, void* out, std::size_t width) {
-    if (!Seek(tag)) return false;
-    const std::span<const std::byte> payload = Take();
-    if (payload.size() != width) {
+  /// The next `tag` record as a word of `width` bytes.
+  std::optional<std::uint64_t> Scalar(TlvTag tag, std::size_t width) {
+    if (!Seek(tag)) return std::nullopt;
+    const std::size_t length = LengthAt(cursor_);
+    if (length != width) {
       Fail(InvalidArgument("field 0x" + DigestToHex(tag).substr(12) + " is " +
-                           std::to_string(payload.size()) +
-                           " bytes, want " + std::to_string(width)));
-      return false;
+                           std::to_string(length) + " bytes, want " +
+                           std::to_string(width)));
+      return std::nullopt;
     }
-    // Little-endian wire order, as TlvWriter puts it.
-    std::uint64_t raw = 0;
-    for (std::size_t i = 0; i < width; ++i) {
-      raw |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-    }
-    if (width == 4) {
-      const auto narrow = static_cast<std::uint32_t>(raw);
-      std::memcpy(out, &narrow, 4);
-    } else {
-      std::memcpy(out, &raw, 8);
-    }
-    return true;
+    const std::uint64_t word = Le(cursor_ + kHeader, width);
+    Take();
+    return word;
   }
 
   std::span<const std::byte> stream_;

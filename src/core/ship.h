@@ -119,11 +119,6 @@ class Ship : public vm::Environment {
   Rng& rng() { return rng_; }
   const Rng& rng() const { return rng_; }
 
-  /// Current per-class activity window without draining it.
-  const std::unordered_map<int, double>& class_activity() const {
-    return class_activity_;
-  }
-
   /// Shuttles parked awaiting demand-loaded code. A quiescent network (the
   /// precondition for an exact snapshot) has none.
   std::size_t waiting_for_code_count() const {

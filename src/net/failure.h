@@ -37,8 +37,6 @@ class FailureInjector {
 
   std::uint64_t failures_injected() const { return failures_injected_; }
 
-  Rng& rng() { return rng_; }
-
   /// Snapshot fields (genesis FailureInjectorAdapter): the failure-process
   /// RNG stream and the injection counter.
   template <class A>

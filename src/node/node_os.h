@@ -74,12 +74,6 @@ class NodeOs {
   ExecutionEnvironment* FindEe(SecondLevelClass cls);
   std::size_t ee_count() const { return ees_.size(); }
 
-  /// Full EE registry, keyed by class.
-  const std::map<SecondLevelClass, std::unique_ptr<ExecutionEnvironment>>&
-  ees() const {
-    return ees_;
-  }
-
   /// Snapshot fields, first half (inlined in a ship's genesis record, tags
   /// 0x0A-0x10, before the ship's facts): role state and resource usage. A
   /// load sets the roles without the gating or latency of a real switch.

@@ -67,9 +67,4 @@ std::vector<Digest> CodeRepository::Digests() const {
   return out;
 }
 
-const Program* CodeCache::Peek(Digest digest) const {
-  const auto it = entries_.find(digest);
-  return it == entries_.end() ? nullptr : &it->second.program;
-}
-
 }  // namespace viator::vm

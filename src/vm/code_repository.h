@@ -78,9 +78,6 @@ class CodeCache {
   /// Lookup without recency/stat side effects.
   bool Contains(Digest digest) const;
 
-  /// Program lookup without recency/stat side effects (nullptr on miss).
-  const Program* Peek(Digest digest) const;
-
   /// Snapshot fields (inlined in a ship's genesis record, tags 0x17-0x19):
   /// the resident program images most recent first, then hit/miss
   /// accounting. A load Put()s the images least recent first, so recency

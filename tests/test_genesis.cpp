@@ -709,41 +709,22 @@ TEST(GenesisAdapters, CachingServiceRoundTripIsByteIdentical) {
 // ---- Field perturbation through the walker ----------------------------------
 
 /// A save archive that writes one scalar field perturbed: the `target`-th
-/// scalar visited (integers +1, doubles with their lowest bit flipped,
-/// bools flipped, enums moved to the next valid value). With no target it
-/// only counts the scalars it visits.
-class PerturbArchive {
+/// scalar visited (bools flipped, enums moved to the next valid value,
+/// every other word +1). With no target it only counts the scalars.
+class PerturbArchive : public WriteArchive<PerturbArchive> {
  public:
-  static constexpr bool kLoading = false;
   static constexpr std::size_t kNone = ~std::size_t{0};
 
   explicit PerturbArchive(std::size_t first, std::size_t target = kNone)
       : next_(first), target_(target) {}
 
   std::size_t next() const { return next_; }
-  /// Tag path of the perturbed field, e.g. "0x0001/0x001a/0x0004".
+  /// Tag path of the perturbed field, e.g. "0001/001a/0004".
   const std::string& path() const { return path_; }
   std::vector<std::byte> Finish() { return writer_.Finish(); }
 
-  template <class T>
-  void U64(TlvTag tag, const T& value) {
-    writer_.PutU64(tag, Hit(tag) ? archive_internal::Word(value) + 1
-                                 : archive_internal::Word(value));
-  }
-  template <class T>
-  void U32(TlvTag tag, const T& value) {
-    const auto word = static_cast<std::uint32_t>(value);
-    writer_.PutU32(tag, Hit(tag) ? word + 1 : word);
-  }
-  void F64(TlvTag tag, double value) {
-    auto bits = std::bit_cast<std::uint64_t>(value);
-    writer_.PutU64(tag, Hit(tag) ? bits ^ 1 : bits);
-  }
   void Bool(TlvTag tag, bool value) {
     writer_.PutU32(tag, (Hit(tag) ? !value : value) ? 1 : 0);
-  }
-  void Str(TlvTag tag, std::string_view value) {
-    writer_.PutString(tag, value);
   }
   template <class E>
   void Enum(TlvTag tag, const E& value, E count, const char*) {
@@ -757,56 +738,31 @@ class PerturbArchive {
       writer_.PutBytes(tag, find(digest).Serialize());
     }
   }
-  template <class Range, class Encode>
-  void Blobs(TlvTag tag, const Range& elements, Encode&& encode) {
-    for (const auto& element : elements) writer_.PutBytes(tag, encode(element));
-  }
-  void Sparse(TlvTag index_tag, TlvTag value_tag,
-              std::span<const std::uint64_t> values) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] == 0) continue;
-      U32(index_tag, i);
-      U64(value_tag, values[i]);
-    }
-  }
-  template <class Fields>
-  bool Record(TlvTag tag, Fields&& fields) {
-    const std::size_t mark = writer_.BeginNested(tag);
-    stack_.push_back(tag);
-    if constexpr (archive_internal::Visitable<std::remove_cvref_t<Fields>,
-                                              PerturbArchive>) {
-      const_cast<std::remove_cvref_t<Fields>&>(fields).Visit(*this);
-    } else {
-      fields(*this);
-    }
-    stack_.pop_back();
-    writer_.EndNested(mark);
-    return true;
-  }
-  template <class C, class Fields, class... Add>
-  void Each(TlvTag tag, const C& container, Fields&& fields, Add&&...) {
-    for (auto& entry : const_cast<C&>(container)) {
-      Record(tag, [&](PerturbArchive& r) {
-        archive_internal::VisitEntry(fields, r, entry);
-      });
-    }
-  }
-  template <class C>
-  void Repeated(TlvTag tag, const C& values) {
-    for (const auto& value : values) {
-      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
-                                   bool>) {
-        Bool(tag, value);
-      } else {
-        U64(tag, value);
-      }
-    }
-  }
-  void Words(TlvTag tag, std::span<const std::uint64_t> words) {
-    for (std::uint64_t word : words) U64(tag, word);
-  }
 
  private:
+  friend class WriteArchive<PerturbArchive>;
+  void Word(TlvTag tag, std::uint64_t word, int width) {
+    if (Hit(tag)) ++word;
+    if (width == 4) {
+      writer_.PutU32(tag, static_cast<std::uint32_t>(word));
+    } else {
+      writer_.PutU64(tag, word);
+    }
+  }
+  void Text(TlvTag tag, std::string_view text) { writer_.PutString(tag, text); }
+  void Bytes(TlvTag tag, std::span<const std::byte> bytes) {
+    writer_.PutBytes(tag, bytes);
+  }
+  std::size_t Open(TlvTag tag) {
+    stack_.push_back(tag);
+    return writer_.BeginNested(tag);
+  }
+  void Close(std::size_t mark) {
+    stack_.pop_back();
+    writer_.EndNested(mark);
+  }
+  void Count(std::size_t) {}
+
   bool Hit(TlvTag tag) {
     if (next_++ != target_) return false;
     for (TlvTag outer : stack_) path_ += DigestToHex(outer).substr(12) + "/";
