@@ -63,10 +63,6 @@ class FunctionUsageLedger {
 
   std::size_t tracked_functions() const { return history_.size(); }
 
-  const std::map<FunctionId, std::vector<Episode>>& history() const {
-    return history_;
-  }
-
   /// Snapshot fields (the genesis ledger section): every function's
   /// episodes.
   template <class A>

@@ -65,8 +65,6 @@ class OverlayManager {
 
   std::uint64_t spawned_total() const { return spawned_total_; }
 
-  OverlayId next_id() const { return next_id_; }
-
   /// Snapshot fields (the genesis overlays section, before the network's
   /// class overlays): id allocation and every overlay with its members and
   /// virtual links.

@@ -42,8 +42,6 @@ class DemandTracker {
 
   using Key = std::pair<net::NodeId, node::FirstLevelRole>;
 
-  const std::map<Key, double>& demand() const { return demand_; }
-
   /// Snapshot fields (the genesis demand section).
   template <class A>
   void Visit(A& a) {

@@ -64,8 +64,6 @@ class ReputationSystem {
     bool excluded = false;
   };
 
-  const std::map<net::NodeId, Entry>& entries() const { return entries_; }
-
   /// Snapshot fields (the genesis reputation section).
   template <class A>
   void Visit(A& a) {
@@ -105,8 +103,6 @@ class ClusterManager {
   double AffinityBetween(net::NodeId a, net::NodeId b) const;
 
   using Pair = std::pair<net::NodeId, net::NodeId>;
-
-  const std::map<Pair, double>& affinities() const { return affinity_; }
 
   /// Snapshot fields (the genesis clusters section): every pairwise
   /// affinity.
