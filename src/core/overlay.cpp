@@ -7,20 +7,18 @@
 namespace viator::wli {
 
 Result<VirtualLink> OverlayManager::BuildLink(
-    net::NodeId a, net::NodeId b, sim::Duration latency_bound) const {
+    const net::Topology::PathTree& tree, net::NodeId a, net::NodeId b,
+    sim::Duration latency_bound) const {
   VirtualLink link;
   link.a = a;
   link.b = b;
-  link.physical_path = topology_.FastestPath(a, b);
+  link.physical_path = tree.PathTo(b);
   if (link.physical_path.empty()) {
     return Status(NotFound("no physical path for virtual link"));
   }
   sim::Duration total = 0;
-  for (std::size_t i = 0; i + 1 < link.physical_path.size(); ++i) {
-    const auto lid =
-        topology_.FindLink(link.physical_path[i], link.physical_path[i + 1]);
-    if (!lid.has_value()) return Status(NotFound("path edge vanished"));
-    total += topology_.link(*lid).config.latency;
+  for (std::size_t i = 1; i < link.physical_path.size(); ++i) {
+    total += topology_.link(tree.via[link.physical_path[i]]).config.latency;
   }
   link.path_latency = total;
   if (latency_bound > 0 && total > latency_bound) {
@@ -59,10 +57,11 @@ Result<OverlayId> OverlayManager::Spawn(std::string name,
   overlay.name = std::move(name);
   overlay.members = std::move(members);
   overlay.qos_latency_bound = latency_bound;
-  for (std::size_t i = 0; i < overlay.members.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < overlay.members.size(); ++i) {
+    const net::NodeId a = overlay.members[i];
+    const net::Topology::PathTree tree = topology_.FastestTree(a);
     for (std::size_t j = i + 1; j < overlay.members.size(); ++j) {
-      auto link =
-          BuildLink(overlay.members[i], overlay.members[j], latency_bound);
+      auto link = BuildLink(tree, a, overlay.members[j], latency_bound);
       if (link.ok()) overlay.links.push_back(std::move(*link));
     }
   }
@@ -101,7 +100,8 @@ std::size_t OverlayManager::RefreshPaths() {
                      .has_value();
       }
       if (intact) continue;
-      auto rebuilt = BuildLink(link.a, link.b, overlay.qos_latency_bound);
+      auto rebuilt = BuildLink(topology_.FastestTree(link.a, link.b), link.a,
+                               link.b, overlay.qos_latency_bound);
       if (rebuilt.ok()) {
         link = std::move(*rebuilt);
       } else {
@@ -112,6 +112,28 @@ std::size_t OverlayManager::RefreshPaths() {
     }
   }
   return changed;
+}
+
+Status OverlayManager::CheckNodesInTopology() const {
+  const std::size_t nodes = topology_.node_count();
+  const auto outside = [nodes](const std::vector<net::NodeId>& ids) {
+    return std::any_of(ids.begin(), ids.end(),
+                       [nodes](net::NodeId n) { return n >= nodes; });
+  };
+  for (const auto& [id, overlay] : overlays_) {
+    if (outside(overlay.members)) {
+      return InvalidArgument("overlay member outside the topology");
+    }
+    for (const VirtualLink& link : overlay.links) {
+      if (link.a >= nodes || link.b >= nodes) {
+        return InvalidArgument("overlay link endpoint outside the topology");
+      }
+      if (outside(link.physical_path)) {
+        return InvalidArgument("overlay path node outside the topology");
+      }
+    }
+  }
+  return OkStatus();
 }
 
 double OverlayManager::AverageStretch(OverlayId id) const {

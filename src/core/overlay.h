@@ -42,9 +42,10 @@ class OverlayManager {
   explicit OverlayManager(net::Topology& topology) : topology_(topology) {}
 
   /// Spawns an overlay joining `members` pairwise (full mesh over physical
-  /// fastest paths). With a nonzero `latency_bound`, virtual links whose
-  /// path latency exceeds the bound are omitted; fails when the bound makes
-  /// the overlay disconnected.
+  /// fastest paths, one fastest-path tree per member pinning its links to
+  /// every later member). With a nonzero `latency_bound`, virtual links
+  /// whose path latency exceeds the bound are omitted; fails when the bound
+  /// makes the overlay disconnected.
   Result<OverlayId> Spawn(std::string name, std::vector<net::NodeId> members,
                           sim::Duration latency_bound = 0);
 
@@ -67,7 +68,8 @@ class OverlayManager {
 
   /// Snapshot fields (the genesis overlays section, before the network's
   /// class overlays): id allocation and every overlay with its members and
-  /// virtual links.
+  /// virtual links. A load refuses node ids the topology (restored first)
+  /// lacks.
   template <class A>
   void Visit(A& a) {
     a.U32(0x01, next_id_);
@@ -86,13 +88,18 @@ class OverlayManager {
     });
     if constexpr (A::kLoading) {
       for (auto& [id, overlay] : overlays_) overlay.id = id;
+      if (a.ok()) a.Check(CheckNodesInTopology());
     }
   }
 
  private:
-  Result<VirtualLink> BuildLink(net::NodeId a, net::NodeId b,
+  // The virtual link a→b read off `tree`, grown from `a` until it popped
+  // `b`: the physical path and the latency of the links relaxed along it.
+  Result<VirtualLink> BuildLink(const net::Topology::PathTree& tree,
+                                net::NodeId a, net::NodeId b,
                                 sim::Duration latency_bound) const;
   static bool MembersConnected(const Overlay& overlay);
+  Status CheckNodesInTopology() const;
 
   net::Topology& topology_;
   std::map<OverlayId, Overlay> overlays_;

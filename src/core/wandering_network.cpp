@@ -157,8 +157,9 @@ Status WanderingNetwork::Dispatch(net::NodeId at, Shuttle shuttle) {
     }
   }
   if (next == net::kInvalidNode) {
-    // The BFS-per-hop cost center ROADMAP item 2 wants cached away; the
-    // probe quantifies it per shard and per run.
+    // A route-cache hit, or on a miss one row fill: a BFS over the CSR
+    // adjacency (net/topology.h). The probe quantifies it per shard and
+    // per run.
     VIATOR_PERF_SCOPE(kRouteNextHop);
     next = topology_.NextHop(at, dst);
   }

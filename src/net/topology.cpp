@@ -92,21 +92,31 @@ std::vector<NodeId> Topology::ShortestPath(NodeId a, NodeId b) const {
 }
 
 std::vector<NodeId> Topology::FastestPath(NodeId a, NodeId b) const {
-  if (a >= node_count_ || b >= node_count_) return {};
-  if (!node_up_[a] || !node_up_[b]) return {};
-  if (a == b) return {a};
+  return FastestTree(a, b).PathTo(b);
+}
+
+Topology::PathTree Topology::FastestTree(NodeId source, NodeId stop) const {
+  PathTree tree;
+  tree.parent.assign(node_count_, kInvalidNode);
+  tree.via.assign(node_count_, kInvalidLink);
+  // An absent or down source reaches nothing; a stop that can never pop
+  // leaves nothing to read.
+  if (source >= node_count_ || !node_up_[source]) return tree;
+  if (stop != kInvalidNode && (stop >= node_count_ || !node_up_[stop])) {
+    return tree;
+  }
   constexpr double kInf = 1e300;
   std::vector<double> dist(node_count_, kInf);
-  std::vector<NodeId> parent(node_count_, kInvalidNode);
   using Item = std::pair<double, NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[a] = 0.0;
-  pq.push({0.0, a});
+  dist[source] = 0.0;
+  tree.parent[source] = source;
+  pq.push({0.0, source});
   while (!pq.empty()) {
     const auto [d, u] = pq.top();
     pq.pop();
     if (d > dist[u]) continue;
-    if (u == b) break;
+    if (u == stop) break;
     for (LinkId id : incident_[u]) {
       const Link& l = links_[id];
       if (!l.up) continue;
@@ -115,16 +125,21 @@ std::vector<NodeId> Topology::FastestPath(NodeId a, NodeId b) const {
       const double nd = d + static_cast<double>(l.config.latency);
       if (nd < dist[v]) {
         dist[v] = nd;
-        parent[v] = u;
+        tree.parent[v] = u;
+        tree.via[v] = id;
         pq.push({nd, v});
       }
     }
   }
-  if (parent[b] == kInvalidNode) return {};
-  std::vector<NodeId> path{b};
-  for (NodeId at = b; at != a;) {
-    at = parent[at];
-    path.push_back(at);
+  return tree;
+}
+
+std::vector<NodeId> Topology::PathTree::PathTo(NodeId to) const {
+  if (to >= parent.size() || parent[to] == kInvalidNode) return {};
+  // A path visits a node at most once, which also bounds the walk.
+  std::vector<NodeId> path{to};
+  while (parent[path.back()] != path.back() && path.size() < parent.size()) {
+    path.push_back(parent[path.back()]);
   }
   std::reverse(path.begin(), path.end());
   return path;
@@ -210,6 +225,7 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
 
 void Topology::FillRow(Topology::CacheRow& row, NodeId from) const {
   VIATOR_PERF_SCOPE(kRouteCacheFill);
+  if (csr_gen_ != generation_) BuildCsr();
   row.from = from;
   row.gen = generation_;
   const std::size_t before = row.first_hop.capacity();
@@ -221,20 +237,47 @@ void Topology::FillRow(Topology::CacheRow& row, NodeId from) const {
   // first-touch parent assignment are identical to ShortestPath(), so for
   // every destination `d` the label equals ShortestPath(from, d)[1]; the
   // early exit the per-pair query takes merely stops after the target's
-  // label is already fixed.
-  std::vector<NodeId> parent(node_count_, kInvalidNode);
-  std::deque<NodeId> frontier{from};
-  parent[from] = from;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (NodeId v : Neighbors(u)) {
-      if (parent[v] != kInvalidNode) continue;
-      parent[v] = u;
-      row.first_hop[v] = u == from ? v : row.first_hop[u];
-      frontier.push_back(v);
+  // label is already fixed. A set label is the visited mark: the source
+  // carries its own id during the sweep and is cleared after it.
+  NodeId* const hop = row.first_hop.data();
+  hop[from] = from;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  frontier_[tail++] = from;
+  while (head < tail) {
+    const NodeId u = frontier_[head++];
+    for (std::uint32_t k = csr_offsets_[u]; k < csr_offsets_[u + 1]; ++k) {
+      const NodeId v = csr_nodes_[k];
+      if (hop[v] != kInvalidNode) continue;
+      hop[v] = u == from ? v : hop[u];
+      frontier_[tail++] = v;
     }
   }
+  hop[from] = kInvalidNode;
+}
+
+void Topology::BuildCsr() const {
+  const auto bytes = [this] {
+    return csr_offsets_.capacity() * sizeof(std::uint32_t) +
+           (csr_nodes_.capacity() + frontier_.capacity()) * sizeof(NodeId);
+  };
+  const std::size_t before = bytes();
+  csr_offsets_.resize(node_count_ + 1);
+  csr_nodes_.clear();
+  for (NodeId n = 0; n < node_count_; ++n) {
+    csr_offsets_[n] = static_cast<std::uint32_t>(csr_nodes_.size());
+    if (!node_up_[n]) continue;
+    for (LinkId id : incident_[n]) {
+      const Link& l = links_[id];
+      if (!l.up) continue;
+      const NodeId other = l.a == n ? l.b : l.a;
+      if (node_up_[other]) csr_nodes_.push_back(other);
+    }
+  }
+  csr_offsets_[node_count_] = static_cast<std::uint32_t>(csr_nodes_.size());
+  frontier_.resize(node_count_);
+  csr_gen_ = generation_;
+  if (bytes() != before) cache_bytes_.Add(bytes() - before);
 }
 
 bool Topology::IsConnected() const {

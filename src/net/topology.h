@@ -11,11 +11,19 @@
 // generation-stamped route cache: one flat first-hop row per source node
 // (LRU-bounded), filled by a single full BFS and invalidated wholesale by
 // bumping `generation_` on every structural mutation (link/node up/down,
-// added links/nodes, mobility rewires). A cached row is proven
-// decision-identical to the per-pair BFS it replaces: BFS parent assignment
-// is first-touch in deterministic neighbor order, so propagating first-hop
-// labels in one sweep yields exactly ShortestPath(from, to)[1] for every
-// destination. The cache is derived state: never snapshotted or hashed.
+// added links/nodes, mobility rewires). The fill BFS walks a CSR adjacency
+// (one offsets array, one neighbour array) of the up neighbours, rebuilt at
+// most once per generation, with a reused frontier and the row itself as
+// the visited mark. A cached row is proven decision-identical to the
+// per-pair BFS it replaces: the CSR lists each node's neighbours in the
+// order Neighbors() yields them and BFS parent assignment is first-touch,
+// so propagating first-hop labels in one sweep yields exactly
+// ShortestPath(from, to)[1] for every destination. Rows and CSR are derived
+// state: never snapshotted or hashed, copied with the topology.
+//
+// FastestTree() is the one latency-weighted (Dijkstra) search: FastestPath
+// stops it at its target, and the overlay manager grows one full tree per
+// overlay member to pin every virtual link from that member at once.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +97,29 @@ class Topology {
   /// The returned path includes both endpoints.
   std::vector<NodeId> ShortestPath(NodeId a, NodeId b) const;
 
-  /// Latency-weighted shortest path (Dijkstra over link latency).
+  /// Latency-weighted shortest path (Dijkstra over link latency); empty if
+  /// disconnected. FastestTree(a, b).PathTo(b).
   std::vector<NodeId> FastestPath(NodeId a, NodeId b) const;
+
+  /// The nodes a fastest-path search reached: each one's parent toward the
+  /// source and the link it was relaxed through.
+  struct PathTree {
+    std::vector<NodeId> parent;  // kInvalidNode: not reached; source: itself
+    std::vector<LinkId> via;     // kInvalidLink at the source, unreached
+
+    /// Source→`to` path including both endpoints; empty if `to` was not
+    /// reached.
+    std::vector<NodeId> PathTo(NodeId to) const;
+  };
+
+  /// Dijkstra over link latency from `source` (up links, up nodes; equal
+  /// distances pop in node-id order) until `stop` pops, or over every
+  /// reachable node when `stop` is kInvalidNode. Read paths only to popped
+  /// nodes: `stop`, or any node of a full search. Latencies are unsigned, so
+  /// a popped node's parent never changes and a full search pops the same
+  /// nodes in the same order before `stop` as the stopped one: its tree
+  /// answers FastestPath(source, t) for every t at once.
+  PathTree FastestTree(NodeId source, NodeId stop = kInvalidNode) const;
 
   /// Next hop on the hop-count shortest path, or kInvalidNode. O(1) against
   /// the route cache in steady state; one row-filling BFS per (source,
@@ -126,9 +155,10 @@ class Topology {
 
   const RouteCacheStats& route_cache_stats() const { return cache_stats_; }
 
-  /// Heap bytes behind the cache (row index, row spine, first-hop stores),
-  /// tracked incrementally and mirrored into the memory observatory's
-  /// kRouteCache domain. Deterministic for a given query sequence.
+  /// Heap bytes behind the cache (row index, row spine, first-hop stores,
+  /// the fill's CSR adjacency and frontier), tracked incrementally and
+  /// mirrored into the memory observatory's kRouteCache domain.
+  /// Deterministic for a given query sequence.
   std::size_t route_cache_bytes() const { return cache_bytes_.value(); }
 
   /// Monotone structural-change counter: bumps on every mutation that could
@@ -194,6 +224,8 @@ class Topology {
 
   CacheRow& RouteRowFor(NodeId from) const;
   void FillRow(CacheRow& row, NodeId from) const;
+  // Rebuilds the CSR adjacency and sizes the frontier for generation_.
+  void BuildCsr() const;
 
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
@@ -210,6 +242,14 @@ class Topology {
   mutable std::vector<std::uint32_t> row_of_;  // from -> index into rows_
   mutable std::uint64_t lru_tick_ = 0;
   mutable RouteCacheStats cache_stats_;
+  // The fill BFS's CSR adjacency: node n's up neighbours are
+  // csr_nodes_[csr_offsets_[n] .. csr_offsets_[n + 1]), in incident_ order
+  // and filtered exactly as Neighbors() filters. Valid iff csr_gen_ ==
+  // generation_ (generation_ never reaches the initial stamp).
+  mutable std::uint64_t csr_gen_ = ~std::uint64_t{0};
+  mutable std::vector<std::uint32_t> csr_offsets_;
+  mutable std::vector<NodeId> csr_nodes_;
+  mutable std::vector<NodeId> frontier_;  // FillRow's BFS queue
   // Running cache footprint; ChargedBytes keeps the global kRouteCache
   // domain consistent across topology copy/move/destroy.
   mutable telemetry::mem::ChargedBytes<telemetry::mem::Domain::kRouteCache>

@@ -553,6 +553,75 @@ TEST(GenesisValidation, ShipRecordsMustNameDistinctTopologyNodes) {
   EXPECT_NE(duplicate.message().find("duplicate"), std::string::npos);
 }
 
+/// `stream` with one U64 record replaced by `value`: the one reached by
+/// following `tags`, taking the first record with each tag at every level.
+std::vector<std::byte> WithU64At(std::span<const std::byte> stream,
+                                 std::span<const TlvTag> tags,
+                                 std::uint64_t value) {
+  TlvWriter out;
+  TlvReader reader(stream);
+  bool replaced = false;
+  while (reader.HasNext()) {
+    auto record = reader.Next();
+    const bool match = !replaced && record->tag == tags.front();
+    if (!match) {
+      out.PutBytes(record->tag, record->payload);
+    } else if (tags.size() == 1) {
+      out.PutU64(record->tag, value);
+    } else {
+      out.PutNested(record->tag,
+                    WithU64At(record->payload, tags.subspan(1), value));
+    }
+    replaced = replaced || match;
+  }
+  return out.Finish();
+}
+
+TEST(GenesisValidation, OverlayNodesMustBeInTopology) {
+  // Re-sealed snapshots of the 3x3 grid whose overlays section names a node
+  // the restored topology lacks — as an overlay member, a virtual link's
+  // endpoint or a node on its physical path — are refused with a Status:
+  // the next pulse's RefreshPaths would otherwise index the topology with
+  // it.
+  Replica source;
+  ASSERT_TRUE(source.network->overlays().Spawn("corners", {0, 8}).ok());
+  genesis::GenesisManager manager(*source.network);
+  auto snapshot = manager.CaptureFull();
+  ASSERT_TRUE(snapshot.ok());
+  auto parsed = genesis::ParseSnapshot(*snapshot);
+  ASSERT_TRUE(parsed.ok());
+  const std::vector<std::byte>& overlays =
+      parsed->Find(genesis::kSectionOverlays)->payload;
+  const auto restore_with = [&](const std::vector<std::byte>& section) {
+    genesis::SnapshotBuilder builder(parsed->header);
+    for (const genesis::SectionRecord& record : parsed->sections) {
+      builder.AddSection(record.id,
+                         record.id == genesis::kSectionOverlays
+                             ? section
+                             : record.payload,
+                         record.version);
+    }
+    Replica fresh(Replica::Mode::kFresh);
+    genesis::GenesisManager target(*fresh.network);
+    return target.RestoreFull(builder.Finish());
+  };
+  // The overlay record (0x03) holds the members (0x03) and virtual links
+  // (0x05); a link holds its endpoint a (0x01) and path nodes (0x04). Each
+  // field's first value is node 0, which restores.
+  const std::vector<std::vector<TlvTag>> fields = {
+      {0x03, 0x03}, {0x03, 0x05, 0x01}, {0x03, 0x05, 0x04}};
+  for (const std::vector<TlvTag>& field : fields) {
+    const Status same = restore_with(WithU64At(overlays, field, 0));
+    EXPECT_TRUE(same.ok()) << same.ToString();
+    for (std::uint64_t node : {std::uint64_t{9}, std::uint64_t{100000}}) {
+      const Status status = restore_with(WithU64At(overlays, field, node));
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << "field " << field.back() << " node " << node << ": "
+          << status.ToString();
+    }
+  }
+}
+
 // ---- Pinned snapshot bytes --------------------------------------------------
 
 /// "<name> <id> v<version> <size> <fnv>" per section, in capture order.

@@ -2,6 +2,7 @@
 // and the overlay manager.
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "core/dcp.h"
 #include "core/mfp.h"
 #include "core/overlay.h"
@@ -452,6 +453,112 @@ TEST(Overlay, RefreshRepairsAfterFailure) {
   const auto& repaired = manager.Find(*id)->links[0];
   ASSERT_GE(repaired.physical_path.size(), 2u);
   EXPECT_NE(repaired.physical_path, original_path);
+}
+
+TEST(Overlay, ParallelLinkLatencyIsTheFastest) {
+  // Two parallel 0-1 links, the 10 ms one first, then 1-2 at 1 ms: the
+  // virtual link 0-2 rides the 1 ms copy, so it costs 2 ms and fits a 5 ms
+  // bound.
+  net::LinkConfig slow;
+  slow.latency = 10 * sim::kMillisecond;
+  net::LinkConfig fast;
+  fast.latency = sim::kMillisecond;
+  net::Topology topo;
+  topo.AddNodes(3);
+  topo.AddLink(0, 1, slow);
+  topo.AddLink(0, 1, fast);
+  topo.AddLink(1, 2, fast);
+  OverlayManager manager(topo);
+  auto id = manager.Spawn("parallel", {0, 2}, 5 * sim::kMillisecond);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const Overlay* overlay = manager.Find(*id);
+  ASSERT_EQ(overlay->links.size(), 1u);
+  EXPECT_EQ(overlay->links[0].physical_path,
+            (std::vector<net::NodeId>{0, 1, 2}));
+  EXPECT_EQ(overlay->links[0].path_latency, 2 * sim::kMillisecond);
+}
+
+TEST(Overlay, SpawnMatchesPairwiseFastestPath) {
+  // Spawn grows one fastest-path tree per member; the links it pins must be
+  // exactly those of the pairwise loop it replaced: for members i < j in
+  // order, FastestPath(m_i, m_j) with the latency summed over its links,
+  // omitted when unroutable or over the bound.
+  const std::vector<net::NodeId> members = {0, 35, 14, 21, 5, 30, 8, 27};
+  const auto check = [&members](net::Topology& topo, sim::Duration bound,
+                                bool expect_ok) {
+    std::vector<VirtualLink> expected;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (std::size_t j = i + 1; j < members.size(); ++j) {
+        VirtualLink link;
+        link.a = members[i];
+        link.b = members[j];
+        link.physical_path = topo.FastestPath(link.a, link.b);
+        if (link.physical_path.empty()) continue;
+        for (std::size_t k = 0; k + 1 < link.physical_path.size(); ++k) {
+          const auto hop = topo.FindLink(link.physical_path[k],
+                                         link.physical_path[k + 1]);
+          ASSERT_TRUE(hop.has_value());
+          link.path_latency += topo.link(*hop).config.latency;
+        }
+        if (bound > 0 && link.path_latency > bound) continue;
+        expected.push_back(std::move(link));
+      }
+    }
+    OverlayManager manager(topo);
+    auto id = manager.Spawn("tree", members, bound);
+    ASSERT_EQ(id.ok(), expect_ok) << id.status().ToString();
+    if (!id.ok()) {
+      EXPECT_EQ(id.status().code(), StatusCode::kResourceExhausted);
+      return;
+    }
+    const std::vector<VirtualLink>& links = manager.Find(*id)->links;
+    ASSERT_EQ(links.size(), expected.size());
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      EXPECT_EQ(links[k].a, expected[k].a) << "link " << k;
+      EXPECT_EQ(links[k].b, expected[k].b) << "link " << k;
+      EXPECT_EQ(links[k].physical_path, expected[k].physical_path)
+          << "link " << k;
+      EXPECT_EQ(links[k].path_latency, expected[k].path_latency)
+          << "link " << k;
+    }
+  };
+  const std::size_t full_mesh = members.size() * (members.size() - 1) / 2;
+
+  // Equal latencies: every path has many equal-cost rivals. Ties keep the
+  // first relaxer, and equal distances pop in node-id order, so 0 reaches
+  // 7 through 1, not 6.
+  net::Topology grid = net::MakeGrid(6, 6);
+  ASSERT_EQ(grid.FastestPath(0, 7), (std::vector<net::NodeId>{0, 1, 7}));
+  check(grid, 0, true);
+  grid.SetLinkUp(*grid.FindLink(14, 15), false);
+  check(grid, 0, true);
+
+  // Seeded latencies of 1-4 ms.
+  Rng rng(20261017);
+  net::Topology weighted;
+  weighted.AddNodes(36);
+  for (net::LinkId id = 0; id < grid.link_count(); ++id) {
+    net::LinkConfig config;
+    config.latency = rng.UniformInt(1, 4) * sim::kMillisecond;
+    weighted.AddLink(grid.link(id).a, grid.link(id).b, config);
+  }
+  check(weighted, 0, true);
+  weighted.SetLinkUp(*weighted.FindLink(20, 21), false);
+  check(weighted, 0, true);
+
+  // A QoS bound that drops some links but keeps the overlay connected.
+  const sim::Duration bound = 8 * sim::kMillisecond;
+  {
+    OverlayManager probe(weighted);
+    auto id = probe.Spawn("bounded", members, bound);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_LT(probe.Find(*id)->links.size(), full_mesh);
+  }
+  check(weighted, bound, true);
+
+  // A member down: no link reaches it, so the overlay is disconnected.
+  weighted.SetNodeUp(members[3], false);
+  check(weighted, 0, false);
 }
 
 TEST(Overlay, StretchIsAtLeastOne) {

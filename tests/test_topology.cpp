@@ -208,28 +208,68 @@ TEST(RouteCache, DecisionIdenticalToPerPairBfs) {
   worlds.push_back(MakeStar(8));
   worlds.push_back(MakeGrid(4, 4));
   worlds.push_back(MakeRandom(14, 0.3, rng));
-  for (Topology& t : worlds) {
-    const auto check_all_pairs = [&t]() {
-      for (NodeId from = 0; from < t.node_count(); ++from) {
-        for (NodeId to = 0; to < t.node_count(); ++to) {
-          ASSERT_EQ(t.NextHop(from, to), t.NextHopUncached(from, to))
-              << "from=" << from << " to=" << to;
-        }
+  worlds.push_back(MakeScaleFree(40, 2, rng));  // hubs, as in the mix
+  {
+    // A multigraph: node 0 reaches 1 over the second of two parallel links,
+    // the first being down, so its up neighbours are 2, 3, 1 in that order
+    // and node 4 (behind both 1 and 3) is first touched via 3.
+    Topology multi;
+    multi.AddNodes(5);
+    multi.AddLink(0, 2);
+    const LinkId down_copy = multi.AddLink(0, 1);
+    multi.AddLink(0, 3);
+    multi.AddLink(0, 1);
+    multi.AddLink(1, 4);
+    multi.AddLink(3, 4);
+    multi.SetLinkUp(down_copy, false);
+    worlds.push_back(std::move(multi));
+  }
+  const auto check_all_pairs = [](const Topology& t) {
+    for (NodeId from = 0; from < t.node_count(); ++from) {
+      for (NodeId to = 0; to < t.node_count(); ++to) {
+        ASSERT_EQ(t.NextHop(from, to), t.NextHopUncached(from, to))
+            << "from=" << from << " to=" << to;
       }
-    };
-    check_all_pairs();
+    }
+  };
+  const auto all_answers = [](const Topology& t) {
+    std::vector<NodeId> answers;
+    for (NodeId from = 0; from < t.node_count(); ++from) {
+      for (NodeId to = 0; to < t.node_count(); ++to) {
+        answers.push_back(t.NextHop(from, to));
+      }
+    }
+    return answers;
+  };
+  for (Topology& t : worlds) {
+    check_all_pairs(t);
     // Structural churn: drop a link, drop a node, heal both, add a chord.
     if (t.link_count() > 0) {
       t.SetLinkUp(0, false);
-      check_all_pairs();
+      check_all_pairs(t);
     }
     t.SetNodeUp(1, false);
-    check_all_pairs();
+    check_all_pairs(t);
     t.SetNodeUp(1, true);
     if (t.link_count() > 0) t.SetLinkUp(0, true);
-    check_all_pairs();
+    check_all_pairs(t);
     t.AddLink(0, static_cast<NodeId>(t.node_count() - 1));
-    check_all_pairs();
+    check_all_pairs(t);
+    // Growth over warm rows: an isolated node, then a link to it.
+    const NodeId grown = t.AddNodes(1);
+    check_all_pairs(t);
+    t.AddLink(grown, grown / 2);
+    check_all_pairs(t);
+    // A copy of the warm topology carries rows and adjacency; mutating it
+    // must neither serve it stale hops nor move the source's answers.
+    const std::vector<NodeId> source_answers = all_answers(t);
+    Topology copy = t;
+    copy.SetNodeUp(grown / 2, false);
+    check_all_pairs(copy);
+    copy.SetNodeUp(grown / 2, true);
+    copy.SetLinkUp(0, false);
+    check_all_pairs(copy);
+    EXPECT_EQ(all_answers(t), source_answers);
   }
 }
 
