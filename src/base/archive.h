@@ -26,7 +26,10 @@
 //  - HashArchive folds every field into a Hasher (base/hash.h): the
 //    flight recorder's state digest therefore covers exactly what a
 //    snapshot saves. Sequences mix their length first; objects stored by
-//    their own codec (programs) mix their content digest.
+//    their own codec (programs) mix their content digest. An object that
+//    caches the digest of its own fields (a ship, the topology) is mixed as
+//    that one word, so a digest re-walks only what changed since the last
+//    one (see HashArchive::Cached).
 //
 // Wire types are explicit per field: U64 (any integer, signed ones
 // sign-extended), U32, F64, Bool (a U32 0/1), Str, Enum (a U32 checked
@@ -224,12 +227,34 @@ class SaveArchive : public WriteArchive<SaveArchive> {
 
 class HashArchive : public WriteArchive<HashArchive> {
  public:
-  explicit HashArchive(Hasher& hasher) : hasher_(hasher) {}
+  /// An `uncached` archive ignores every cached digest and walks those
+  /// objects' fields afresh: the reference cached digests are tested
+  /// against, not a data-path mode.
+  explicit HashArchive(Hasher& hasher, bool uncached = false)
+      : hasher_(hasher), uncached_(uncached) {}
+
+  bool uncached() const { return uncached_; }
 
   template <class Range, class Find>
   void Images(TlvTag, const Range& digests, Find&&) {
     Count(std::size(digests));
     for (const auto& digest : digests) hasher_.Mix(digest);
+  }
+
+  /// Mixes `object`, which caches the digest of its own fields (a
+  /// HashFields walk its mutators keep current), as that one word:
+  /// `cached()`, or in an uncached archive the digest of a fresh walk.
+  /// Save and load archives have no such hook; they walk the fields.
+  template <class T, class Get>
+  void Cached(const T& object, Get&& cached) {
+    if (!uncached_) {
+      hasher_.Mix(cached());
+      return;
+    }
+    Hasher fresh;
+    HashArchive walk(fresh, true);
+    const_cast<T&>(object).Visit(walk);
+    hasher_.Mix(fresh.digest());
   }
 
  private:
@@ -244,7 +269,12 @@ class HashArchive : public WriteArchive<HashArchive> {
   void Count(std::size_t n) { hasher_.Mix(n); }
 
   Hasher& hasher_;
+  bool uncached_;
 };
+
+/// The one archive that may mix an object's cached digest for its fields.
+template <class A>
+concept CachingArchive = std::is_same_v<A, HashArchive>;
 
 class LoadArchive {
  public:

@@ -18,7 +18,21 @@ Ship::Ship(WanderingNetwork& network, net::NodeId id,
       class_(ship_class),
       os_(quota, caps),
       facts_(network.config().fact_config),
-      rng_(rng) {}
+      rng_(rng) {
+  List();  // a new ship has no digest yet
+}
+
+void Ship::List() {
+  listed_ = true;
+  network_.ShipChanged(id_);
+}
+
+Digest Ship::TakeDigest() {
+  listed_ = false;
+  Hasher hasher;
+  HashFields(*this, hasher);
+  return hasher.digest();
+}
 
 void Ship::SetRoleHandler(node::FirstLevelRole role, NativeHandler handler) {
   role_handlers_[static_cast<std::size_t>(role)] = std::move(handler);
@@ -47,6 +61,7 @@ void Ship::Receive(Shuttle shuttle, net::NodeId arrived_from) {
     network_.HandleProbe(*this, std::move(shuttle), arrived_from);
     return;
   }
+  MarkChanged();
   if (shuttle.header.destination != id_) {
     // Transit: decrement TTL and forward. Ships "could do some processing"
     // on transit shuttles too; the per-message feedback dimension observes
@@ -358,6 +373,7 @@ void Ship::HandleJet(Shuttle shuttle) {
 
 Status Ship::SwitchRole(node::FirstLevelRole role,
                         node::SwitchMechanism mechanism) {
+  MarkChanged();
   auto latency = os_.RequestRoleSwitch(role, mechanism);
   if (!latency.ok()) return latency.status();
   network_.stats()
@@ -389,6 +405,7 @@ ShipBlueprint Ship::ToBlueprint(std::size_t max_facts) const {
 }
 
 Status Ship::ApplyBlueprint(const ShipBlueprint& blueprint) {
+  MarkChanged();
   // Role state.
   (void)os_.RequestRoleSwitch(blueprint.role,
                               node::SwitchMechanism::kResidentSoftware);
@@ -435,6 +452,7 @@ SelfDescription Ship::DescribeSelf() const {
 }
 
 std::unordered_map<int, double> Ship::DrainClassActivity() {
+  MarkChanged();
   std::unordered_map<int, double> out;
   out.swap(class_activity_);
   return out;
@@ -442,6 +460,7 @@ std::unordered_map<int, double> Ship::DrainClassActivity() {
 
 Result<std::int64_t> Ship::Invoke(vm::Syscall id,
                                   std::span<const std::int64_t> args) {
+  MarkChanged();
   using vm::Syscall;
   switch (id) {
     case Syscall::kNodeId:

@@ -8,6 +8,17 @@
 // execution), shuttles process ships (role switches, code installation,
 // genome application), and both can process themselves (morphing packets,
 // self-reconfiguration).
+//
+// The network keeps one digest of each ship's fields (HashFields over
+// Visit) and re-hashes a ship only after it changed. A ship announces that
+// itself: every non-const member that can change a visited field lists the
+// ship with the network, once until its digest is taken again. Those members
+// are the mutable accessors os(), facts(), functions(), congruence() and
+// rng(); Receive, SwitchRole, ApplyBlueprint, set_honest, Invoke and
+// DrainClassActivity; and a loading Visit. Any other path to a ship's fields
+// goes through one of them, which const-correctness enforces: code that only
+// reads calls the const accessors. Save and hash walks read the fields
+// directly and list nothing.
 #pragma once
 
 #include <algorithm>
@@ -42,13 +53,25 @@ class Ship : public vm::Environment {
   net::NodeId id() const { return id_; }
   node::ShipClass ship_class() const { return class_; }
 
-  node::NodeOs& os() { return os_; }
+  node::NodeOs& os() {
+    MarkChanged();
+    return os_;
+  }
   const node::NodeOs& os() const { return os_; }
-  FactStore& facts() { return facts_; }
+  FactStore& facts() {
+    MarkChanged();
+    return facts_;
+  }
   const FactStore& facts() const { return facts_; }
-  FunctionTable& functions() { return functions_; }
+  FunctionTable& functions() {
+    MarkChanged();
+    return functions_;
+  }
   const FunctionTable& functions() const { return functions_; }
-  CongruenceTracker& congruence() { return congruence_; }
+  CongruenceTracker& congruence() {
+    MarkChanged();
+    return congruence_;
+  }
 
   // ---- Native service handlers ----
 
@@ -95,7 +118,10 @@ class Ship : public vm::Environment {
   /// (set_honest(false)) advertises a stale digest — peers auditing it will
   /// report unfairness.
   SelfDescription DescribeSelf() const;
-  void set_honest(bool honest) { honest_ = honest; }
+  void set_honest(bool honest) {
+    MarkChanged();
+    honest_ = honest;
+  }
   bool honest() const { return honest_; }
 
   // ---- vm::Environment ----
@@ -116,7 +142,10 @@ class Ship : public vm::Environment {
   std::unordered_map<int, double> DrainClassActivity();
 
   /// The ship-local RNG stream (kRandom syscall draws).
-  Rng& rng() { return rng_; }
+  Rng& rng() {
+    MarkChanged();
+    return rng_;
+  }
   const Rng& rng() const { return rng_; }
 
   /// Shuttles parked awaiting demand-loaded code. A quiescent network (the
@@ -124,6 +153,10 @@ class Ship : public vm::Environment {
   std::size_t waiting_for_code_count() const {
     return waiting_for_code_.size();
   }
+
+  /// The digest of this ship's fields (HashFields) for the network's digest
+  /// store. The ship's next change lists it again (internal plumbing).
+  Digest TakeDigest();
 
   /// Snapshot fields (one record of the genesis ships section): identity,
   /// RNG stream, workload counters, class activity, the NodeOS role state,
@@ -133,7 +166,9 @@ class Ship : public vm::Environment {
   /// runtime state: services re-install them, and snapshots are quiescent.
   template <class A>
   void Visit(A& a) {
-    if constexpr (!A::kLoading) {
+    if constexpr (A::kLoading) {
+      MarkChanged();
+    } else {
       a.U64(0x01, id_);
       a.Enum(0x02, class_, node::kShipClassCount, "ship class");
     }
@@ -184,6 +219,12 @@ class Ship : public vm::Environment {
   }
 
  private:
+  // Lists this ship with the network unless it is listed already.
+  void MarkChanged() {
+    if (!listed_) List();
+  }
+  void List();
+
   void Consume(const Shuttle& shuttle, net::NodeId arrived_from);
   void ExecuteShuttleCode(const Shuttle& shuttle, const vm::Program& program);
   void HandleCodeShuttle(const Shuttle& shuttle);
@@ -202,6 +243,8 @@ class Ship : public vm::Environment {
   CongruenceTracker congruence_;
   Rng rng_;
   bool honest_ = true;
+  // On the network's list of ships changed since their digest was taken.
+  bool listed_ = false;
 
   std::array<NativeHandler,
              static_cast<std::size_t>(node::FirstLevelRole::kRoleCount)>

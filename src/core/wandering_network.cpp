@@ -1,6 +1,7 @@
 #include "core/wandering_network.h"
 
 #include <cmath>
+#include <utility>
 
 #include "telemetry/perf_counters.h"
 
@@ -45,7 +46,10 @@ WanderingNetwork::WanderingNetwork(sim::Simulator& simulator,
 }
 
 Ship& WanderingNetwork::AddShip(net::NodeId node, node::ShipClass ship_class) {
-  if (ships_.size() <= node) ships_.resize(node + 1);
+  if (ships_.size() <= node) {
+    ships_.resize(node + 1);
+    ship_digests_.resize(node + 1);
+  }
   if (!ships_[node]) {
     ships_[node] = std::make_unique<Ship>(
         *this, node, ship_class, config_.quota,
@@ -63,7 +67,12 @@ Ship& WanderingNetwork::AddShip(net::NodeId node, node::ShipClass ship_class) {
 }
 
 void WanderingNetwork::PopulateAllNodes() {
-  for (net::NodeId n = 0; n < topology_.node_count(); ++n) {
+  const std::size_t nodes = topology_.node_count();
+  if (ships_.size() < nodes) {
+    ships_.resize(nodes);
+    ship_digests_.resize(nodes);
+  }
+  for (net::NodeId n = 0; n < nodes; ++n) {
     AddShip(n, node::ShipClass::kServer);
   }
 }
@@ -391,12 +400,31 @@ void WanderingNetwork::StartPulse(sim::TimePoint until) {
       });
 }
 
+void WanderingNetwork::RefreshShipDigests() {
+  for (net::NodeId node : changed_ships_) {
+    ship_digests_[node] = ships_[node]->TakeDigest();
+  }
+  changed_ships_.clear();
+}
+
+namespace {
+
+void MixSections(WanderingNetwork& network, HashArchive& archive) {
+  network.ForEachSection([&](std::uint32_t, bool decision_state, auto&& visit) {
+    if (decision_state) visit(archive);
+  });
+}
+
+}  // namespace
+
 void WanderingNetwork::MixDigest(Hasher& hasher) const {
   HashArchive archive(hasher);
-  const_cast<WanderingNetwork*>(this)->ForEachSection(
-      [&](std::uint32_t, bool decision_state, auto&& visit) {
-        if (decision_state) visit(archive);
-      });
+  MixSections(const_cast<WanderingNetwork&>(*this), archive);
+}
+
+void WanderingNetwork::MixDigestUncached(Hasher& hasher) const {
+  HashArchive archive(hasher, /*uncached=*/true);
+  MixSections(const_cast<WanderingNetwork&>(*this), archive);
 }
 
 net::NodeId WanderingNetwork::FirstShipNode() const {
@@ -426,7 +454,7 @@ std::map<node::FirstLevelRole, std::size_t> WanderingNetwork::RoleCensus()
     const {
   std::map<node::FirstLevelRole, std::size_t> census;
   for (const auto& ship : ships_) {
-    if (ship) ++census[ship->os().current_role()];
+    if (ship) ++census[std::as_const(*ship).os().current_role()];
   }
   return census;
 }

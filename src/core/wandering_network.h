@@ -190,7 +190,24 @@ class WanderingNetwork {
   /// network RNG and the fabric (link configs included, via the topology).
   /// The clock, stats, trace, memory peaks and latency sketches stay out so
   /// that runs differing only in observation probes stay comparable.
+  ///
+  /// The digest has two levels, so its cost follows what changed since the
+  /// last one. The topology and each ship are mixed as one word, the digest
+  /// of their own fields: the topology caches its digest per generation,
+  /// and the network keeps one word per ship, re-hashing only the ships
+  /// listed as changed since (see core/ship.h for what lists a ship). Every
+  /// other section is walked in full. Refreshing those caches makes this
+  /// call unsafe to run concurrently with itself on one network.
   void MixDigest(Hasher& hasher) const;
+
+  /// The same digest with every cache bypassed: each ship and the topology
+  /// re-walked. Exists so tests can prove the cached digest exact; not a
+  /// data-path API.
+  void MixDigestUncached(Hasher& hasher) const;
+
+  /// Called by a ship whose fields may change after its digest was taken
+  /// (internal plumbing): MixDigest re-hashes it.
+  void ShipChanged(net::NodeId node) { changed_ships_.push_back(node); }
 
   /// The built-in genesis sections, one row each, in capture and restore
   /// order: `row(id, decision_state, visit)`, where `visit(archive)` walks
@@ -203,7 +220,7 @@ class WanderingNetwork {
   template <class Row>
   void ForEachSection(Row&& row) {
     using namespace genesis;  // section ids
-    row(kSectionTopology, true, [this](auto& a) { topology_.Visit(a); });
+    row(kSectionTopology, true, [this](auto& a) { VisitTopology(a); });
     row(kSectionClock, false, [this](auto& a) { simulator_.Visit(a); });
     row(kSectionRepository, true, [this](auto& a) { VisitRepository(a); });
     row(kSectionShips, true, [this](auto& a) { VisitShips(a); });
@@ -272,6 +289,16 @@ class WanderingNetwork {
  private:
   // ---- Section field lists (ForEachSection rows) ----
 
+  // The topology's fields; a hash archive mixes the digest it caches.
+  template <class A>
+  void VisitTopology(A& a) {
+    if constexpr (CachingArchive<A>) {
+      a.Cached(topology_, [this] { return topology_.digest(); });
+    } else {
+      topology_.Visit(a);
+    }
+  }
+
   // Stored programs, then every program's origin node.
   template <class A>
   void VisitRepository(A& a) {
@@ -283,7 +310,9 @@ class WanderingNetwork {
   }
 
   // One record per ship, in node order. A load creates each ship on a
-  // node of the restored topology (at most once) before its fields load.
+  // node of the restored topology (at most once) before its fields load. A
+  // hash archive mixes each ship's cached digest instead, after re-hashing
+  // the ships listed as changed.
   template <class A>
   void VisitShips(A& a) {
     if constexpr (A::kLoading) {
@@ -312,6 +341,12 @@ class WanderingNetwork {
         }
         AddShip(static_cast<net::NodeId>(node), ship_class).Visit(record);
       });
+    } else if constexpr (CachingArchive<A>) {
+      if (!a.uncached()) RefreshShipDigests();
+      for (std::size_t node = 0; node < ships_.size(); ++node) {
+        if (!ships_[node]) continue;
+        a.Cached(*ships_[node], [&] { return ship_digests_[node]; });
+      }
     } else {
       for (const auto& ship : ships_) {
         if (ship) a.Record(0x01, *ship);
@@ -370,6 +405,8 @@ class WanderingNetwork {
     }
   }
 
+  // Re-hashes the ships listed as changed into ship_digests_.
+  void RefreshShipDigests();
   void ExecuteMigrations();
   net::NodeId FirstShipNode() const;
 
@@ -391,6 +428,12 @@ class WanderingNetwork {
 
   std::vector<std::unique_ptr<Ship>> ships_;  // indexed by NodeId
   std::size_t ship_count_ = 0;
+  // The ships section's digest store: one word per node, the ship's
+  // TakeDigest(), current except for the ships in changed_ships_ (each
+  // listed once). Dense, so a digest reads it in order instead of visiting
+  // every Ship object.
+  std::vector<Digest> ship_digests_;
+  std::vector<net::NodeId> changed_ships_;
   ShuttlePool shuttle_pool_;
 
   vm::CodeRepository repository_;

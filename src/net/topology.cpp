@@ -6,6 +6,7 @@
 #include <deque>
 #include <queue>
 
+#include "base/archive.h"
 #include "sim/stats.h"
 #include "telemetry/perf_counters.h"
 
@@ -278,6 +279,16 @@ void Topology::BuildCsr() const {
   frontier_.resize(node_count_);
   csr_gen_ = generation_;
   if (bytes() != before) cache_bytes_.Add(bytes() - before);
+}
+
+Digest Topology::digest() const {
+  if (digest_gen_ != generation_) {
+    Hasher hasher;
+    HashFields(*this, hasher);
+    digest_ = hasher.digest();
+    digest_gen_ = generation_;
+  }
+  return digest_;
 }
 
 bool Topology::IsConnected() const {

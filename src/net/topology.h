@@ -21,6 +21,11 @@
 // ShortestPath(from, to)[1] for every destination. Rows and CSR are derived
 // state: never snapshotted or hashed, copied with the topology.
 //
+// digest() caches the digest of the topology's own fields (HashFields over
+// Visit) under the same stamp: every change to a visited field bumps
+// `generation_`, so the state digest re-walks the topology only after it
+// changed. The cached digest is derived state too.
+//
 // FastestTree() is the one latency-weighted (Dijkstra) search: FastestPath
 // stops it at its target, and the overlay manager grows one full tree per
 // overlay member to pin every virtual link from that member at once.
@@ -166,6 +171,10 @@ class Topology {
   /// are dead.
   std::uint64_t generation() const { return generation_; }
 
+  /// HashFields(*this): the digest of the visited fields, recomputed only
+  /// when `generation_` moved since the last call.
+  Digest digest() const;
+
   /// True when every node can reach every other over up links.
   bool IsConnected() const;
 
@@ -202,7 +211,14 @@ class Topology {
       r.Bool(0x07, link.up);
     });
     if constexpr (A::kLoading) {
-      if (a.ok()) a.Check(Rebuild(nodes));
+      if (a.ok()) {
+        a.Check(Rebuild(nodes));
+      } else {
+        // A failed load leaves the topology empty, as a failed Rebuild
+        // does: the raw fields it read never bumped the generation.
+        node_up_.clear();
+        links_.clear();
+      }
     }
   }
 
@@ -250,6 +266,9 @@ class Topology {
   mutable std::vector<std::uint32_t> csr_offsets_;
   mutable std::vector<NodeId> csr_nodes_;
   mutable std::vector<NodeId> frontier_;  // FillRow's BFS queue
+  // digest()'s cache, valid iff digest_gen_ == generation_.
+  mutable std::uint64_t digest_gen_ = ~std::uint64_t{0};
+  mutable Digest digest_ = 0;
   // Running cache footprint; ChargedBytes keeps the global kRouteCache
   // domain consistent across topology copy/move/destroy.
   mutable telemetry::mem::ChargedBytes<telemetry::mem::Domain::kRouteCache>

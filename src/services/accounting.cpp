@@ -1,5 +1,7 @@
 #include "services/accounting.h"
 
+#include <utility>
+
 namespace viator::services {
 
 AccountingService::AccountingService(wli::WanderingNetwork& network,
@@ -13,9 +15,12 @@ void AccountingService::MeterOnce() {
     Baseline& baseline = baselines_[ship.id()];
     Charges& charges = charges_[ship.id()];
 
-    const std::uint64_t fuel = ship.os().resources().total_fuel_used();
+    // Metering only reads: through the const NodeOS it lists no ship for
+    // re-hashing.
+    const node::NodeOs& os = std::as_const(ship).os();
+    const std::uint64_t fuel = os.resources().total_fuel_used();
     const std::uint64_t shuttles = ship.shuttles_consumed();
-    const std::uint64_t switches = ship.os().role_switches();
+    const std::uint64_t switches = os.role_switches();
 
     charges.fuel_credits +=
         (fuel - baseline.fuel) * tariff_.per_megafuel / 1'000'000;
@@ -25,7 +30,7 @@ void AccountingService::MeterOnce() {
         (switches - baseline.switches) * tariff_.per_role_switch;
     // Cache residency is a level, not a delta: charged per pass.
     charges.cache_credits +=
-        ship.os().code_cache().bytes_used() / 1024 *
+        os.code_cache().bytes_used() / 1024 *
         tariff_.per_kib_code_cached;
 
     baseline.fuel = fuel;

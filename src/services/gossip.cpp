@@ -1,5 +1,7 @@
 #include "services/gossip.h"
 
+#include <utility>
+
 #include "core/knowledge.h"
 
 namespace viator::services {
@@ -11,7 +13,8 @@ GossipService::GossipService(wli::WanderingNetwork& network,
 void GossipService::RunRound() {
   ++rounds_;
   network_.ForEachShip([this](wli::Ship& ship) {
-    const auto strongest = ship.facts().TopByWeight(config_.facts_per_round);
+    const auto strongest =
+        std::as_const(ship).facts().TopByWeight(config_.facts_per_round);
     if (strongest.empty()) return;
     wli::KnowledgeQuantum kq;
     kq.function.id = 0;  // pure fact carriage, no function installation
@@ -53,7 +56,7 @@ double GossipService::Coverage(wli::FactKey key) const {
   const_cast<wli::WanderingNetwork&>(network_).ForEachShip(
       [&](wli::Ship& ship) {
         ++population;
-        holders += ship.facts().Find(key) != nullptr;
+        holders += std::as_const(ship).facts().Find(key) != nullptr;
       });
   return population == 0
              ? 0.0

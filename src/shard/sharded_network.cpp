@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -22,6 +23,7 @@ constexpr TlvTag kTagClamped = 0x03;
 constexpr TlvTag kTagUnroutable = 0x04;
 constexpr TlvTag kTagJournal = 0x05;
 constexpr TlvTag kTagShard = 0x06;  // one nested record per shard, in order
+constexpr TlvTag kTagPlanDigest = 0x07;  // the capturing world's plan_digest_
 // Per-shard nested tags.
 constexpr TlvTag kTagHandoffSeq = 0x10;
 constexpr TlvTag kTagGenesisBlob = 0x11;
@@ -415,6 +417,7 @@ Result<std::vector<std::byte>> ShardedNetwork::CaptureCheckpoint() {
   TlvWriter writer;
   writer.PutU64(kTagWindowIndex, window_index_);
   writer.PutU64(kTagShardCount, shard_count());
+  writer.PutU64(kTagPlanDigest, plan_digest_);
   writer.PutU64(kTagClamped, clamped_handoffs_);
   writer.PutU64(kTagUnroutable, unroutable_handoffs_);
   writer.PutNested(kTagJournal, journal_.Save());
@@ -439,6 +442,7 @@ Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
   std::span<const std::byte> journal_blob;
   std::vector<std::span<const std::byte>> shard_blobs;
   std::uint64_t declared_shards = 0;
+  std::optional<std::uint64_t> plan_digest;
 
   while (reader.HasNext()) {
     Result<TlvRecord> record = reader.Next();
@@ -450,8 +454,18 @@ Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
       case kTagUnroutable: unroutable = record->AsU64(); break;
       case kTagJournal: journal_blob = record->payload; break;
       case kTagShard: shard_blobs.push_back(record->payload); break;
+      case kTagPlanDigest: plan_digest = record->AsU64(); break;
       default: break;  // forward compatibility: ignore unknown tags
     }
+  }
+  // Shard worlds only fit the plan they were cut by: the same global
+  // topology, shard count and node assignment.
+  if (!plan_digest) {
+    return InvalidArgument("checkpoint records no shard plan");
+  }
+  if (*plan_digest != plan_digest_) {
+    return InvalidArgument(
+        "checkpoint was taken under a different shard plan");
   }
   if (declared_shards != shard_count() ||
       shard_blobs.size() != shard_count()) {

@@ -184,6 +184,41 @@ TEST(ReplayWorld, RestoredCheckpointResumesJournalAndTimeline) {
             original.journal().rolling_digest());
 }
 
+TEST(ReplayWorld, CachedStepHashesEqualTheReference) {
+  // Every step hash the journal records mixes cached ship and topology
+  // digests; across pulses, checkpoints and a restore it must equal the
+  // uncached reference walk at every step.
+  const auto expect_exact = [](const replay::ReplayWorld& world) {
+    Hasher reference;
+    world.network().MixDigestUncached(reference);
+    const auto& hashes = world.journal().window_hashes();
+    ASSERT_FALSE(hashes.empty());
+    EXPECT_EQ(hashes.back().first, world.step());
+    EXPECT_EQ(hashes.back().second, reference.digest())
+        << "step " << world.step();
+  };
+  replay::ScenarioConfig config = SmallConfig();
+  config.rows = 3;
+  config.cols = 3;
+  config.steps = 16;
+  replay::ReplayWorld original(config);
+  while (original.step() < config.steps) {
+    original.RunOneStep();
+    expect_exact(original);
+  }
+  ASSERT_EQ(original.checkpoints().size(), 4u);
+  EXPECT_EQ(original.network().pulses(), 4u);
+
+  replay::ReplayWorld resumed(config, /*populate=*/false,
+                              /*keep_checkpoints=*/false);
+  ASSERT_TRUE(resumed.RestoreFromCheckpoint(original.checkpoints()[1]).ok());
+  while (resumed.step() < config.steps) {
+    resumed.RunOneStep();
+    expect_exact(resumed);
+  }
+  EXPECT_EQ(resumed.StateHash(), original.StateHash());
+}
+
 // ---- Time travel ------------------------------------------------------------
 
 TEST(ReplayController, SeekReproducesRecordedStateHash) {

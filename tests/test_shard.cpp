@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/tlv.h"
 #include "replay/auditor.h"
 #include "replay/journal.h"
 #include "replay/scenario.h"
@@ -246,8 +249,16 @@ TEST(ShardedNetwork, QueueDrainingMidWindowLeavesWorldQuiescent) {
 
 /// The reference workload both thread counts execute: staged injections,
 /// parallel windows, one metamorphosis pulse on every shard, more windows,
-/// then a bounded drain.
-void RunReferenceWorkload(shard::ShardedNetwork& world) {
+/// then a bounded drain (RunUntilQuiescent(256)). Windows run one at a
+/// time; `each_window`, when set, runs after every one.
+void RunReferenceWorkload(shard::ShardedNetwork& world,
+                          const std::function<void()>& each_window = {}) {
+  const auto run = [&](std::size_t windows) {
+    for (std::size_t i = 0; i < windows; ++i) {
+      world.RunWindows(1);
+      if (each_window) each_window();
+    }
+  };
   const std::uint64_t nodes = 64;
   for (std::uint64_t i = 0; i < 48; ++i) {
     ASSERT_TRUE(
@@ -255,15 +266,15 @@ void RunReferenceWorkload(shard::ShardedNetwork& world) {
                      {static_cast<std::int64_t>(i)}, /*flow=*/i)
             .ok());
   }
-  world.RunWindows(6);
+  run(6);
   world.PulseAll();
   for (std::uint64_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(
         world.Inject((i * 13 + 5) % nodes, (i * 41 + 2) % nodes, {7, 8}, i)
             .ok());
   }
-  world.RunWindows(6);
-  world.RunUntilQuiescent(256);
+  run(6);
+  for (std::size_t i = 0; i < 256 && !world.IsQuiescent(); ++i) run(1);
 }
 
 TEST(ShardedNetwork, FourThreadsDecisionIdenticalToSingleThread) {
@@ -312,6 +323,63 @@ TEST(ShardedNetwork, FourThreadsDecisionIdenticalToSingleThread) {
   const replay::DivergenceReport report = replay::DivergenceAuditor::Compare(
       sequential.journal(), parallel.journal());
   EXPECT_FALSE(report.diverged) << report.summary;
+}
+
+/// Requires the window that just ran to have hashed exactly: each shard
+/// hash the journal recorded (taken on the workers, through the cached ship
+/// and topology digests) and the merged StateHash equal their uncached
+/// reference walks.
+void ExpectWindowHashesExact(shard::ShardedNetwork& world) {
+  const std::uint64_t window = world.window_index();
+  std::vector<std::optional<std::uint64_t>> recorded(world.shard_count());
+  const replay::DecisionJournal& journal = world.journal();
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const replay::JournalRecord& record = journal.at(i);
+    if (record.kind == replay::RecordKind::kShardHash &&
+        record.time == window) {
+      recorded[record.stream] = record.a;
+    }
+  }
+  Hasher plan;
+  world.plan().MixDigest(plan);
+  Hasher merged;
+  merged.Mix(plan.digest());
+  for (shard::ShardId shard = 0; shard < world.shard_count(); ++shard) {
+    const wli::WanderingNetwork& network = world.shard_network(shard);
+    Hasher reference;
+    network.MixDigestUncached(reference);
+    ASSERT_TRUE(recorded[shard].has_value())
+        << "window " << window << " shard " << shard;
+    EXPECT_EQ(*recorded[shard], reference.digest())
+        << "window " << window << " shard " << shard;
+    network.MixDigestUncached(merged);
+  }
+  EXPECT_EQ(world.StateHash(), merged.digest()) << "window " << window;
+}
+
+TEST(ShardedNetwork, CachedWindowHashesEqualTheReference) {
+  // The per-window hashes re-hash only the ships a window changed; in every
+  // window of the reference workload, pulses included, they must equal a
+  // full walk, on 1 thread and on 4.
+  net::Topology grid = net::MakeGrid(8, 8);
+  shard::ShardedConfig config;
+  config.shard_count = 4;
+  config.seed = 0xabcd1234;
+  config.hash_every = 1;
+  config.assignment = shard::GridRowBands(8, 8, 4);
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    config.threads = threads;
+    shard::ShardedNetwork world(grid, config);
+    std::size_t windows = 0;
+    RunReferenceWorkload(world, [&] {
+      ExpectWindowHashesExact(world);
+      ++windows;
+    });
+    EXPECT_TRUE(world.IsQuiescent());
+    EXPECT_GT(windows, 12u);
+    EXPECT_EQ(windows, world.journal().window_hashes().size());
+  }
 }
 
 TEST(ShardedNetwork, DivergenceAuditorNamesTheDivergingShard) {
@@ -383,6 +451,80 @@ TEST(ShardedNetwork, CheckpointRestoreAtWindowBoundaryIsBitIdentical) {
   const replay::DivergenceReport report = replay::DivergenceAuditor::Compare(
       original.journal(), restored.journal());
   EXPECT_FALSE(report.diverged) << report.summary;
+}
+
+TEST(ShardedNetwork, CheckpointRefusedUnderADifferentPlan) {
+  // Shard worlds fit only the plan they were cut by. A checkpoint records
+  // the plan digest, and a world built on another plan (another grid, or
+  // the same grid split another way) refuses it.
+  const auto capture = [](const net::Topology& grid,
+                          const shard::ShardedConfig& config) {
+    shard::ShardedNetwork world(grid, config);
+    const std::uint64_t nodes = grid.node_count();
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      EXPECT_TRUE(world.Inject(i % nodes, (i * 7 + 5) % nodes, {1}, i).ok());
+    }
+    world.RunUntilQuiescent(256);
+    Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+    EXPECT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+    return checkpoint.ok() ? *checkpoint : std::vector<std::byte>{};
+  };
+  const net::Topology small = net::MakeGrid(4, 4);
+  const net::Topology large = net::MakeGrid(6, 6);
+  shard::ShardedConfig rows;
+  rows.shard_count = 2;
+  rows.threads = 1;
+  rows.assignment = shard::GridRowBands(4, 4, 2);
+  shard::ShardedConfig large_rows = rows;
+  large_rows.assignment = shard::GridRowBands(6, 6, 2);
+  shard::ShardedConfig columns = rows;
+  columns.assignment = [](net::NodeId node, const net::Topology&) {
+    return static_cast<shard::ShardId>(node % 4 < 2 ? 0 : 1);
+  };
+
+  struct Case {
+    const char* what;
+    const net::Topology* from;
+    const shard::ShardedConfig* from_config;
+    const net::Topology* into;
+    const shard::ShardedConfig* into_config;
+  };
+  const Case cases[] = {
+      {"4x4 into 6x6", &small, &rows, &large, &large_rows},
+      {"6x6 into 4x4", &large, &large_rows, &small, &rows},
+      {"row bands into columns", &small, &rows, &small, &columns},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::vector<std::byte> checkpoint = capture(*c.from, *c.from_config);
+    ASSERT_FALSE(checkpoint.empty());
+    shard::ShardedNetwork shell(*c.into, *c.into_config, /*populate=*/false);
+    EXPECT_EQ(shell.RestoreCheckpoint(checkpoint).code(),
+              StatusCode::kInvalidArgument);
+    // The same plan still restores it.
+    shard::ShardedNetwork same(*c.from, *c.from_config, /*populate=*/false);
+    EXPECT_TRUE(same.RestoreCheckpoint(checkpoint).ok());
+  }
+
+  // A checkpoint that records no plan is refused too.
+  const std::vector<std::byte> checkpoint = capture(small, rows);
+  TlvReader reader(checkpoint);
+  ASSERT_TRUE(reader.Verify().ok());
+  TlvWriter stripped;
+  std::size_t dropped = 0;
+  while (reader.HasNext()) {
+    Result<TlvRecord> record = reader.Next();
+    ASSERT_TRUE(record.ok());
+    if (record->tag == 0x07) {
+      ++dropped;
+      continue;
+    }
+    stripped.PutBytes(record->tag, record->payload);
+  }
+  ASSERT_EQ(dropped, 1u);
+  shard::ShardedNetwork shell(small, rows, /*populate=*/false);
+  EXPECT_EQ(shell.RestoreCheckpoint(stripped.Finish()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedNetwork, CheckpointRefusedWhileHandoffsInFlight) {

@@ -3,8 +3,14 @@
 // blueprints, migration and the metamorphosis pulse.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "base/archive.h"
 #include "core/ship.h"
 #include "core/wandering_network.h"
+#include "net/failure.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "vm/assembler.h"
@@ -495,6 +501,168 @@ TEST_F(WnFixture, DeterministicAcrossRuns) {
                           wn_local.ship(3)->shuttles_consumed());
   };
   EXPECT_EQ(run(42), run(42));
+}
+
+// ---- Cached state digest ---------------------------------------------------
+
+std::uint64_t CachedDigest(const WanderingNetwork& network) {
+  Hasher hasher;
+  network.MixDigest(hasher);
+  return hasher.digest();
+}
+
+std::uint64_t ReferenceDigest(const WanderingNetwork& network) {
+  Hasher hasher;
+  network.MixDigestUncached(hasher);
+  return hasher.digest();
+}
+
+TEST(CachedDigest, EveryMutatorRefreshesIt) {
+  // The network digest mixes one cached word per ship and one for the
+  // topology. Each row warms that digest, changes state through exactly one
+  // member that must list the ship (or bump the topology generation), and
+  // requires the cached digest to equal the uncached reference walk.
+  struct Row {
+    const char* member;
+    // Runs before the digest is warmed (state the mutation needs).
+    std::function<void(WanderingNetwork&)> setup;
+    std::function<void(WanderingNetwork&, Ship&)> mutate;
+  };
+  auto program = vm::Assemble("noop", "push 1\nsys emit\nhalt\n");
+  ASSERT_TRUE(program.ok());
+  const std::vector<Row> rows = {
+      {"os()", {},
+       [](WanderingNetwork&, Ship& ship) {
+         ship.os().set_next_step(node::FirstLevelRole::kFusion);
+       }},
+      {"facts()", {},
+       [](WanderingNetwork&, Ship& ship) {
+         ship.facts().Touch(900, 1, 2.0, 0);
+       }},
+      {"functions()", {},
+       [](WanderingNetwork&, Ship& ship) {
+         NetFunction function;
+         function.id = 77;
+         function.name = "row";
+         ship.functions().Install(function);
+       }},
+      {"congruence()", {},
+       [](WanderingNetwork&, Ship& ship) { ship.congruence().Observe(7); }},
+      {"rng()", {},
+       [](WanderingNetwork&, Ship& ship) { (void)ship.rng().Next(); }},
+      {"Receive", {},
+       [](WanderingNetwork&, Ship& ship) {
+         ship.Receive(Shuttle::Data(2, ship.id(), {5}, 9), 2);
+       }},
+      {"SwitchRole", {},
+       [](WanderingNetwork&, Ship& ship) {
+         ASSERT_TRUE(ship.SwitchRole(node::FirstLevelRole::kFusion,
+                                     node::SwitchMechanism::kResidentSoftware)
+                         .ok());
+       }},
+      {"ApplyBlueprint", {},
+       [](WanderingNetwork&, Ship& ship) {
+         ShipBlueprint blueprint;
+         blueprint.role = ship.ToBlueprint().role;
+         blueprint.next_step = ship.ToBlueprint().next_step;
+         blueprint.facts.push_back({901, 2, 3.0});
+         ASSERT_TRUE(ship.ApplyBlueprint(blueprint).ok());
+       }},
+      {"set_honest", {},
+       [](WanderingNetwork&, Ship& ship) { ship.set_honest(false); }},
+      {"Invoke", {},
+       [](WanderingNetwork&, Ship& ship) {
+         const std::int64_t args[] = {902, 3, 100};
+         ASSERT_TRUE(ship.Invoke(vm::Syscall::kPutFact, args).ok());
+       }},
+      {"DrainClassActivity",
+       [&program](WanderingNetwork& network) {
+         // Run code on ship 3 so it has class activity to drain.
+         ASSERT_TRUE(network.PublishProgram(*program, 0).ok());
+         Shuttle shuttle = Shuttle::Data(0, 3, {1}, 1);
+         shuttle.code_digest = program->digest();
+         ASSERT_TRUE(network.Inject(std::move(shuttle)).ok());
+         network.simulator().RunAll();
+         ASSERT_EQ(network.ship(3)->code_executions(), 1u);
+       },
+       [](WanderingNetwork&, Ship& ship) {
+         EXPECT_FALSE(ship.DrainClassActivity().empty());
+       }},
+      {"loading Visit", {},
+       [](WanderingNetwork& network, Ship& ship) {
+         const std::vector<std::byte> other = SaveFields(*network.ship(1));
+         ASSERT_TRUE(LoadFields(other, ship).ok());
+       }},
+      {"AddShip", {},
+       [](WanderingNetwork& network, Ship&) { network.AddShip(4); }},
+      {"Topology::AddNodes", {},
+       [](WanderingNetwork& network, Ship&) { network.topology().AddNodes(1); }},
+      {"Topology::AddLink", {},
+       [](WanderingNetwork& network, Ship&) {
+         network.topology().AddLink(0, 3);
+       }},
+      {"Topology::SetLinkUp", {},
+       [](WanderingNetwork& network, Ship&) {
+         network.topology().SetLinkUp(0, false);
+       }},
+      {"Topology::SetNodeUp", {},
+       [](WanderingNetwork& network, Ship&) {
+         network.topology().SetNodeUp(2, false);
+       }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.member);
+    // Five nodes, ships on the first four: node 4 is free for AddShip.
+    sim::Simulator simulator;
+    net::Topology topology = net::MakeLine(5);
+    WanderingNetwork network(simulator, topology, WnConfig{}, /*seed=*/99);
+    for (net::NodeId node = 0; node < 4; ++node) network.AddShip(node);
+    if (row.setup) row.setup(network);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    const std::uint64_t before = CachedDigest(network);
+    ASSERT_EQ(before, ReferenceDigest(network));
+    row.mutate(network, *network.ship(3));
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::uint64_t reference = ReferenceDigest(network);
+    EXPECT_NE(reference, before) << "the mutation changed no hashed field";
+    EXPECT_EQ(CachedDigest(network), reference);
+  }
+}
+
+TEST(CachedDigest, ExactUnderRandomLinkFailures) {
+  // Link failures and repairs re-stamp the topology digest mid-run while
+  // shuttles change ships: after every slice of the run the cached digest
+  // equals the uncached reference.
+  sim::Simulator simulator;
+  net::Topology topology = net::MakeGrid(4, 4);
+  WnConfig config;
+  WanderingNetwork network(simulator, topology, config, /*seed=*/31);
+  network.PopulateAllNodes();
+  net::FailureInjector failures(simulator, topology, Rng(17));
+  const sim::TimePoint until = 2 * sim::kSecond;
+  failures.StartRandomLinkFailures(200 * sim::kMillisecond,
+                                   100 * sim::kMillisecond, until);
+  network.StartPulse(until);
+  Rng traffic(3);
+  std::uint64_t generation = topology.generation();
+  std::size_t restamped = 0;
+  for (sim::TimePoint t = 0; t < until; t += 50 * sim::kMillisecond) {
+    for (int i = 0; i < 4; ++i) {
+      const auto src = static_cast<net::NodeId>(traffic.UniformInt(0, 15));
+      const auto dst = static_cast<net::NodeId>(traffic.UniformInt(0, 15));
+      (void)network.Inject(Shuttle::Data(src, dst, {i}, t + 1));
+    }
+    simulator.RunUntil(t + 50 * sim::kMillisecond);
+    ASSERT_EQ(CachedDigest(network), ReferenceDigest(network))
+        << "at " << sim::ToSeconds(simulator.now()) << " s";
+    if (topology.generation() != generation) {
+      generation = topology.generation();
+      ++restamped;
+    }
+  }
+  EXPECT_GT(failures.failures_injected(), 0u);
+  EXPECT_GT(restamped, 5u);
 }
 
 // ---- Shuttle pool ----------------------------------------------------------

@@ -1,6 +1,10 @@
 // Tests for topology structure, generators, paths and dynamic link state.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "base/archive.h"
 #include "base/rng.h"
 #include "net/mobility.h"
 #include "net/topology.h"
@@ -396,6 +400,74 @@ TEST(RouteCache, DisabledCacheMatchesEnabled) {
   // The disabled side must not have touched its cache counters.
   EXPECT_EQ(uncached.route_cache_stats().hits, 0u);
   EXPECT_EQ(uncached.route_cache_stats().misses, 0u);
+}
+
+// ---- Cached digest ---------------------------------------------------------
+
+Digest FreshDigest(const Topology& t) {
+  Hasher hasher;
+  HashFields(t, hasher);
+  return hasher.digest();
+}
+
+TEST(TopologyDigest, FollowsEveryMutator) {
+  // digest() caches HashFields per generation: after any mutator it must
+  // equal a fresh walk, on a topology whose digest was warm before.
+  struct Row {
+    const char* mutator;
+    std::function<void(Topology&)> mutate;
+  };
+  const std::vector<Row> rows = {
+      {"AddNodes", [](Topology& t) { t.AddNodes(2); }},
+      {"AddLink", [](Topology& t) { t.AddLink(0, 3); }},
+      {"SetLinkUp", [](Topology& t) { t.SetLinkUp(1, false); }},
+      {"SetNodeUp", [](Topology& t) { t.SetNodeUp(2, false); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.mutator);
+    Topology t = MakeLine(4);
+    const Digest before = t.digest();
+    ASSERT_EQ(before, FreshDigest(t));
+    row.mutate(t);
+    EXPECT_NE(FreshDigest(t), before);
+    EXPECT_EQ(t.digest(), FreshDigest(t));
+  }
+}
+
+TEST(TopologyDigest, FollowsRestoreAndCopies) {
+  const Topology source = MakeRing(5);
+
+  // A restore into an empty topology whose digest was warm.
+  Topology restored;
+  const Digest empty = restored.digest();
+  ASSERT_TRUE(LoadFields(SaveFields(source), restored).ok());
+  EXPECT_NE(restored.digest(), empty);
+  EXPECT_EQ(restored.digest(), FreshDigest(restored));
+  EXPECT_EQ(restored.digest(), FreshDigest(source));
+
+  // A restore refused after the node flags loaded (a link endpoint of the
+  // wrong width) leaves the topology, and its digest, empty.
+  Topology refused;
+  const Digest refused_before = refused.digest();
+  TlvWriter link;
+  link.PutU32(0x01, 0);
+  TlvWriter stream;
+  stream.PutU64(0x01, 3);
+  for (int i = 0; i < 3; ++i) stream.PutU32(0x02, 1);
+  stream.PutNested(0x03, link.Finish());
+  EXPECT_FALSE(LoadFields(stream.Finish(), refused).ok());
+  EXPECT_EQ(refused.digest(), refused_before);
+  EXPECT_EQ(refused.digest(), FreshDigest(refused));
+
+  // A warm copy carries the cache and then changes on its own.
+  Topology original = MakeLine(4);
+  const Digest warm = original.digest();
+  Topology copy = original;
+  copy.AddLink(0, 2);
+  EXPECT_EQ(copy.digest(), FreshDigest(copy));
+  EXPECT_NE(copy.digest(), warm);
+  EXPECT_EQ(original.digest(), warm);
+  EXPECT_EQ(original.digest(), FreshDigest(original));
 }
 
 }  // namespace
