@@ -193,6 +193,13 @@ class WriteArchive {
 
 class SaveArchive : public WriteArchive<SaveArchive> {
  public:
+  SaveArchive() : writer_(own_) {}
+  /// Writes the fields into `writer` instead (e.g. in place, inside a
+  /// record the caller opened and closes); Finish() is then not used.
+  explicit SaveArchive(TlvWriter& writer) : writer_(writer) {}
+  SaveArchive(const SaveArchive&) = delete;
+  SaveArchive& operator=(const SaveArchive&) = delete;
+
   /// Content-addressed objects stored by their own codec: one record per
   /// digest in `digests`, holding find(digest).Serialize().
   template <class Range, class Find>
@@ -222,7 +229,8 @@ class SaveArchive : public WriteArchive<SaveArchive> {
   void Close(std::size_t mark) { writer_.EndNested(mark); }
   void Count(std::size_t) {}
 
-  TlvWriter writer_;
+  TlvWriter own_;
+  TlvWriter& writer_;
 };
 
 class HashArchive : public WriteArchive<HashArchive> {
@@ -286,6 +294,10 @@ class LoadArchive {
       : stream_(stream), status_(&own_status_) {
     Check(TlvReader(stream).Verify());
   }
+  /// Reads a stream whose trailer was already verified, without hashing it
+  /// again (a built-in section a snapshot parse checked).
+  explicit LoadArchive(VerifiedTlv stream)
+      : stream_(stream.bytes()), status_(&own_status_) {}
   LoadArchive(const LoadArchive&) = delete;
   LoadArchive& operator=(const LoadArchive&) = delete;
 

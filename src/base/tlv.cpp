@@ -1,8 +1,7 @@
 #include "base/tlv.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "base/hash.h"
 
 namespace viator {
 namespace {
@@ -26,6 +25,16 @@ std::uint64_t ReadLe(std::span<const std::byte> in, std::size_t at, int bytes) {
 constexpr std::size_t kHeaderSize = 2 + 4;  // tag + length
 
 }  // namespace
+
+Digest TlvStreamDigest(std::span<const std::byte> stream) {
+  if (stream.size() < kTlvTrailerSize) return HashBytes(stream);
+  const std::size_t at = stream.size() - kTlvTrailerSize;
+  if (ReadLe(stream, at, 2) != kTlvChecksumTag ||
+      ReadLe(stream, at + 2, 4) != 8) {
+    return HashBytes(stream);
+  }
+  return HashCombine(ReadLe(stream, at + kHeaderSize, 8), stream.subspan(at));
+}
 
 void TlvWriter::PutHeader(TlvTag tag, std::uint32_t length) {
   AppendLe(buffer_, tag, 2);
@@ -79,8 +88,35 @@ void TlvWriter::EndNested(std::size_t mark) {
   }
 }
 
+void TlvWriter::PutSealed(TlvTag tag, std::span<const std::byte> stream) {
+  PutBytes(tag, stream);
+  sealed_.emplace_back(buffer_.size() - stream.size(), buffer_.size());
+}
+
+std::span<const std::byte> TlvWriter::EndSealed(std::size_t mark) {
+  EndNested(mark);
+  sealed_.emplace_back(mark + kHeaderSize, buffer_.size());
+  return std::span<const std::byte>(buffer_).subspan(mark + kHeaderSize);
+}
+
+void TlvWriter::Truncate(std::size_t size) {
+  buffer_.resize(size);
+  while (!sealed_.empty() && sealed_.back().second > size) sealed_.pop_back();
+}
+
 std::vector<std::byte> TlvWriter::Finish() {
-  const Digest checksum = HashBytes(buffer_);
+  const std::span<const std::byte> bytes(buffer_);
+  Digest checksum = kFnvOffsetBasis;
+  std::size_t at = 0;
+  for (const auto& [begin, end] : sealed_) {
+    const std::span<const std::byte> body = bytes.subspan(begin, end - begin);
+    checksum = HashCombine(checksum, bytes.subspan(at, begin - at));
+    checksum = HashCombine(checksum,
+                           body.last(std::min<std::size_t>(8, body.size())));
+    at = end;
+  }
+  checksum = HashCombine(checksum, bytes.subspan(at));
+  sealed_.clear();
   PutHeader(kTlvChecksumTag, 8);
   AppendLe(buffer_, checksum, 8);
   std::vector<std::byte> out;
@@ -110,7 +146,16 @@ std::string TlvRecord::AsString() const {
                      payload.size());
 }
 
-Status TlvReader::Verify() const {
+Status TlvRecord::CheckWidth(std::size_t width) const {
+  if (payload.size() == width) return OkStatus();
+  return InvalidArgument("TLV record 0x" + DigestToHex(tag).substr(12) +
+                         " is " + std::to_string(payload.size()) +
+                         " bytes, want " + std::to_string(width));
+}
+
+Status TlvReader::Verify(std::optional<TlvTag> sealed) const {
+  Digest actual = kFnvOffsetBasis;
+  std::size_t hashed = 0;  // stream_[0, hashed) is folded into `actual`
   std::size_t at = 0;
   while (at + kHeaderSize <= stream_.size()) {
     const TlvTag tag = static_cast<TlvTag>(ReadLe(stream_, at, 2));
@@ -118,19 +163,36 @@ Status TlvReader::Verify() const {
     if (at + kHeaderSize + len > stream_.size()) {
       return InvalidArgument("truncated TLV record");
     }
+    const std::size_t end = at + kHeaderSize + len;
     if (tag == kTlvChecksumTag) {
       if (len != 8) return InvalidArgument("malformed checksum trailer");
       const Digest stored = ReadLe(stream_, at + kHeaderSize, 8);
-      const Digest actual = HashBytes(stream_.subspan(0, at));
+      actual = HashCombine(actual, stream_.subspan(hashed, at - hashed));
       if (stored != actual) return InvalidArgument("TLV checksum mismatch");
-      if (at + kHeaderSize + 8 != stream_.size()) {
+      if (end != stream_.size()) {
         return InvalidArgument("bytes after checksum trailer");
       }
       return OkStatus();
     }
-    at += kHeaderSize + len;
+    if (sealed && tag == *sealed) {
+      // A finished stream ends in a trailer; its last 8 bytes are covered
+      // here, the rest by that trailer.
+      if (len < kTlvTrailerSize) {
+        return InvalidArgument("malformed sealed record");
+      }
+      actual = HashCombine(actual,
+                           stream_.subspan(hashed, at + kHeaderSize - hashed));
+      actual = HashCombine(actual, stream_.subspan(end - 8, 8));
+      hashed = end;
+    }
+    at = end;
   }
   return InvalidArgument("missing checksum trailer");
+}
+
+Result<VerifiedTlv> TlvReader::Verified() const {
+  if (Status status = Verify(); !status.ok()) return status;
+  return VerifiedTlv(stream_);
 }
 
 bool TlvReader::HasNext() const {

@@ -5,15 +5,26 @@
 // trailing FNV-1a checksum over the whole stream. Records may nest (a record
 // payload can itself be a TLV stream), which gives the genome its
 // hierarchical structure without a schema compiler.
+//
+// A container of large finished streams (snapshot sections, shard
+// snapshots) embeds them as *sealed* records instead: the container's
+// trailer covers a sealed record's header and the body's own checksum word,
+// not the body, whose own trailer already covers it. Every byte then sits
+// under exactly one checksum, and the chain of trailers still binds each
+// body to its container. A stream without sealed records is checksummed
+// exactly as before.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/status.h"
 
 namespace viator {
@@ -23,6 +34,17 @@ namespace viator {
 using TlvTag = std::uint16_t;
 
 inline constexpr TlvTag kTlvChecksumTag = 0xFFFF;
+
+/// Bytes of the checksum trailer record that ends every finished stream:
+/// its header (tag, length) and the 8-byte FNV-1a of the bytes before it.
+inline constexpr std::size_t kTlvTrailerSize = 6 + 8;
+
+/// HashBytes(stream) of a finished stream without sealed records, in O(1):
+/// the trailer holds the FNV-1a of everything before it, so only the
+/// trailer itself is hashed. Exact whenever the trailer is (a stream
+/// Finish() returned or Verify() accepted); a stream that does not end in a
+/// trailer is hashed in full.
+Digest TlvStreamDigest(std::span<const std::byte> stream);
 
 /// Serializes TLV records into a byte buffer. Finish() appends the checksum
 /// trailer and returns the completed buffer; the writer may then be reused.
@@ -43,15 +65,38 @@ class TlvWriter {
   std::size_t BeginNested(TlvTag tag);
   void EndNested(std::size_t mark);
 
+  /// Embeds a finished stream (what Finish() returned) as a sealed record:
+  /// this stream's trailer covers the record's header and the body's last
+  /// 8 bytes (its checksum word), not the rest of the body. Read the
+  /// enclosing stream with TlvReader::Verify(tag) and verify each body on
+  /// its own. Top-level records only: not between BeginNested and EndNested.
+  void PutSealed(TlvTag tag, std::span<const std::byte> stream);
+
+  /// A sealed record written in place, as BeginNested/EndNested write a
+  /// nested one: EndSealed closes the body with its own trailer and returns
+  /// the finished body (valid until the next write). Top level only, as for
+  /// PutSealed; nested records inside the body are fine.
+  std::size_t BeginSealed(TlvTag tag) { return BeginNested(tag); }
+  std::span<const std::byte> EndSealed(std::size_t mark);
+
   /// Appends the checksum trailer and returns the buffer, resetting state.
   std::vector<std::byte> Finish();
 
   /// Bytes accumulated so far (excluding the trailer).
   std::size_t size() const { return buffer_.size(); }
 
+  /// Drops the records written since size() was `size`.
+  void Truncate(std::size_t size);
+
+  /// Reserves room for `bytes` more bytes, for a caller that knows the size.
+  void Reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
  private:
   void PutHeader(TlvTag tag, std::uint32_t length);
   std::vector<std::byte> buffer_;
+  // [begin, end) of every sealed body, in order: Finish() hashes only
+  // their last 8 bytes.
+  std::vector<std::pair<std::size_t, std::size_t>> sealed_;
 };
 
 /// A decoded record view into the reader's underlying buffer.
@@ -63,6 +108,25 @@ struct TlvRecord {
   std::uint32_t AsU32() const;
   double AsDouble() const;
   std::string AsString() const;
+
+  /// InvalidArgument unless the payload is `width` bytes: what a strict
+  /// parser checks before AsU32/AsU64, which read any other width as 0.
+  Status CheckWidth(std::size_t width) const;
+};
+
+/// A stream whose framing and checksum trailer TlvReader::Verified()
+/// checked. Only the reader makes one, so a consumer that takes it
+/// (LoadArchive) reads the bytes without checking them again. A view, valid
+/// while the bytes are; a default-constructed one is empty.
+class VerifiedTlv {
+ public:
+  VerifiedTlv() = default;
+  std::span<const std::byte> bytes() const { return bytes_; }
+
+ private:
+  friend class TlvReader;
+  explicit VerifiedTlv(std::span<const std::byte> bytes) : bytes_(bytes) {}
+  std::span<const std::byte> bytes_;
 };
 
 /// Sequential reader over a TLV stream. Verify() checks the trailer checksum;
@@ -72,7 +136,13 @@ class TlvReader {
   explicit TlvReader(std::span<const std::byte> stream) : stream_(stream) {}
 
   /// Validates framing and the checksum trailer without consuming records.
-  Status Verify() const;
+  /// Records tagged `sealed` are read as PutSealed wrote them: the trailer
+  /// covers their header and checksum word, and their bodies are left to
+  /// the caller to verify.
+  Status Verify(std::optional<TlvTag> sealed = std::nullopt) const;
+
+  /// Verify(), handing the checked stream back as a VerifiedTlv.
+  Result<VerifiedTlv> Verified() const;
 
   /// True while records (other than the trailer) remain.
   bool HasNext() const;

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "base/archive.h"
-#include "base/hash.h"
+#include "base/tlv.h"
 
 namespace viator::genesis {
 
@@ -39,29 +39,12 @@ bool GenesisManager::IsQuiescent() const {
   return quiescent;
 }
 
-std::vector<GenesisManager::BuiltSection> GenesisManager::BuildSections() {
-  std::vector<BuiltSection> sections;
-  network_.ForEachSection([&sections](std::uint32_t id, bool, auto&& visit) {
-    SaveArchive archive;
-    visit(archive);
-    sections.push_back(BuiltSection{id, 1, archive.Finish()});
-  });
-  for (const Snapshotable* extra : extras_) {
-    sections.push_back(
-        BuiltSection{extra->section_id(), extra->section_version(),
-                     extra->Save()});
-  }
-  return sections;
-}
-
 Result<std::vector<std::byte>> GenesisManager::Capture(SnapshotKind kind) {
   if (config_.require_quiescent && !IsQuiescent()) {
     return Status(FailedPrecondition(
         "capture requires a quiescent network (pending events or "
         "shuttles waiting for code)"));
   }
-  std::vector<BuiltSection> sections = BuildSections();
-
   SnapshotHeader header;
   header.kind = kind;
   header.sequence = ++sequence_;
@@ -70,19 +53,29 @@ Result<std::vector<std::byte>> GenesisManager::Capture(SnapshotKind kind) {
   header.snap_time = network_.simulator().now();
   header.scenario_tag = config_.scenario_tag;
 
+  // Every subsystem (and registered extra) in canonical order. Built-in
+  // sections are saved straight into the container; a payload's digest is
+  // read off its trailer. A delta takes back the sections whose digest is
+  // unchanged since the base full snapshot.
   SnapshotBuilder builder(header);
   std::map<std::uint32_t, std::uint64_t> digests;
-  for (BuiltSection& section : sections) {
-    const std::uint64_t digest = HashBytes(section.payload);
-    digests[section.id] = digest;
-    if (kind == SnapshotKind::kDelta) {
-      const auto it = full_digests_.find(section.id);
-      if (it != full_digests_.end() && it->second == digest) {
-        continue;  // unchanged since the base full snapshot
-      }
+  const auto changed = [&](std::uint32_t id, std::uint64_t digest) {
+    digests[id] = digest;
+    if (kind != SnapshotKind::kDelta) return true;
+    const auto it = full_digests_.find(id);
+    return it == full_digests_.end() || it->second != digest;
+  };
+  network_.ForEachSection([&](std::uint32_t id, bool, auto&& visit) {
+    if (!changed(id, builder.SaveSection(id, visit))) {
+      builder.DropLastSection();
     }
-    builder.AddSection(section.id, std::move(section.payload),
-                       section.version);
+  });
+  for (const Snapshotable* extra : extras_) {
+    const std::vector<std::byte> payload = extra->Save();
+    if (changed(extra->section_id(), TlvStreamDigest(payload))) {
+      builder.AddSection(extra->section_id(), payload,
+                         extra->section_version());
+    }
   }
   ++captures_taken_;
   if (kind == SnapshotKind::kFull) {
@@ -106,11 +99,15 @@ Result<std::vector<std::byte>> GenesisManager::CaptureDelta() {
 }
 
 Status GenesisManager::RestoreFull(std::span<const std::byte> bytes) {
-  // Validate the entire container (framing, checksum, per-section digests)
-  // before touching any state.
+  // Validate the entire container (framing, checksums, per-section
+  // digests) before touching any state.
   auto snapshot = ParseSnapshot(bytes);
   if (!snapshot.ok()) return snapshot.status();
-  if (snapshot->header.kind != SnapshotKind::kFull) {
+  return Restore(*snapshot);
+}
+
+Status GenesisManager::Restore(const ParsedSnapshot& snap) {
+  if (snap.header.kind != SnapshotKind::kFull) {
     return FailedPrecondition(
         "restore requires a full snapshot (merge deltas onto their base "
         "first)");
@@ -125,14 +122,14 @@ Status GenesisManager::RestoreFull(std::span<const std::byte> bytes) {
   }
 
   // Sections apply in the table's dependency order; absent sections keep
-  // the fresh state.
-  const ParsedSnapshot& snap = *snapshot;
+  // the fresh state. Built-in payloads were verified by the parse and load
+  // without a second pass.
   Status status;
   network_.ForEachSection([&](std::uint32_t id, bool, auto&& visit) {
     const SectionRecord* section = snap.Find(id);
     if (!status.ok() || section == nullptr) return;
-    LoadArchive archive(section->payload);
-    if (archive.ok()) visit(archive);
+    LoadArchive archive(section->payload.stream());
+    visit(archive);
     if (!archive.ok()) {
       status = Status(archive.status().code(),
                       "restoring section '" + SectionName(id) +

@@ -70,6 +70,11 @@ class GenesisManager {
   /// against the restored snapshot.
   Status RestoreFull(std::span<const std::byte> bytes);
 
+  /// The apply half of RestoreFull: applies a full snapshot ParseSnapshot
+  /// already validated, so a caller can verify several snapshots before it
+  /// applies any. Same preconditions as RestoreFull.
+  Status Restore(const ParsedSnapshot& snapshot);
+
   /// Schedules periodic full captures on the network's simulator, every
   /// checkpoint_cadence until `until` (inclusive). Captures that find the
   /// network non-quiescent are skipped and counted, not errored.
@@ -86,15 +91,6 @@ class GenesisManager {
   std::uint64_t last_sequence() const { return sequence_; }
 
  private:
-  struct BuiltSection {
-    std::uint32_t id = 0;
-    std::uint32_t version = 1;
-    std::vector<std::byte> payload;
-  };
-
-  /// Serializes every subsystem (and registered extras) in canonical order.
-  std::vector<BuiltSection> BuildSections();
-
   Result<std::vector<std::byte>> Capture(SnapshotKind kind);
   void CheckpointTick(sim::TimePoint until);
 

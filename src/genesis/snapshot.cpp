@@ -1,16 +1,18 @@
 #include "genesis/snapshot.h"
 
-#include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "base/strings.h"
-#include "base/tlv.h"
 
 namespace viator::genesis {
 namespace {
 
-// Outer container tags.
+// Container tags. Each section is an id, a version, its sealed payload and
+// the payload's digest, in that order (the digest is read off the payload's
+// trailer once the payload is written); the section count follows the last
+// section.
 constexpr TlvTag kTagMagic = 0x01;
 constexpr TlvTag kTagFormatVersion = 0x02;
 constexpr TlvTag kTagKind = 0x03;
@@ -19,50 +21,72 @@ constexpr TlvTag kTagBaseSequence = 0x05;
 constexpr TlvTag kTagSnapTime = 0x06;
 constexpr TlvTag kTagScenarioTag = 0x07;
 constexpr TlvTag kTagSectionCount = 0x08;
-constexpr TlvTag kTagSection = 0x10;
+constexpr TlvTag kTagSectionId = 0x10;
+constexpr TlvTag kTagSectionVersion = 0x11;
+constexpr TlvTag kTagSectionPayload = 0x12;  // sealed
+constexpr TlvTag kTagSectionDigest = 0x13;
 
-// Section record inner tags.
-constexpr TlvTag kTagSectionId = 0x01;
-constexpr TlvTag kTagSectionVersion = 0x02;
-constexpr TlvTag kTagSectionDigest = 0x03;
-constexpr TlvTag kTagSectionPayload = 0x04;
+// Width of each scalar record; a record of another width is refused rather
+// than read as 0. Zero for records that are not scalars.
+std::size_t ScalarWidth(TlvTag tag) {
+  switch (tag) {
+    case kTagFormatVersion:
+    case kTagKind:
+    case kTagSectionCount:
+    case kTagSectionId:
+    case kTagSectionVersion:
+      return 4;
+    case kTagMagic:
+    case kTagSequence:
+    case kTagBaseSequence:
+    case kTagSnapTime:
+    case kTagScenarioTag:
+    case kTagSectionDigest:
+      return 8;
+    default:
+      return 0;
+  }
+}
 
-Result<SectionRecord> ParseSection(std::span<const std::byte> bytes) {
+Status UnsupportedVersion(std::uint32_t version) {
+  return InvalidArgument("unsupported snapshot format version " +
+                         std::to_string(version) + " (expected " +
+                         std::to_string(kFormatVersion) + ")");
+}
+
+// The format version decides how the checksums are laid out, so it is read
+// before they are checked: a container of another version is refused by its
+// version, not by a checksum it was never meant to pass. Framing errors are
+// left to the verify that follows.
+Status CheckFormatVersion(std::span<const std::byte> bytes) {
   TlvReader reader(bytes);
-  SectionRecord section;
-  bool have_id = false, have_digest = false, have_payload = false;
   while (reader.HasNext()) {
-    auto rec = reader.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagSectionId:
-        section.id = rec->AsU32();
-        have_id = true;
-        break;
-      case kTagSectionVersion:
-        section.version = rec->AsU32();
-        break;
-      case kTagSectionDigest:
-        section.digest = rec->AsU64();
-        have_digest = true;
-        break;
-      case kTagSectionPayload:
-        section.payload.assign(rec->payload.begin(), rec->payload.end());
-        have_payload = true;
-        break;
-      default:
-        break;  // forward-compatible skip
-    }
+    const Result<TlvRecord> rec = reader.Next();
+    if (!rec.ok()) return OkStatus();
+    if (rec->tag != kTagFormatVersion) continue;
+    if (Status width = rec->CheckWidth(4); !width.ok()) return width;
+    const std::uint32_t version = rec->AsU32();
+    return version == kFormatVersion ? OkStatus() : UnsupportedVersion(version);
   }
-  if (!have_id || !have_digest || !have_payload) {
-    return Status(InvalidArgument("snapshot section missing id/digest/payload"));
+  return OkStatus();
+}
+
+// Verifies one section's payload: its own trailer (the one pass over its
+// bytes), then the declared digest, read off that trailer.
+Result<SectionPayload> CheckPayload(const SectionRecord& section,
+                                    std::span<const std::byte> payload) {
+  Result<VerifiedTlv> stream = TlvReader(payload).Verified();
+  if (!stream.ok()) {
+    return Status(InvalidArgument("snapshot section '" +
+                                  SectionName(section.id) + "' payload: " +
+                                  std::string(stream.status().message())));
   }
-  if (HashBytes(section.payload) != section.digest) {
+  if (TlvStreamDigest(payload) != section.digest) {
     return Status(InvalidArgument("snapshot section '" +
                                   SectionName(section.id) +
                                   "' digest mismatch (payload corrupted)"));
   }
-  return section;
+  return SectionPayload(*stream);
 }
 
 }  // namespace
@@ -96,38 +120,53 @@ std::string SectionName(std::uint32_t id) {
   }
 }
 
-void SnapshotBuilder::AddSection(std::uint32_t id,
-                                 std::vector<std::byte> payload,
-                                 std::uint32_t version) {
-  SectionRecord section;
-  section.id = id;
-  section.version = version;
-  section.digest = HashBytes(payload);
-  section.payload = std::move(payload);
-  mem_bytes_.Add(section.payload.capacity());
-  sections_.push_back(std::move(section));
+SnapshotBuilder::SnapshotBuilder(const SnapshotHeader& header) {
+  writer_.PutU64(kTagMagic, kSnapshotMagic);
+  writer_.PutU32(kTagFormatVersion, header.format_version);
+  writer_.PutU32(kTagKind, static_cast<std::uint32_t>(header.kind));
+  writer_.PutU64(kTagSequence, header.sequence);
+  writer_.PutU64(kTagBaseSequence, header.base_sequence);
+  writer_.PutU64(kTagSnapTime, header.snap_time);
+  writer_.PutU64(kTagScenarioTag, header.scenario_tag);
 }
 
-std::vector<std::byte> SnapshotBuilder::Finish() const {
-  TlvWriter writer;
-  writer.PutU64(kTagMagic, kSnapshotMagic);
-  writer.PutU32(kTagFormatVersion, header_.format_version);
-  writer.PutU32(kTagKind, static_cast<std::uint32_t>(header_.kind));
-  writer.PutU64(kTagSequence, header_.sequence);
-  writer.PutU64(kTagBaseSequence, header_.base_sequence);
-  writer.PutU64(kTagSnapTime, header_.snap_time);
-  writer.PutU64(kTagScenarioTag, header_.scenario_tag);
-  writer.PutU32(kTagSectionCount,
-                static_cast<std::uint32_t>(sections_.size()));
-  for (const SectionRecord& section : sections_) {
-    TlvWriter inner;
-    inner.PutU32(kTagSectionId, section.id);
-    inner.PutU32(kTagSectionVersion, section.version);
-    inner.PutU64(kTagSectionDigest, section.digest);
-    inner.PutBytes(kTagSectionPayload, section.payload);
-    writer.PutNested(kTagSection, inner.Finish());
-  }
-  return writer.Finish();
+void SnapshotBuilder::AddSection(std::uint32_t id,
+                                 std::span<const std::byte> payload,
+                                 std::uint32_t version) {
+  PutHeader(id, version);
+  writer_.PutSealed(kTagSectionPayload, payload);
+  PutDigest(payload);
+}
+
+void SnapshotBuilder::DropLastSection() {
+  writer_.Truncate(last_section_);
+  --sections_;
+  mem_bytes_.Set(writer_.size());
+}
+
+void SnapshotBuilder::PutHeader(std::uint32_t id, std::uint32_t version) {
+  last_section_ = writer_.size();
+  writer_.PutU32(kTagSectionId, id);
+  writer_.PutU32(kTagSectionVersion, version);
+}
+
+std::size_t SnapshotBuilder::BeginSection(std::uint32_t id,
+                                          std::uint32_t version) {
+  PutHeader(id, version);
+  return writer_.BeginSealed(kTagSectionPayload);
+}
+
+std::uint64_t SnapshotBuilder::PutDigest(std::span<const std::byte> payload) {
+  const std::uint64_t digest = TlvStreamDigest(payload);
+  writer_.PutU64(kTagSectionDigest, digest);
+  ++sections_;
+  mem_bytes_.Set(writer_.size());
+  return digest;
+}
+
+std::vector<std::byte> SnapshotBuilder::Finish() {
+  writer_.PutU32(kTagSectionCount, sections_);
+  return writer_.Finish();
 }
 
 const SectionRecord* ParsedSnapshot::Find(std::uint32_t id) const {
@@ -138,15 +177,25 @@ const SectionRecord* ParsedSnapshot::Find(std::uint32_t id) const {
 }
 
 Result<ParsedSnapshot> ParseSnapshot(std::span<const std::byte> bytes) {
+  if (Status s = CheckFormatVersion(bytes); !s.ok()) return s;
   TlvReader reader(bytes);
-  if (Status s = reader.Verify(); !s.ok()) return s;
+  if (Status s = reader.Verify(kTagSectionPayload); !s.ok()) return s;
 
   ParsedSnapshot snapshot;
   bool have_magic = false, have_version = false, have_count = false;
   std::uint32_t declared_count = 0;
+  // The section being read: its id opens it, its digest closes it.
+  std::optional<SectionRecord> open;
+  std::span<const std::byte> payload;
+  bool have_payload = false;
+  const Status incomplete =
+      InvalidArgument("snapshot section missing id/digest/payload");
   while (reader.HasNext()) {
     auto rec = reader.Next();
     if (!rec.ok()) return rec.status();
+    if (const std::size_t width = ScalarWidth(rec->tag); width != 0) {
+      if (Status s = rec->CheckWidth(width); !s.ok()) return s;
+    }
     switch (rec->tag) {
       case kTagMagic:
         if (rec->AsU64() != kSnapshotMagic) {
@@ -178,31 +227,45 @@ Result<ParsedSnapshot> ParseSnapshot(std::span<const std::byte> bytes) {
         declared_count = rec->AsU32();
         have_count = true;
         break;
-      case kTagSection: {
-        auto section = ParseSection(rec->payload);
-        if (!section.ok()) return section.status();
-        for (const SectionRecord& existing : snapshot.sections) {
-          if (existing.id == section->id) {
-            return Status(InvalidArgument("duplicate snapshot section '" +
-                                          SectionName(section->id) + "'"));
-          }
+      case kTagSectionId:
+        if (open) return incomplete;
+        open.emplace().id = rec->AsU32();
+        have_payload = false;
+        break;
+      case kTagSectionVersion:
+        if (!open) return incomplete;
+        open->version = rec->AsU32();
+        break;
+      case kTagSectionPayload:
+        if (!open || have_payload) return incomplete;
+        payload = rec->payload;
+        have_payload = true;
+        break;
+      case kTagSectionDigest: {
+        if (!open || !have_payload) return incomplete;
+        open->digest = rec->AsU64();
+        Result<SectionPayload> checked = CheckPayload(*open, payload);
+        if (!checked.ok()) return checked.status();
+        open->payload = *checked;
+        if (snapshot.Find(open->id) != nullptr) {
+          return Status(InvalidArgument("duplicate snapshot section '" +
+                                        SectionName(open->id) + "'"));
         }
-        snapshot.sections.push_back(*std::move(section));
+        snapshot.sections.push_back(*open);
+        open.reset();
         break;
       }
       default:
         break;  // forward-compatible skip
     }
   }
+  if (open) return incomplete;
   if (!have_magic) {
     return Status(InvalidArgument("not a genesis snapshot (no magic record)"));
   }
   if (!have_version ||
       snapshot.header.format_version != kFormatVersion) {
-    return Status(InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(snapshot.header.format_version) + " (expected " +
-        std::to_string(kFormatVersion) + ")"));
+    return UnsupportedVersion(snapshot.header.format_version);
   }
   if (!have_count || declared_count != snapshot.sections.size()) {
     return Status(InvalidArgument("snapshot section count mismatch"));

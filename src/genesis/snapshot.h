@@ -6,19 +6,25 @@
 // (clock, RNG streams, topology, fabric, ships, engines, ledger, overlays,
 // stats, trace, ...). Full snapshots carry every section; delta snapshots
 // carry only the sections whose content digest changed since the base full
-// snapshot. Every section carries its own FNV-1a digest and the outer TLV
-// stream carries the codec checksum trailer, so corruption anywhere is
-// detected before any state is touched.
+// snapshot. Every section payload is a finished TLV stream embedded as a
+// sealed record (base/tlv.h): its own trailer covers its bytes, and the
+// container's trailer covers the framing, the section digests and each
+// payload's checksum word. A parse hashes each byte once, and corruption
+// anywhere is detected before any state is touched.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/hash.h"
 #include "base/status.h"
+#include "base/tlv.h"
 #include "genesis/section_ids.h"
 #include "sim/time.h"
 #include "telemetry/mem_counters.h"
@@ -29,7 +35,8 @@ namespace viator::genesis {
 inline constexpr std::uint64_t kSnapshotMagic = 0x31305345'4E454756ULL;
 
 /// Bumped on incompatible container changes; mismatches are rejected.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2 embeds section payloads as sealed records.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 enum class SnapshotKind : std::uint32_t { kFull = 0, kDelta = 1 };
 
@@ -45,33 +52,88 @@ struct SnapshotHeader {
   std::uint64_t scenario_tag = 0;   // free-form creator tag (e.g. the seed)
 };
 
+/// A section payload as ParseSnapshot hands it out: a view into the parsed
+/// bytes, valid while they are, whose checksum trailer the parse checked.
+/// It reads like the byte vector it views: it converts to a span, compares
+/// with any byte range, and copies out to a vector for a caller that keeps
+/// it past the bytes.
+class SectionPayload {
+ public:
+  SectionPayload() = default;
+  explicit SectionPayload(VerifiedTlv stream) : stream_(stream) {}
+
+  /// The checked stream: what built-in sections load from unhashed.
+  const VerifiedTlv& stream() const { return stream_; }
+  std::span<const std::byte> bytes() const { return stream_.bytes(); }
+  std::size_t size() const { return bytes().size(); }
+
+  operator std::span<const std::byte>() const { return bytes(); }  // NOLINT
+  operator std::vector<std::byte>() const {  // NOLINT: a copy, on request
+    return {bytes().begin(), bytes().end()};
+  }
+  friend bool operator==(const SectionPayload& a,
+                         std::span<const std::byte> b) {
+    return std::ranges::equal(a.bytes(), b);
+  }
+
+ private:
+  VerifiedTlv stream_;
+};
+
 struct SectionRecord {
   std::uint32_t id = 0;
   std::uint32_t version = 1;
   std::uint64_t digest = 0;  // FNV-1a over payload
-  std::vector<std::byte> payload;
+  SectionPayload payload;
 };
 
-/// Assembles a snapshot byte stream. Sections keep insertion order.
+/// Writes a snapshot byte stream. Sections keep insertion order; each is
+/// written into the container as it is added, so the builder holds the
+/// container and no payload.
 class SnapshotBuilder {
  public:
-  explicit SnapshotBuilder(const SnapshotHeader& header) : header_(header) {}
+  explicit SnapshotBuilder(const SnapshotHeader& header);
 
-  /// Adds a section; the digest is computed over `payload`.
-  void AddSection(std::uint32_t id, std::vector<std::byte> payload,
+  /// Adds a section: a finished TLV stream, whose digest is read off its
+  /// trailer (TlvStreamDigest).
+  void AddSection(std::uint32_t id, std::span<const std::byte> payload,
                   std::uint32_t version = 1);
 
-  std::vector<std::byte> Finish() const;
+  /// Adds a section whose payload `save(archive)` writes straight into the
+  /// container, through a SaveArchive; returns the payload's digest.
+  template <class Save>
+  std::uint64_t SaveSection(std::uint32_t id, Save&& save,
+                            std::uint32_t version = 1) {
+    const std::size_t mark = BeginSection(id, version);
+    SaveArchive archive(writer_);
+    save(archive);
+    return PutDigest(writer_.EndSealed(mark));
+  }
+
+  /// Takes back the section added last (a delta's unchanged one).
+  void DropLastSection();
+
+  /// The container; the builder is spent afterwards.
+  std::vector<std::byte> Finish();
 
  private:
-  SnapshotHeader header_;
-  std::vector<SectionRecord> sections_;
-  // Accumulated section payload bytes, attributed to the kGenesisBuffer
-  // domain while the builder holds them (released when the builder dies).
+  // A section is its id and version, its sealed payload, then the
+  // payload's digest; these write the parts around the payload.
+  void PutHeader(std::uint32_t id, std::uint32_t version);
+  std::size_t BeginSection(std::uint32_t id, std::uint32_t version);
+  std::uint64_t PutDigest(std::span<const std::byte> payload);
+
+  TlvWriter writer_;
+  std::uint32_t sections_ = 0;
+  std::size_t last_section_ = 0;  // where the section added last starts
+  // The container bytes written so far, attributed to the kGenesisBuffer
+  // domain while the builder holds them.
   telemetry::mem::ChargedBytes<telemetry::mem::Domain::kGenesisBuffer>
       mem_bytes_;
 };
 
+/// A parsed snapshot. Its payloads are views into the bytes it was parsed
+/// from: keep those alive (and unchanged) while the parse is used.
 struct ParsedSnapshot {
   SnapshotHeader header;
   std::vector<SectionRecord> sections;
@@ -79,10 +141,11 @@ struct ParsedSnapshot {
   const SectionRecord* Find(std::uint32_t id) const;
 };
 
-/// Strict parse: validates the codec checksum, the magic, the format
-/// version, the section count, per-section digests and duplicate ids.
+/// Strict parse: validates the format version, the codec checksums (the
+/// container's and each payload's, one hash per byte), the magic, scalar
+/// widths, the section count, per-section digests and duplicate ids.
 /// Corrupt, truncated or version-mismatched input yields a Status error —
-/// never a partially-parsed result.
+/// never a partially-parsed result. Payloads are views into `bytes`.
 Result<ParsedSnapshot> ParseSnapshot(std::span<const std::byte> bytes);
 
 /// Parse-and-discard validation (the wngen `verify` command).

@@ -16,17 +16,32 @@ namespace viator::shard {
 
 namespace {
 
-// Checkpoint container tags (outer stream).
+// Checkpoint tags. After the merge-layer records, each shard in shard order
+// writes its handoff ordinal and then its genesis container, sealed.
 constexpr TlvTag kTagWindowIndex = 0x01;
 constexpr TlvTag kTagShardCount = 0x02;
 constexpr TlvTag kTagClamped = 0x03;
 constexpr TlvTag kTagUnroutable = 0x04;
 constexpr TlvTag kTagJournal = 0x05;
-constexpr TlvTag kTagShard = 0x06;  // one nested record per shard, in order
 constexpr TlvTag kTagPlanDigest = 0x07;  // the capturing world's plan_digest_
-// Per-shard nested tags.
 constexpr TlvTag kTagHandoffSeq = 0x10;
-constexpr TlvTag kTagGenesisBlob = 0x11;
+constexpr TlvTag kTagGenesisBlob = 0x11;  // sealed
+
+/// A u64 record; one of another width is refused rather than read as 0.
+Status ReadU64(const TlvRecord& record, std::uint64_t& value) {
+  if (Status width = record.CheckWidth(8); !width.ok()) return width;
+  value = record.AsU64();
+  return OkStatus();
+}
+
+/// The first failure in shard order, so the error does not depend on which
+/// worker finished first.
+Status FirstError(const std::vector<Status>& statuses) {
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  return OkStatus();
+}
 
 }  // namespace
 
@@ -414,49 +429,76 @@ Result<std::vector<std::byte>> ShardedNetwork::CaptureCheckpoint() {
         "sharded checkpoint requires a quiescent window boundary "
         "(pending events or in-flight handoffs)");
   }
+  // Each shard's container is captured on the worker that owns the shard;
+  // the checkpoint is then assembled in shard order, so its bytes do not
+  // depend on the thread count.
+  std::vector<std::vector<std::byte>> containers(shard_count());
+  std::vector<Status> statuses(shard_count());
+  executor_->RunPerShard([&](std::size_t shard) {
+    Result<std::vector<std::byte>> container =
+        shards_[shard]->genesis->CaptureFull();
+    if (container.ok()) {
+      containers[shard] = std::move(container).value();
+    } else {
+      statuses[shard] = container.status();
+    }
+  });
+  if (Status failed = FirstError(statuses); !failed.ok()) return failed;
+
+  const std::vector<std::byte> journal = journal_.Save();
+  std::size_t size = journal.size();
+  for (const auto& container : containers) size += container.size();
   TlvWriter writer;
+  writer.Reserve(size + 32 * (shard_count() + 8));  // and their framing
   writer.PutU64(kTagWindowIndex, window_index_);
   writer.PutU64(kTagShardCount, shard_count());
   writer.PutU64(kTagPlanDigest, plan_digest_);
   writer.PutU64(kTagClamped, clamped_handoffs_);
   writer.PutU64(kTagUnroutable, unroutable_handoffs_);
-  writer.PutNested(kTagJournal, journal_.Save());
-  for (const auto& slot : shards_) {
-    Result<std::vector<std::byte>> blob = slot->genesis->CaptureFull();
-    if (!blob.ok()) return blob.status();
-    TlvWriter shard_writer;
-    shard_writer.PutU64(kTagHandoffSeq, slot->handoff_seq);
-    shard_writer.PutNested(kTagGenesisBlob, *blob);
-    writer.PutNested(kTagShard, shard_writer.Finish());
+  writer.PutNested(kTagJournal, journal);
+  for (ShardId shard = 0; shard < shard_count(); ++shard) {
+    writer.PutU64(kTagHandoffSeq, shards_[shard]->handoff_seq);
+    writer.PutSealed(kTagGenesisBlob, containers[shard]);
+    containers[shard] = std::vector<std::byte>();  // copied: release it
   }
   return writer.Finish();
 }
 
 Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
   TlvReader reader(bytes);
-  if (Status verify = reader.Verify(); !verify.ok()) return verify;
+  if (Status verify = reader.Verify(kTagGenesisBlob); !verify.ok()) {
+    return verify;
+  }
 
   std::uint64_t window_index = 0;
   std::uint64_t clamped = 0;
   std::uint64_t unroutable = 0;
   std::span<const std::byte> journal_blob;
-  std::vector<std::span<const std::byte>> shard_blobs;
+  std::vector<std::uint64_t> handoff_seqs;
+  std::vector<std::span<const std::byte>> containers;
   std::uint64_t declared_shards = 0;
   std::optional<std::uint64_t> plan_digest;
 
   while (reader.HasNext()) {
     Result<TlvRecord> record = reader.Next();
     if (!record.ok()) return record.status();
+    Status read;
     switch (record->tag) {
-      case kTagWindowIndex: window_index = record->AsU64(); break;
-      case kTagShardCount: declared_shards = record->AsU64(); break;
-      case kTagClamped: clamped = record->AsU64(); break;
-      case kTagUnroutable: unroutable = record->AsU64(); break;
+      case kTagWindowIndex: read = ReadU64(*record, window_index); break;
+      case kTagShardCount: read = ReadU64(*record, declared_shards); break;
+      case kTagClamped: read = ReadU64(*record, clamped); break;
+      case kTagUnroutable: read = ReadU64(*record, unroutable); break;
       case kTagJournal: journal_blob = record->payload; break;
-      case kTagShard: shard_blobs.push_back(record->payload); break;
-      case kTagPlanDigest: plan_digest = record->AsU64(); break;
+      case kTagPlanDigest:
+        read = ReadU64(*record, plan_digest.emplace());
+        break;
+      case kTagHandoffSeq:
+        read = ReadU64(*record, handoff_seqs.emplace_back());
+        break;
+      case kTagGenesisBlob: containers.push_back(record->payload); break;
       default: break;  // forward compatibility: ignore unknown tags
     }
+    if (!read.ok()) return read;
   }
   // Shard worlds only fit the plan they were cut by: the same global
   // topology, shard count and node assignment.
@@ -468,27 +510,31 @@ Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
         "checkpoint was taken under a different shard plan");
   }
   if (declared_shards != shard_count() ||
-      shard_blobs.size() != shard_count()) {
+      containers.size() != shard_count() ||
+      handoff_seqs.size() != shard_count()) {
     return InvalidArgument("checkpoint shard count does not match this world");
   }
 
-  for (ShardId shard = 0; shard < shard_count(); ++shard) {
-    ShardSlot& slot = *shards_[shard];
-    TlvReader shard_reader(shard_blobs[shard]);
-    if (Status verify = shard_reader.Verify(); !verify.ok()) return verify;
-    while (shard_reader.HasNext()) {
-      Result<TlvRecord> record = shard_reader.Next();
-      if (!record.ok()) return record.status();
-      if (record->tag == kTagHandoffSeq) {
-        slot.handoff_seq = record->AsU64();
-      } else if (record->tag == kTagGenesisBlob) {
-        if (Status restored = slot.genesis->RestoreFull(record->payload);
-            !restored.ok()) {
-          return restored;
-        }
-      }
+  // Parse, and so verify, every shard's container on its worker before any
+  // shard is touched: a corrupt shard leaves every other one as it was.
+  std::vector<genesis::ParsedSnapshot> parsed(shard_count());
+  std::vector<Status> statuses(shard_count());
+  executor_->RunPerShard([&](std::size_t shard) {
+    Result<genesis::ParsedSnapshot> snapshot =
+        genesis::ParseSnapshot(containers[shard]);
+    if (snapshot.ok()) {
+      parsed[shard] = std::move(snapshot).value();
+    } else {
+      statuses[shard] = snapshot.status();
     }
-  }
+  });
+  if (Status failed = FirstError(statuses); !failed.ok()) return failed;
+  executor_->RunPerShard([&](std::size_t shard) {
+    statuses[shard] = shards_[shard]->genesis->Restore(parsed[shard]);
+    shards_[shard]->handoff_seq = handoff_seqs[shard];
+  });
+  if (Status failed = FirstError(statuses); !failed.ok()) return failed;
+
   if (!journal_blob.empty()) {
     if (Status loaded = journal_.Load(journal_blob); !loaded.ok()) {
       return loaded;

@@ -67,32 +67,38 @@ void ShardedExecutor::RunShard(std::size_t shard) {
 
 const std::vector<ShardedExecutor::WindowResult>& ShardedExecutor::RunWindow(
     TimePoint deadline, const PostWindowFn& post) {
+  deadline_ = deadline;
+  post_ = &post;
+  window_epoch_ = std::chrono::steady_clock::now();
+  const ShardTask run = [this](std::size_t shard) { RunShard(shard); };
   if (pool_.empty()) {
     // Sequential reference path: shards run in shard order on this thread.
-    std::fill(results_.begin(), results_.end(), WindowResult{});
-    deadline_ = deadline;
-    post_ = &post;
-    window_epoch_ = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < simulators_.size(); ++i) RunShard(i);
+    RunPerShard(run);
   } else {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      std::fill(results_.begin(), results_.end(), WindowResult{});
-      deadline_ = deadline;
-      post_ = &post;
-      next_shard_ = 0;
-      pending_shards_ = simulators_.size();
-      window_epoch_ = std::chrono::steady_clock::now();
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    VIATOR_PERF_SCOPE(kBarrierWait);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return pending_shards_ == 0; });
+    VIATOR_PERF_SCOPE(kBarrierWait);  // the workers run; this thread waits
+    RunPerShard(run);
   }
   post_ = nullptr;
   for (const WindowResult& r : results_) total_dispatched_ += r.dispatched;
   return results_;
+}
+
+void ShardedExecutor::RunPerShard(const ShardTask& task) {
+  if (pool_.empty()) {
+    for (std::size_t i = 0; i < simulators_.size(); ++i) task(i);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    task_ = &task;
+    next_shard_ = 0;
+    pending_shards_ = simulators_.size();
+    ++generation_;
+  }
+  work_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [this] { return pending_shards_ == 0; });
+  task_ = nullptr;
 }
 
 void ShardedExecutor::WorkerLoop() {
@@ -106,8 +112,9 @@ void ShardedExecutor::WorkerLoop() {
     seen_generation = generation_;
     while (next_shard_ < simulators_.size()) {
       const std::size_t shard = next_shard_++;
+      const ShardTask* task = task_;
       lock.unlock();
-      RunShard(shard);
+      (*task)(shard);
       lock.lock();
       if (--pending_shards_ == 0) done_cv_.notify_all();
     }

@@ -13,8 +13,9 @@
 // The executor is deliberately ignorant of what a "shard" is: it schedules
 // Simulators and runs an optional post-window task per shard on the worker
 // that finished it (used to compute per-shard state hashes off the barrier's
-// critical path). Cross-shard coupling, mailboxes and window sizing live in
-// src/shard.
+// critical path). Between windows, RunPerShard runs any shard-local task on
+// the same pool (checkpoint capture and restore). Cross-shard coupling,
+// mailboxes and window sizing live in src/shard.
 #pragma once
 
 #include <chrono>
@@ -45,9 +46,12 @@ class ShardedExecutor {
     std::uint64_t start_ns = 0;
   };
 
+  /// A task for one shard. Must touch only that shard's local state.
+  using ShardTask = std::function<void(std::size_t shard)>;
+
   /// Runs on the worker that finished shard `i`'s window, immediately after
-  /// its RunUntil returns. Must touch only shard-i-local state.
-  using PostWindowFn = std::function<void(std::size_t shard)>;
+  /// its RunUntil returns.
+  using PostWindowFn = ShardTask;
 
   /// Borrows the simulators (must outlive the executor). `threads` caps the
   /// worker pool: 0 = hardware concurrency, 1 = run inline on the calling
@@ -67,6 +71,12 @@ class ShardedExecutor {
   const std::vector<WindowResult>& RunWindow(TimePoint deadline,
                                              const PostWindowFn& post = {});
 
+  /// Runs `task(shard)` once per shard on the pool (inline, in shard order,
+  /// at threads == 1) and blocks until every task returned. The one dispatch
+  /// path: RunWindow runs its windows through it. Tasks are not charged to
+  /// the window's perf probes.
+  void RunPerShard(const ShardTask& task);
+
   std::size_t shard_count() const { return simulators_.size(); }
   std::size_t threads() const { return threads_; }
 
@@ -82,17 +92,20 @@ class ShardedExecutor {
   std::vector<WindowResult> results_;
   std::uint64_t total_dispatched_ = 0;
 
-  // Window state handed to the pool. `generation_` bumps once per window;
-  // workers claim shard indices from `next_shard_` and the last finisher
-  // signals `done_cv_`.
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
+  // The window RunShard runs, set before it is handed to the pool.
   TimePoint deadline_ = 0;
   /// Wall instant the current window was released (start_ns reference).
   std::chrono::steady_clock::time_point window_epoch_{};
   const PostWindowFn* post_ = nullptr;
+
+  // Task state handed to the pool. `generation_` bumps once per
+  // RunPerShard; workers claim shard indices from `next_shard_` and the
+  // last finisher signals `done_cv_`.
+  std::mutex mutex_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::uint64_t generation_ = 0;
+  const ShardTask* task_ = nullptr;
   std::size_t next_shard_ = 0;
   std::size_t pending_shards_ = 0;
   bool shutdown_ = false;

@@ -439,6 +439,114 @@ TEST(TlvNested, EmptyNestedPayloadFailsInnerVerify) {
   EXPECT_FALSE(nested.Verify().ok());  // no trailer in an empty stream
 }
 
+// ---- Sealed records ----
+
+namespace {
+
+constexpr TlvTag kSealed = 5;
+
+/// A stream holding two sealed bodies between plain records.
+std::vector<std::byte> SealedFixture() {
+  TlvWriter first;
+  first.PutString(1, "first body");
+  first.PutU64(2, 7);
+  TlvWriter second;
+  second.PutU32(1, 99);
+  TlvWriter outer;
+  outer.PutU64(1, 42);
+  outer.PutSealed(kSealed, first.Finish());
+  outer.PutString(2, "between");
+  outer.PutSealed(kSealed, second.Finish());
+  return outer.Finish();
+}
+
+/// What a reader of such a stream checks: the sealed verify, then each
+/// sealed body's own.
+Status VerifyWithBodies(std::span<const std::byte> stream) {
+  TlvReader reader(stream);
+  if (Status s = reader.Verify(kSealed); !s.ok()) return s;
+  while (reader.HasNext()) {
+    auto rec = reader.Next();
+    if (!rec.ok()) return rec.status();
+    if (rec->tag != kSealed) continue;
+    if (Status s = TlvReader(rec->payload).Verify(); !s.ok()) return s;
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+TEST(TlvSealed, StreamWithoutSealedRecordsKeepsItsChecksum) {
+  // Pinned bytes: the sealed rule leaves every other stream (genomes,
+  // programs, journals) and its digest as they were.
+  TlvWriter w;
+  w.PutU64(1, 0xabcdef0123456789ULL);
+  w.PutString(2, "genome");
+  const auto bytes = w.Finish();
+  ASSERT_EQ(bytes.size(), 40u);
+  std::uint64_t trailer = 0;
+  for (int i = 0; i < 8; ++i) {
+    trailer |= std::to_integer<std::uint64_t>(bytes[32 + i]) << (8 * i);
+  }
+  EXPECT_EQ(trailer, 0xeacb20014e6fbb91ULL);
+  EXPECT_EQ(HashBytes(bytes), 0x2e0613fba18f9602ULL);
+  EXPECT_EQ(TlvStreamDigest(bytes), 0x2e0613fba18f9602ULL);
+  EXPECT_TRUE(TlvReader(bytes).Verify().ok());
+  EXPECT_TRUE(TlvReader(bytes).Verify(kSealed).ok());  // none to skip
+}
+
+TEST(TlvSealed, BodiesVerifyOnTheirOwnAndDigestsReadOffTrailers) {
+  const auto bytes = SealedFixture();
+  EXPECT_TRUE(VerifyWithBodies(bytes).ok());
+  // The plain verify hashes the bodies too, so the trailer does not match.
+  EXPECT_FALSE(TlvReader(bytes).Verify().ok());
+  TlvReader reader(bytes);
+  std::size_t bodies = 0;
+  while (reader.HasNext()) {
+    auto rec = reader.Next();
+    ASSERT_TRUE(rec.ok());
+    if (rec->tag != kSealed) continue;
+    EXPECT_EQ(TlvStreamDigest(rec->payload), HashBytes(rec->payload));
+    ++bodies;
+  }
+  EXPECT_EQ(bodies, 2u);
+  // Bytes that do not end in a trailer are hashed in full.
+  const std::vector<std::byte> raw = {std::byte{1}, std::byte{2}};
+  EXPECT_EQ(TlvStreamDigest(raw), HashBytes(raw));
+}
+
+TEST(TlvSealed, EveryBitFlipIsCaught) {
+  const auto bytes = SealedFixture();
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    auto corrupt = bytes;
+    corrupt[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    EXPECT_FALSE(VerifyWithBodies(corrupt).ok()) << "bit " << bit;
+  }
+}
+
+TEST(TlvSealed, TruncationInsideASealedBodyIsRefused) {
+  const auto bytes = SealedFixture();
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(VerifyWithBodies(std::span(bytes).first(len)).ok())
+        << "truncated to " << len;
+  }
+  // A body cut short before it was sealed: the enclosing stream verifies,
+  // the body does not.
+  TlvWriter body;
+  body.PutString(1, "a body cut short");
+  auto cut = body.Finish();
+  cut.resize(cut.size() - 3);
+  TlvWriter outer;
+  outer.PutSealed(kSealed, cut);
+  const auto stream = outer.Finish();
+  EXPECT_TRUE(TlvReader(stream).Verify(kSealed).ok());
+  EXPECT_FALSE(VerifyWithBodies(stream).ok());
+  // A sealed record too short to end in a trailer is malformed.
+  TlvWriter tiny;
+  tiny.PutSealed(kSealed, std::span(cut).first(4));
+  EXPECT_FALSE(TlvReader(tiny.Finish()).Verify(kSealed).ok());
+}
+
 // Property sweep: serialize/parse round trip across sizes.
 class TlvRoundTrip : public ::testing::TestWithParam<int> {};
 

@@ -622,6 +622,94 @@ TEST(GenesisValidation, OverlayNodesMustBeInTopology) {
   }
 }
 
+/// `snapshot` re-sealed in its own framing, in which each section payload
+/// is a sealed record (tag 0x12), with the first record `pick` selects
+/// rewritten 2 bytes wide: the low bytes of its value.
+std::vector<std::byte> WithNarrowRecord(
+    std::span<const std::byte> snapshot,
+    const std::function<bool(const TlvRecord&)>& pick) {
+  constexpr TlvTag kPayload = 0x12;
+  TlvReader reader(snapshot);
+  EXPECT_TRUE(reader.Verify(kPayload).ok());
+  TlvWriter out;
+  bool narrowed = false;
+  while (reader.HasNext()) {
+    const auto record = reader.Next();
+    if (!record.ok()) {
+      ADD_FAILURE() << record.status().ToString();
+      break;
+    }
+    if (!narrowed && pick(*record)) {
+      out.PutBytes(record->tag, record->payload.first(2));
+      narrowed = true;
+    } else if (record->tag == kPayload) {
+      out.PutSealed(record->tag, record->payload);
+    } else {
+      out.PutBytes(record->tag, record->payload);
+    }
+  }
+  return out.Finish();
+}
+
+TEST(GenesisValidation, WrongWidthScalarsAreRefused) {
+  // A scalar record of the wrong width is refused, not read as 0: a ships
+  // section whose id read as 0 used to be skipped (restoring none of the
+  // ships), and a delta whose kind read as 0 passed as a full snapshot.
+  Replica source;
+  Drive(source, 0, 8);
+  genesis::GenesisManager manager(*source.network);
+  auto full = manager.CaptureFull();
+  ASSERT_TRUE(full.ok());
+  Drive(source, 8, 16);
+  auto delta = manager.CaptureDelta();
+  ASSERT_TRUE(delta.ok());
+
+  const auto restore = [](const std::vector<std::byte>& bytes,
+                          std::size_t* ships) {
+    Replica fresh(Replica::Mode::kFresh);
+    genesis::GenesisManager target(*fresh.network);
+    const Status status = target.RestoreFull(bytes);
+    *ships = fresh.network->ship_count();
+    return status;
+  };
+  std::size_t ships = 0;
+  const auto none = [](const TlvRecord&) { return false; };
+  ASSERT_TRUE(restore(WithNarrowRecord(*full, none), &ships).ok())
+      << "an unedited re-seal must restore";
+  EXPECT_EQ(ships, 9u);
+
+  struct Case {
+    const char* what;
+    const std::vector<std::byte>* snapshot;
+    std::function<bool(const TlvRecord&)> pick;
+  };
+  const Case cases[] = {
+      {"ships section id", &*full,
+       [](const TlvRecord& r) {
+         return r.tag == 0x10 && r.AsU32() == genesis::kSectionShips;
+       }},
+      {"delta kind", &*delta, [](const TlvRecord& r) { return r.tag == 0x03; }},
+      {"format version", &*full,
+       [](const TlvRecord& r) { return r.tag == 0x02; }},
+      {"section count", &*full,
+       [](const TlvRecord& r) { return r.tag == 0x08; }},
+      {"section version", &*full,
+       [](const TlvRecord& r) { return r.tag == 0x11; }},
+      {"section digest", &*full,
+       [](const TlvRecord& r) { return r.tag == 0x13; }},
+  };
+  for (const Case& c : cases) {
+    const std::vector<std::byte> narrow = WithNarrowRecord(*c.snapshot, c.pick);
+    EXPECT_EQ(genesis::VerifySnapshot(narrow).code(),
+              StatusCode::kInvalidArgument)
+        << c.what;
+    const Status status = restore(narrow, &ships);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << status.ToString();
+    EXPECT_EQ(ships, 0u) << c.what;
+  }
+}
+
 // ---- Pinned snapshot bytes --------------------------------------------------
 
 /// "<name> <id> v<version> <size> <fnv>" per section, in capture order.

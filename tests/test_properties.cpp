@@ -122,6 +122,12 @@ TEST_P(CodecFuzz, TlvReaderSurvivesRandomBytes) {
     for (auto& b : bytes) b = static_cast<std::byte>(rng.Next() & 0xff);
     TlvReader reader(bytes);
     (void)reader.Verify();
+    // The sealed walk too, sealing the first record's tag so that random
+    // streams do hold sealed records.
+    if (const auto first = TlvReader(bytes).Next(); first.ok()) {
+      (void)reader.Verify(first->tag);
+    }
+    (void)TlvStreamDigest(bytes);
     int guard = 0;
     while (reader.HasNext() && guard++ < 1000) {
       if (!reader.Next().ok()) break;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -453,6 +454,33 @@ TEST(ShardedNetwork, CheckpointRestoreAtWindowBoundaryIsBitIdentical) {
   EXPECT_FALSE(report.diverged) << report.summary;
 }
 
+/// Re-seals a sharded checkpoint in its own framing, in which each shard's
+/// container is a sealed record (tag 0x11). `edit` sees every record and
+/// may write replacements; it returns false to have the record copied as
+/// it is.
+std::vector<std::byte> ResealCheckpoint(
+    std::span<const std::byte> checkpoint,
+    const std::function<bool(const TlvRecord&, TlvWriter&)>& edit) {
+  constexpr TlvTag kContainer = 0x11;
+  TlvReader reader(checkpoint);
+  EXPECT_TRUE(reader.Verify(kContainer).ok());
+  TlvWriter out;
+  while (reader.HasNext()) {
+    const Result<TlvRecord> record = reader.Next();
+    if (!record.ok()) {
+      ADD_FAILURE() << record.status().ToString();
+      break;
+    }
+    if (edit(*record, out)) continue;
+    if (record->tag == kContainer) {
+      out.PutSealed(record->tag, record->payload);
+    } else {
+      out.PutBytes(record->tag, record->payload);
+    }
+  }
+  return out.Finish();
+}
+
 TEST(ShardedNetwork, CheckpointRefusedUnderADifferentPlan) {
   // Shard worlds fit only the plan they were cut by. A checkpoint records
   // the plan digest, and a world built on another plan (another grid, or
@@ -508,22 +536,16 @@ TEST(ShardedNetwork, CheckpointRefusedUnderADifferentPlan) {
 
   // A checkpoint that records no plan is refused too.
   const std::vector<std::byte> checkpoint = capture(small, rows);
-  TlvReader reader(checkpoint);
-  ASSERT_TRUE(reader.Verify().ok());
-  TlvWriter stripped;
   std::size_t dropped = 0;
-  while (reader.HasNext()) {
-    Result<TlvRecord> record = reader.Next();
-    ASSERT_TRUE(record.ok());
-    if (record->tag == 0x07) {
-      ++dropped;
-      continue;
-    }
-    stripped.PutBytes(record->tag, record->payload);
-  }
+  const std::vector<std::byte> stripped =
+      ResealCheckpoint(checkpoint, [&](const TlvRecord& record, TlvWriter&) {
+        if (record.tag != 0x07) return false;
+        ++dropped;
+        return true;
+      });
   ASSERT_EQ(dropped, 1u);
   shard::ShardedNetwork shell(small, rows, /*populate=*/false);
-  EXPECT_EQ(shell.RestoreCheckpoint(stripped.Finish()).code(),
+  EXPECT_EQ(shell.RestoreCheckpoint(stripped).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -538,6 +560,119 @@ TEST(ShardedNetwork, CheckpointRefusedWhileHandoffsInFlight) {
   EXPECT_FALSE(world.IsQuiescent());
   EXPECT_EQ(world.CaptureCheckpoint().status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// The 4x4 grid in four shards on `threads` workers.
+shard::ShardedConfig CheckpointConfig(std::size_t threads) {
+  shard::ShardedConfig config;
+  config.shard_count = 4;
+  config.threads = threads;
+  config.seed = 77;
+  return config;
+}
+
+/// Cross-shard traffic, run to a quiescent window boundary.
+void DriveToBoundary(shard::ShardedNetwork& world) {
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(world.Inject(i % 16, (i * 5 + 3) % 16, {1}, i).ok());
+  }
+  world.RunUntilQuiescent(128);
+  ASSERT_TRUE(world.IsQuiescent());
+}
+
+TEST(ShardedNetwork, CheckpointBytesIndependentOfThreads) {
+  // Each shard is captured on the worker that owns it and the checkpoint
+  // is assembled in shard order, so its bytes do not depend on the thread
+  // count; and a checkpoint restores into a shell with any thread count.
+  const net::Topology grid = net::MakeGrid(4, 4);
+  std::vector<std::vector<std::byte>> checkpoints;
+  std::uint64_t state_hash = 0;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    shard::ShardedNetwork world(grid, CheckpointConfig(threads));
+    ASSERT_EQ(world.threads(), threads);
+    DriveToBoundary(world);
+    state_hash = world.StateHash();
+    Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+    checkpoints.push_back(*std::move(checkpoint));
+  }
+  EXPECT_TRUE(checkpoints[1] == checkpoints[0]) << "threads 2 differs";
+  EXPECT_TRUE(checkpoints[2] == checkpoints[0]) << "threads 4 differs";
+
+  shard::ShardedNetwork shell(grid, CheckpointConfig(4), /*populate=*/false);
+  ASSERT_TRUE(shell.RestoreCheckpoint(checkpoints[0]).ok());
+  EXPECT_EQ(shell.StateHash(), state_hash);
+}
+
+TEST(ShardedNetwork, CheckpointBitFlipsAreRefused) {
+  // Sampled bit flips across a whole checkpoint: each is refused, and no
+  // shard of the shell gains a ship. Every shard's container is verified
+  // before any shard is applied, so a flip in the last shard leaves the
+  // first ones untouched too.
+  const net::Topology grid = net::MakeGrid(4, 4);
+  shard::ShardedNetwork world(grid, CheckpointConfig(2));
+  DriveToBoundary(world);
+  Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  {
+    shard::ShardedNetwork shell(grid, CheckpointConfig(2), false);
+    ASSERT_TRUE(shell.RestoreCheckpoint(*checkpoint).ok());
+  }
+
+  const std::vector<std::byte>& bytes = *checkpoint;
+  std::size_t flips = 0;
+  for (std::size_t bit = 0; bit < bytes.size() * 8; bit += 211) {
+    std::vector<std::byte> corrupt = bytes;
+    corrupt[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    shard::ShardedNetwork shell(grid, CheckpointConfig(2), false);
+    EXPECT_FALSE(shell.RestoreCheckpoint(corrupt).ok())
+        << "bit " << bit << " flip was not detected";
+    for (shard::ShardId s = 0; s < shell.shard_count(); ++s) {
+      EXPECT_EQ(shell.shard_network(s).ship_count(), 0u)
+          << "bit " << bit << " flip touched shard " << s;
+    }
+    ++flips;
+  }
+  EXPECT_GT(flips, 100u);
+}
+
+TEST(ShardedNetwork, CheckpointWrongWidthScalarsAreRefused) {
+  // Each of the checkpoint's scalar records, re-sealed 4 bytes wide, is
+  // refused rather than read as 0 (a handoff ordinal read as 0 used to
+  // restore OK and then diverge from the original's continuation).
+  const net::Topology grid = net::MakeGrid(4, 4);
+  shard::ShardedNetwork world(grid, CheckpointConfig(1));
+  DriveToBoundary(world);
+  Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  const auto narrowed = [&](TlvTag tag) {
+    bool done = false;
+    const auto narrow = [&](const TlvRecord& record, TlvWriter& out) {
+      if (done || record.tag != tag) return false;
+      out.PutU32(tag, static_cast<std::uint32_t>(record.AsU64()));
+      done = true;
+      return true;
+    };
+    return ResealCheckpoint(*checkpoint, narrow);
+  };
+  {
+    shard::ShardedNetwork shell(grid, CheckpointConfig(1), false);
+    EXPECT_TRUE(shell.RestoreCheckpoint(narrowed(0x7fff)).ok())
+        << "an unedited re-seal must restore";
+  }
+  const std::pair<TlvTag, const char*> fields[] = {
+      {0x01, "window index"}, {0x02, "shard count"}, {0x07, "plan digest"},
+      {0x03, "clamped"},      {0x04, "unroutable"},  {0x10, "handoff ordinal"}};
+  for (const auto& [tag, what] : fields) {
+    shard::ShardedNetwork shell(grid, CheckpointConfig(1), false);
+    const Status status = shell.RestoreCheckpoint(narrowed(tag));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+    for (shard::ShardId s = 0; s < shell.shard_count(); ++s) {
+      EXPECT_EQ(shell.shard_network(s).ship_count(), 0u) << what;
+    }
+  }
 }
 
 // ---- Telemetry --------------------------------------------------------------
