@@ -24,10 +24,18 @@ void Fabric::SetReceiveHandler(NodeId node, ReceiveHandler handler) {
 }
 
 void Fabric::EnsureLinkState(LinkId id) {
-  // Grow the two arrays independently: a state restore may have populated
-  // link_bytes_ beyond directions_, and a joint resize would truncate it.
+  if (directions_.size() > id && link_bytes_.size() > id) return;
+  // The first growth makes room for every link the topology has now, so
+  // the arrays do not double their way up to it; links added later grow
+  // them as usual. Grow the two arrays independently: a state restore may
+  // have populated link_bytes_ beyond directions_, and a joint resize would
+  // truncate it.
+  const std::size_t links = topology_.link_count();
+  if (directions_.capacity() == 0) directions_.reserve(links);
+  if (link_bytes_.capacity() == 0) link_bytes_.reserve(links);
   if (directions_.size() <= id) directions_.resize(id + 1);
   if (link_bytes_.size() <= id) link_bytes_.resize(id + 1, 0);
+  ChargeLinkState();
 }
 
 Status Fabric::Send(Frame frame) {

@@ -20,6 +20,7 @@
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "telemetry/latency_plane.h"
+#include "telemetry/mem_counters.h"
 
 namespace viator::net {
 
@@ -89,6 +90,7 @@ class Fabric {
       if (!has_rng) a.Fail(InvalidArgument("fabric section missing RNG state"));
     }
     a.Repeated(0x06, link_bytes_);
+    if constexpr (A::kLoading) ChargeLinkState();
   }
 
  private:
@@ -98,6 +100,11 @@ class Fabric {
   };
 
   void EnsureLinkState(LinkId id);
+  // Mirrors the two per-link arrays' capacity into link_state_bytes_.
+  void ChargeLinkState() {
+    link_state_bytes_.Set(directions_.capacity() * sizeof(directions_[0]) +
+                          link_bytes_.capacity() * sizeof(link_bytes_[0]));
+  }
 
   sim::Simulator& simulator_;
   Topology& topology_;
@@ -115,6 +122,8 @@ class Fabric {
   std::vector<ReceiveHandler> handlers_;
   std::vector<std::array<Direction, 2>> directions_;  // per link: a->b, b->a
   std::vector<std::uint64_t> link_bytes_;
+  telemetry::mem::ChargedBytes<telemetry::mem::Domain::kFabric>
+      link_state_bytes_;
   std::uint64_t next_frame_id_ = 1;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t frames_dropped_ = 0;

@@ -27,8 +27,40 @@ LinkId Topology::AddLink(NodeId a, NodeId b, const LinkConfig& config) {
   links_.push_back(Link{a, b, config, true});
   incident_[a].push_back(id);
   incident_[b].push_back(id);
-  ++generation_;
+  LinkCameUp(a, b);
   return id;
+}
+
+void Topology::SetLinkUp(LinkId id, bool up) {
+  Link& link = links_[id];
+  if (link.up == up) return;
+  link.up = up;
+  if (up) {
+    LinkCameUp(link.a, link.b);
+  } else {
+    ++generation_;
+  }
+}
+
+void Topology::LinkCameUp(NodeId a, NodeId b) {
+  const std::uint64_t live = generation_++;
+  // A link to a down node joins nothing: live rows only need the new stamp.
+  const bool joins = node_up_[a] && node_up_[b];
+  for (CacheRow& row : rows_) {
+    if (row.gen != live) continue;
+    row.gen = generation_;
+    if (!joins) continue;
+    std::uint32_t* const dist = row.dist.data();
+    const std::uint32_t da = dist[a];
+    const std::uint32_t db = dist[b];
+    // The new link shortens paths only through the nearer endpoint, and
+    // only when the farther one sits two or more levels below it.
+    if (da != kUnreached && (db == kUnreached || db > da + 1)) {
+      LowerFrom(dist, b, da + 1);
+    } else if (db != kUnreached && (da == kUnreached || da > db + 1)) {
+      LowerFrom(dist, a, db + 1);
+    }
+  }
 }
 
 void Topology::SetNodeUp(NodeId node, bool up) {
@@ -153,9 +185,20 @@ NodeId Topology::NextHop(NodeId from, NodeId to) const {
   if (from >= node_count_ || to >= node_count_) return kInvalidNode;
   if (!node_up_[from] || !node_up_[to]) return kInvalidNode;
   if (from == to) return kInvalidNode;
-  CacheRow& row = RouteRowFor(from);
+  CacheRow& row = RouteRowFor(to);
   row.last_used = ++lru_tick_;
-  return row.first_hop[to];
+  const std::uint32_t* const dist = row.dist.data();
+  const std::uint32_t d = dist[from];
+  if (d == kUnreached) return kInvalidNode;
+  if (d == 1) return to;
+  // The first neighbour one level closer, in CSR order (header comment).
+  if (csr_gen_ != generation_) BuildCsr();
+  for (std::uint32_t k = csr_offsets_[from]; k < csr_offsets_[from + 1]; ++k) {
+    const NodeId v = csr_nodes_[k];
+    if (dist[v] == d - 1) return v;
+  }
+  assert(false && "a reached node has a neighbour one level closer");
+  return kInvalidNode;
 }
 
 void Topology::SetRouteCacheCapacity(std::size_t rows) {
@@ -164,16 +207,16 @@ void Topology::SetRouteCacheCapacity(std::size_t rows) {
   // drop from the back (deterministic).
   while (rows_.size() > cache_capacity_) {
     const CacheRow& victim = rows_.back();
-    if (victim.from < row_of_.size()) {
-      row_of_[victim.from] = kInvalidNode;
+    if (victim.to < row_of_.size()) {
+      row_of_[victim.to] = kInvalidNode;
     }
     ++cache_stats_.evictions;
-    cache_bytes_.Sub(victim.first_hop.capacity() * sizeof(NodeId));
+    cache_bytes_.Sub(victim.dist.capacity() * sizeof(std::uint32_t));
     rows_.pop_back();
   }
 }
 
-Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
+Topology::CacheRow& Topology::RouteRowFor(NodeId to) const {
   if (row_of_.size() < node_count_) {
     const std::size_t before = row_of_.capacity();
     row_of_.resize(node_count_, kInvalidNode);
@@ -181,8 +224,8 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
       cache_bytes_.Add((row_of_.capacity() - before) * sizeof(std::uint32_t));
     }
   }
-  const std::uint32_t idx = row_of_[from];
-  if (idx != kInvalidNode && rows_[idx].from == from) {
+  const std::uint32_t idx = row_of_[to];
+  if (idx != kInvalidNode && rows_[idx].to == to) {
     CacheRow& row = rows_[idx];
     if (row.gen == generation_) {
       ++cache_stats_.hits;
@@ -193,7 +236,7 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
     ++cache_stats_.invalidations;
     ++cache_stats_.misses;
     VIATOR_PERF_COUNT(kRouteCacheMiss);
-    FillRow(row, from);
+    FillRow(row, to);
     return row;
   }
   ++cache_stats_.misses;
@@ -204,9 +247,9 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
     if (rows_.capacity() != before) {
       cache_bytes_.Add((rows_.capacity() - before) * sizeof(CacheRow));
     }
-    row_of_[from] = static_cast<std::uint32_t>(rows_.size() - 1);
+    row_of_[to] = static_cast<std::uint32_t>(rows_.size() - 1);
     CacheRow& row = rows_.back();
-    FillRow(row, from);
+    FillRow(row, to);
     return row;
   }
   // LRU eviction: reuse the least recently used row's storage.
@@ -215,46 +258,64 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
     if (rows_[i].last_used < rows_[victim].last_used) victim = i;
   }
   CacheRow& row = rows_[victim];
-  if (row.from < row_of_.size() && row_of_[row.from] == victim) {
-    row_of_[row.from] = kInvalidNode;
+  if (row.to < row_of_.size() && row_of_[row.to] == victim) {
+    row_of_[row.to] = kInvalidNode;
   }
   ++cache_stats_.evictions;
-  row_of_[from] = static_cast<std::uint32_t>(victim);
-  FillRow(row, from);
+  row_of_[to] = static_cast<std::uint32_t>(victim);
+  FillRow(row, to);
   return row;
 }
 
-void Topology::FillRow(Topology::CacheRow& row, NodeId from) const {
+void Topology::FillRow(Topology::CacheRow& row, NodeId to) const {
   VIATOR_PERF_SCOPE(kRouteCacheFill);
   if (csr_gen_ != generation_) BuildCsr();
-  row.from = from;
+  row.to = to;
   row.gen = generation_;
-  const std::size_t before = row.first_hop.capacity();
-  row.first_hop.assign(node_count_, kInvalidNode);
-  if (row.first_hop.capacity() != before) {
-    cache_bytes_.Add((row.first_hop.capacity() - before) * sizeof(NodeId));
+  const std::size_t before = row.dist.capacity();
+  row.dist.assign(node_count_, kUnreached);
+  if (row.dist.capacity() != before) {
+    cache_bytes_.Add((row.dist.capacity() - before) * sizeof(std::uint32_t));
   }
-  // One full BFS with first-hop label propagation. Expansion order and
-  // first-touch parent assignment are identical to ShortestPath(), so for
-  // every destination `d` the label equals ShortestPath(from, d)[1]; the
-  // early exit the per-pair query takes merely stops after the target's
-  // label is already fixed. A set label is the visited mark: the source
-  // carries its own id during the sweep and is cleared after it.
-  NodeId* const hop = row.first_hop.data();
-  hop[from] = from;
+  // One full BFS from the destination; links are full duplex, so a node's
+  // distance from `to` is its distance to it. A set distance is the
+  // visited mark.
+  std::uint32_t* const dist = row.dist.data();
+  dist[to] = 0;
   std::size_t head = 0;
   std::size_t tail = 0;
-  frontier_[tail++] = from;
+  frontier_[tail++] = to;
   while (head < tail) {
     const NodeId u = frontier_[head++];
+    const std::uint32_t next = dist[u] + 1;
     for (std::uint32_t k = csr_offsets_[u]; k < csr_offsets_[u + 1]; ++k) {
       const NodeId v = csr_nodes_[k];
-      if (hop[v] != kInvalidNode) continue;
-      hop[v] = u == from ? v : hop[u];
+      if (dist[v] != kUnreached) continue;
+      dist[v] = next;
       frontier_[tail++] = v;
     }
   }
-  hop[from] = kInvalidNode;
+}
+
+void Topology::LowerFrom(std::uint32_t* row, NodeId start,
+                         std::uint32_t dist) const {
+  if (csr_gen_ != generation_) BuildCsr();
+  // The queue pops in nondecreasing distance, so a node lowered once is
+  // already final and enters the queue at most once.
+  row[start] = dist;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  frontier_[tail++] = start;
+  while (head < tail) {
+    const NodeId u = frontier_[head++];
+    const std::uint32_t next = row[u] + 1;
+    for (std::uint32_t k = csr_offsets_[u]; k < csr_offsets_[u + 1]; ++k) {
+      const NodeId v = csr_nodes_[k];
+      if (row[v] <= next) continue;
+      row[v] = next;
+      frontier_[tail++] = v;
+    }
+  }
 }
 
 void Topology::BuildCsr() const {
@@ -265,6 +326,8 @@ void Topology::BuildCsr() const {
   const std::size_t before = bytes();
   csr_offsets_.resize(node_count_ + 1);
   csr_nodes_.clear();
+  // Each up link lists both endpoints once: room for all without doubling.
+  csr_nodes_.reserve(2 * links_.size());
   for (NodeId n = 0; n < node_count_; ++n) {
     csr_offsets_[n] = static_cast<std::uint32_t>(csr_nodes_.size());
     if (!node_up_[n]) continue;

@@ -8,18 +8,35 @@
 // lets the Wandering Network's "topology-on-demand" react to real change.
 //
 // NextHop() — the per-hop routing query on the data path — is backed by a
-// generation-stamped route cache: one flat first-hop row per source node
-// (LRU-bounded), filled by a single full BFS and invalidated wholesale by
-// bumping `generation_` on every structural mutation (link/node up/down,
-// added links/nodes, mobility rewires). The fill BFS walks a CSR adjacency
-// (one offsets array, one neighbour array) of the up neighbours, rebuilt at
-// most once per generation, with a reused frontier and the row itself as
-// the visited mark. A cached row is proven decision-identical to the
-// per-pair BFS it replaces: the CSR lists each node's neighbours in the
-// order Neighbors() yields them and BFS parent assignment is first-touch,
-// so propagating first-hop labels in one sweep yields exactly
-// ShortestPath(from, to)[1] for every destination. Rows and CSR are derived
-// state: never snapshotted or hashed, copied with the topology.
+// generation-stamped route cache of per-destination rows (LRU-bounded): the
+// row for `to` holds every node's hop distance to `to`, 4 bytes per node,
+// filled by one BFS from `to`. Every hop of a shuttle reads the same row.
+// The BFS walks a CSR adjacency (one offsets array, one neighbour array) of
+// the up neighbours, rebuilt at most once per generation, with a reused
+// frontier and the row itself as the visited mark.
+//
+// NextHop(from, to) returns the first neighbour v in from's CSR slice with
+// dist[v] == dist[from] - 1 (`to` itself when dist[from] == 1). That is
+// exactly ShortestPath(from, to)[1]. The CSR lists each node's neighbours
+// in the order Neighbors() yields them, and first-touch BFS from `from`
+// keeps every frontier level grouped by first hop, in from's neighbour
+// order: level 1 is that order, and a level-k node's children follow it.
+// So a node w at level k + 1 inherits the first hop of the earliest level-k
+// node next to it: the first neighbour n of `from` whose group holds a
+// level-k neighbour of w, which is the first n with dist(n, w) == k. The
+// lookup scans from's slice; its worst case is a hub whose only closer
+// neighbour is listed last, one row read per neighbour.
+//
+// Structural mutations bump `generation_`, and a row is live only while its
+// stamp equals it. A link coming up (AddLink, SetLinkUp(id, true)) only
+// lowers distances, so it repairs each live row in place and restamps it:
+// when the endpoints' distances differ by at most one, or either endpoint
+// is down, the row is unchanged; otherwise an exact decrease-only BFS runs
+// from the farther endpoint (its new distance is the nearer one's plus one)
+// and stops where distances do not fall. Removals and node changes (link
+// or node down, node up, added nodes, mobility rewires that drop links)
+// leave rows stale, to be refilled lazily on their next read. Rows and CSR
+// are derived state: never snapshotted or hashed, copied with the topology.
 //
 // digest() caches the digest of the topology's own fields (HashFields over
 // Visit) under the same stamp: every change to a visited field bumps
@@ -77,12 +94,7 @@ class Topology {
 
   const Link& link(LinkId id) const { return links_[id]; }
 
-  void SetLinkUp(LinkId id, bool up) {
-    if (links_[id].up != up) {
-      links_[id].up = up;
-      ++generation_;
-    }
-  }
+  void SetLinkUp(LinkId id, bool up);
   bool IsLinkUp(LinkId id) const { return links_[id].up; }
 
   /// Marks every link touching `node` down (node failure) or up again.
@@ -126,9 +138,10 @@ class Topology {
   /// answers FastestPath(source, t) for every t at once.
   PathTree FastestTree(NodeId source, NodeId stop = kInvalidNode) const;
 
-  /// Next hop on the hop-count shortest path, or kInvalidNode. O(1) against
-  /// the route cache in steady state; one row-filling BFS per (source,
-  /// topology generation) otherwise.
+  /// Next hop on the hop-count shortest path, or kInvalidNode. A scan of
+  /// from's up neighbours against the cached row for `to` in steady state;
+  /// one row-filling BFS per destination otherwise (cold, evicted, or stale
+  /// after a removal or node change).
   NodeId NextHop(NodeId from, NodeId to) const;
 
   /// Next hop computed the pre-cache way: a fresh per-pair BFS. Exists so
@@ -146,6 +159,7 @@ class Topology {
     std::uint64_t misses = 0;         // row fills (cold or post-invalidation)
     std::uint64_t invalidations = 0;  // stale rows discarded lazily
     std::uint64_t evictions = 0;      // live rows displaced by LRU pressure
+    // Link additions repair live rows in place and count as none of these.
   };
 
   /// Runtime switch (default on). Disabling routes every NextHop through a
@@ -153,22 +167,22 @@ class Topology {
   void SetRouteCacheEnabled(bool enabled) { cache_enabled_ = enabled; }
   bool route_cache_enabled() const { return cache_enabled_; }
 
-  /// Caps the number of cached source rows (LRU eviction beyond it).
+  /// Caps the number of cached destination rows (LRU eviction beyond it).
   /// Minimum 1; default 256 rows.
   void SetRouteCacheCapacity(std::size_t rows);
   std::size_t route_cache_capacity() const { return cache_capacity_; }
 
   const RouteCacheStats& route_cache_stats() const { return cache_stats_; }
 
-  /// Heap bytes behind the cache (row index, row spine, first-hop stores,
-  /// the fill's CSR adjacency and frontier), tracked incrementally and
+  /// Heap bytes behind the cache (row index, row spine, distance stores,
+  /// the CSR adjacency and BFS frontier), tracked incrementally and
   /// mirrored into the memory observatory's kRouteCache domain.
-  /// Deterministic for a given query sequence.
+  /// Deterministic for a given query and mutation sequence.
   std::size_t route_cache_bytes() const { return cache_bytes_.value(); }
 
   /// Monotone structural-change counter: bumps on every mutation that could
-  /// change a shortest path. Cached rows stamped with an older generation
-  /// are dead.
+  /// change a shortest path. A link addition restamps the rows it repaired;
+  /// rows stamped with an older generation are dead.
   std::uint64_t generation() const { return generation_; }
 
   /// HashFields(*this): the digest of the visited fields, recomputed only
@@ -229,17 +243,24 @@ class Topology {
   // capture bit for bit. On error the topology is left empty.
   Status Rebuild(std::uint64_t node_count);
 
-  // One cached first-hop row: first_hop[dst] on the shortest path from
-  // `from`, kInvalidNode when unreachable. Valid iff gen == generation_.
+  // One cached destination row: dist[n] is n's hop count to `to` over up
+  // links, kUnreached when there is no path. Valid iff gen == generation_.
+  static constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
   struct CacheRow {
-    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
     std::uint64_t gen = 0;
     std::uint64_t last_used = 0;
-    std::vector<NodeId> first_hop;
+    std::vector<std::uint32_t> dist;
   };
 
-  CacheRow& RouteRowFor(NodeId from) const;
-  void FillRow(CacheRow& row, NodeId from) const;
+  CacheRow& RouteRowFor(NodeId to) const;
+  void FillRow(CacheRow& row, NodeId to) const;
+  // Bumps the generation for a link (a, b) that just came up and repairs
+  // every row that was live before it (see the header comment).
+  void LinkCameUp(NodeId a, NodeId b);
+  // Decrease-only BFS: `start` moves to `dist` hops and every node it
+  // brings closer follows.
+  void LowerFrom(std::uint32_t* row, NodeId start, std::uint32_t dist) const;
   // Rebuilds the CSR adjacency and sizes the frontier for generation_.
   void BuildCsr() const;
 
@@ -255,17 +276,17 @@ class Topology {
   // path can maintain it. Copying a Topology copies the cache, which stays
   // valid (generation and structure travel together).
   mutable std::vector<CacheRow> rows_;
-  mutable std::vector<std::uint32_t> row_of_;  // from -> index into rows_
+  mutable std::vector<std::uint32_t> row_of_;  // to -> index into rows_
   mutable std::uint64_t lru_tick_ = 0;
   mutable RouteCacheStats cache_stats_;
-  // The fill BFS's CSR adjacency: node n's up neighbours are
-  // csr_nodes_[csr_offsets_[n] .. csr_offsets_[n + 1]), in incident_ order
-  // and filtered exactly as Neighbors() filters. Valid iff csr_gen_ ==
-  // generation_ (generation_ never reaches the initial stamp).
+  // The CSR adjacency the fills, repairs and lookups walk: node n's up
+  // neighbours are csr_nodes_[csr_offsets_[n] .. csr_offsets_[n + 1]), in
+  // incident_ order and filtered exactly as Neighbors() filters. Valid iff
+  // csr_gen_ == generation_ (generation_ never reaches the initial stamp).
   mutable std::uint64_t csr_gen_ = ~std::uint64_t{0};
   mutable std::vector<std::uint32_t> csr_offsets_;
   mutable std::vector<NodeId> csr_nodes_;
-  mutable std::vector<NodeId> frontier_;  // FillRow's BFS queue
+  mutable std::vector<NodeId> frontier_;  // the fill and repair BFS queue
   // digest()'s cache, valid iff digest_gen_ == generation_.
   mutable std::uint64_t digest_gen_ = ~std::uint64_t{0};
   mutable Digest digest_ = 0;

@@ -8,8 +8,10 @@ StaticRouter::StaticRouter(wli::WanderingNetwork& network)
     : network_(network) {
   const std::size_t n = network_.topology().node_count();
   tables_.assign(n, std::vector<net::NodeId>(n, net::kInvalidNode));
-  for (net::NodeId src = 0; src < n; ++src) {
-    for (net::NodeId dst = 0; dst < n; ++dst) {
+  // Destination-major: the topology caches one row per destination, so
+  // this fills each row once however many nodes there are.
+  for (net::NodeId dst = 0; dst < n; ++dst) {
+    for (net::NodeId src = 0; src < n; ++src) {
       if (src == dst) continue;
       tables_[src][dst] = network_.topology().NextHop(src, dst);
     }

@@ -24,6 +24,7 @@ const char* DomainName(Domain domain) {
     case Domain::kMailbox: return "mem.mailbox";
     case Domain::kGenesisBuffer: return "mem.genesis_buffer";
     case Domain::kFactsGenome: return "mem.facts_genome";
+    case Domain::kFabric: return "mem.fabric";
     case Domain::kCount: break;
   }
   return "mem.unknown";

@@ -37,13 +37,14 @@ namespace viator::telemetry::mem {
 enum class Domain : std::uint8_t {
   kShuttlePool = 0,  // pooled shuttle shells retained by wli::ShuttlePool
   kCalendarQueue,    // event-slot pool + calendar bucket heap storage
-  kRouteCache,       // first-hop route cache rows on net::Topology
+  kRouteCache,       // hop-distance route cache rows on net::Topology
   kFlatMap,          // base::FlatMap/FlatNameMap backing stores (routing, ...)
   kStatsRegistry,    // StatsRegistry metric tables (a FlatNameMap tenant)
   kJournalRing,      // decision-journal record ring + window-hash log
   kMailbox,          // striped cross-shard handoff mailboxes
   kGenesisBuffer,    // snapshot encode/decode scratch buffers
   kFactsGenome,      // per-node FactStore hash tables
+  kFabric,           // per-link queue state and byte counts on net::Fabric
   kCount,
 };
 

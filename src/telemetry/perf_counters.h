@@ -44,7 +44,7 @@ enum class Metric : std::uint8_t {
   kMergeWindow,       // single-threaded handoff merge at the barrier
   kRouteCacheHit,     // NextHop answered from a live cached row (counted)
   kRouteCacheMiss,    // NextHop had to (re)fill a row (counted)
-  kRouteCacheFill,    // one full first-hop BFS filling a cache row
+  kRouteCacheFill,    // one full BFS from a destination filling a cache row
   kShipConsume,       // Ship::Consume: dock, role handler or EE, sink
   kEeExecute,         // Ship::ExecuteShuttleCode: one WanderScript EE run
   kWnPulse,           // WanderingNetwork::Pulse: one autopoietic pulse

@@ -8,6 +8,7 @@
 #include "net/mobility.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "telemetry/mem_counters.h"
 
 namespace viator::net {
 namespace {
@@ -174,6 +175,40 @@ TEST_F(FabricFixture, LinkBytesAccountPerLink) {
   EXPECT_EQ(fabric.link_bytes()[0], 100u);
   EXPECT_EQ(fabric.link_bytes()[1], 200u);
   EXPECT_EQ(fabric.bytes_sent(), 300u);
+}
+
+TEST_F(FabricFixture, ChargesLinkStateToTheFabricDomain) {
+  // The first frame reserves the per-link state for every link the
+  // topology has, in one charge to mem.fabric; link_bytes() still grows
+  // only to the links used, because its size is snapshotted.
+  namespace mem = telemetry::mem;
+  const auto fabric_domain = [] {
+    return mem::Aggregate()[static_cast<std::size_t>(mem::Domain::kFabric)];
+  };
+  mem::ResetAll();
+  mem::SetEnabled(true);
+  {
+    Topology t = MakeLine(5);  // links 0..3
+    Fabric fabric(simulator, t, Rng(1), stats);
+    EXPECT_EQ(fabric_domain().live_bytes, 0);
+    (void)fabric.Send(MakeFrame(0, 1, 100));
+    EXPECT_EQ(fabric.link_bytes().size(), 1u);
+    // Per link: two 16-byte directions and an 8-byte byte count.
+    EXPECT_EQ(fabric_domain().live_bytes, 4 * 40);
+    (void)fabric.Send(MakeFrame(3, 4, 100));
+    EXPECT_EQ(fabric.link_bytes().size(), 4u);
+    EXPECT_EQ(fabric_domain().allocs, 1u);
+    // A link added later grows the arrays past the reservation.
+    const LinkId late = t.AddLink(0, 4);
+    (void)fabric.Send(MakeFrame(4, 0, 100));
+    EXPECT_EQ(fabric.link_bytes().size(), late + 1u);
+    EXPECT_GT(fabric_domain().live_bytes, 4 * 40);
+    simulator.RunAll();
+    EXPECT_EQ(fabric.link_bytes()[late], 100u);
+  }
+  EXPECT_EQ(fabric_domain().live_bytes, 0);  // the fabric's destructor
+  mem::SetEnabled(false);
+  mem::ResetAll();
 }
 
 // ---- Mobility ----

@@ -737,11 +737,11 @@ TEST(ShardMetrics, PrometheusExportMatchesGoldenFile) {
   telemetry::PublishProcStats(stats, /*rss_bytes=*/8 << 20,
                               /*maxrss_bytes=*/16 << 20);
   // Route-cache gauges ride the same exporter under the shard prefix. A
-  // 4-node line probed twice from node 0 is one fill then one hit —
+  // 4-node line probed twice toward node 3 is one fill then one hit —
   // deterministic values forever.
   net::Topology line = net::MakeLine(4);
   ASSERT_EQ(line.NextHop(0, 3), 1u);
-  ASSERT_EQ(line.NextHop(0, 2), 1u);
+  ASSERT_EQ(line.NextHop(1, 3), 2u);
   net::PublishRouteCacheStats(stats, line,
                               telemetry::ShardMetricName(0, "route_cache"));
   std::ostringstream out;

@@ -275,6 +275,194 @@ TEST(RouteCache, DecisionIdenticalToPerPairBfs) {
     check_all_pairs(copy);
     EXPECT_EQ(all_answers(t), source_answers);
   }
+
+  // Link additions over warm rows repair each row in place. Each case
+  // names how the new link's endpoints sit in the row of destination 0 and
+  // checks that they do; all rows are warm, so the other rows see other
+  // cases too. No row may refill.
+  const auto hops = [](const Topology& t, NodeId from, NodeId to) {
+    const auto path = t.ShortestPath(from, to);
+    return path.empty() ? -1 : static_cast<int>(path.size()) - 1;
+  };
+  struct Addition {
+    const char* name;
+    std::function<Topology()> make;
+    std::function<void(const Topology&)> holds;
+    std::function<void(Topology&)> add;
+  };
+  const auto add_link = [](NodeId a, NodeId b) {
+    return [a, b](Topology& t) { t.AddLink(a, b); };
+  };
+  const std::vector<Addition> additions = {
+      {"same level", [] { return MakeRing(8); },
+       [&](const Topology& t) {
+         ASSERT_EQ(hops(t, 2, 0), 2);
+         ASSERT_EQ(hops(t, 6, 0), 2);
+       },
+       add_link(2, 6)},
+      {"adjacent levels", [] { return MakeGrid(3, 3); },
+       [&](const Topology& t) {
+         ASSERT_EQ(hops(t, 1, 0), 1);
+         ASSERT_EQ(hops(t, 6, 0), 2);
+       },
+       add_link(1, 6)},
+      {"levels two or more apart", [] { return MakeLine(8); },
+       [&](const Topology& t) {
+         ASSERT_EQ(hops(t, 7, 0), 7);
+         ASSERT_EQ(hops(t, 1, 0), 1);
+       },
+       add_link(7, 1)},
+      {"both unreachable",
+       [] {
+         Topology t;
+         t.AddNodes(8);
+         t.AddLink(0, 1);
+         t.AddLink(1, 2);
+         t.AddLink(3, 4);
+         t.AddLink(4, 5);
+         t.AddLink(6, 7);
+         return t;
+       },
+       [&](const Topology& t) {
+         ASSERT_EQ(hops(t, 5, 0), -1);
+         ASSERT_EQ(hops(t, 6, 0), -1);
+       },
+       add_link(5, 6)},
+      {"one endpoint down",
+       [] {
+         Topology t = MakeLine(6);
+         t.SetNodeUp(5, false);
+         return t;
+       },
+       [&](const Topology& t) {
+         ASSERT_FALSE(t.IsNodeUp(5));
+         ASSERT_EQ(hops(t, 3, 0), 3);
+       },
+       // The down node gets no distance, so a second link from it to node
+       // 3 must not pull 3 to two hops either.
+       [](Topology& t) {
+         t.AddLink(0, 5);
+         t.AddLink(5, 3);
+       }},
+      {"SetLinkUp(true) of a parallel link listed first",
+       [] {
+         // Node 3 sits two hops from 0 behind 1 and 2. Its first link, to
+         // 2, is down, so its up neighbours are 1, 2 and its next hop is
+         // 1. Bringing that link up lists 2 first: no distance changes,
+         // yet the next hop becomes 2.
+         Topology t;
+         t.AddNodes(4);
+         const LinkId first = t.AddLink(3, 2);
+         t.AddLink(3, 1);
+         t.AddLink(3, 2);
+         t.AddLink(0, 1);
+         t.AddLink(0, 2);
+         t.SetLinkUp(first, false);
+         return t;
+       },
+       [&](const Topology& t) {
+         ASSERT_EQ(hops(t, 3, 0), 2);
+         ASSERT_EQ(hops(t, 2, 0), 1);
+         ASSERT_EQ(t.NextHop(3, 0), 1u);
+       },
+       [](Topology& t) {
+         t.SetLinkUp(0, true);
+         EXPECT_EQ(t.NextHop(3, 0), 2u);
+       }},
+      {"SetLinkUp(true) joins a part that was unreachable",
+       [] {
+         Topology t = MakeLine(6);
+         t.SetLinkUp(*t.FindLink(2, 3), false);
+         return t;
+       },
+       [&](const Topology& t) {
+         ASSERT_EQ(hops(t, 2, 0), 2);
+         ASSERT_EQ(hops(t, 3, 0), -1);
+       },
+       [](Topology& t) { t.SetLinkUp(2, true); }},  // link 2 is (2, 3)
+  };
+  for (const Addition& addition : additions) {
+    SCOPED_TRACE(addition.name);
+    Topology t = addition.make();
+    addition.holds(t);
+    check_all_pairs(t);
+    const std::uint64_t misses = t.route_cache_stats().misses;
+    addition.add(t);
+    check_all_pairs(t);
+    EXPECT_EQ(t.route_cache_stats().misses, misses);
+    EXPECT_EQ(t.route_cache_stats().invalidations, 0u);
+  }
+}
+
+// Random growth and churn over warm rows, every pair checked after every
+// step. Link additions (parallel links included) repair rows in place;
+// removals, node toggles and added nodes leave them stale. A small cache
+// mixes evictions in.
+TEST(RouteCache, SeededChurnMatchesPerPairBfs) {
+  std::uint64_t checks = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    for (const std::size_t capacity : {std::size_t{256}, std::size_t{7}}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed
+                                      << " capacity=" << capacity);
+      Rng rng(seed);
+      Topology t = MakeScaleFree(24, 2, rng);
+      t.SetRouteCacheCapacity(capacity);
+      for (int step = 0; step < 80; ++step) {
+        const auto pick = [&] {
+          return static_cast<NodeId>(rng.Index(t.node_count()));
+        };
+        const std::uint64_t op = rng.Index(10);
+        if (op < 5) {
+          const NodeId a = pick();
+          const NodeId b = pick();
+          if (a != b) t.AddLink(a, b);
+        } else if (op < 7) {
+          const auto id = static_cast<LinkId>(rng.Index(t.link_count()));
+          t.SetLinkUp(id, !t.IsLinkUp(id));
+        } else if (op < 9) {
+          const NodeId n = pick();
+          t.SetNodeUp(n, !t.IsNodeUp(n));
+        } else {
+          t.AddNodes(1 + rng.Index(2));
+        }
+        for (NodeId from = 0; from < t.node_count(); ++from) {
+          for (NodeId to = 0; to < t.node_count(); ++to) {
+            ASSERT_EQ(t.NextHop(from, to), t.NextHopUncached(from, to))
+                << "step=" << step << " from=" << from << " to=" << to;
+            ++checks;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 900000u);
+}
+
+TEST(RouteCache, LinkAdditionRepairsWarmRowsWithoutRefills) {
+  Rng rng(5);
+  Topology t = MakeScaleFree(64, 2, rng);  // the mix's family
+  for (NodeId from = 0; from < t.node_count(); ++from) {
+    for (NodeId to = 0; to < t.node_count(); ++to) (void)t.NextHop(from, to);
+  }
+  const Topology::RouteCacheStats warm = t.route_cache_stats();
+  ASSERT_EQ(warm.misses, t.node_count());  // one fill per destination
+  for (int i = 0; i < 16; ++i) {
+    const auto a = static_cast<NodeId>(rng.Index(t.node_count()));
+    const auto b = static_cast<NodeId>(rng.Index(t.node_count()));
+    if (a == b) continue;
+    const std::uint64_t gen = t.generation();
+    t.AddLink(a, b);
+    EXPECT_GT(t.generation(), gen);
+    for (NodeId from = 0; from < t.node_count(); ++from) {
+      for (NodeId to = 0; to < t.node_count(); ++to) {
+        ASSERT_EQ(t.NextHop(from, to), t.NextHopUncached(from, to));
+      }
+    }
+  }
+  EXPECT_EQ(t.route_cache_stats().misses, warm.misses);
+  EXPECT_EQ(t.route_cache_stats().invalidations, 0u);
+  EXPECT_EQ(t.route_cache_stats().evictions, 0u);
+  EXPECT_GT(t.route_cache_stats().hits, warm.hits);
 }
 
 TEST(RouteCache, NeverRoutesOverDownLink) {
@@ -306,23 +494,35 @@ TEST(RouteCache, NodeFailureInvalidatesCachedRows) {
 }
 
 TEST(RouteCache, StatsCountHitsMissesInvalidations) {
-  Topology t = MakeLine(4);
+  Topology t = MakeLine(4);  // 0-1-2-3; rows are keyed by destination
   EXPECT_EQ(t.route_cache_stats().hits, 0u);
-  (void)t.NextHop(0, 3);  // cold: one fill
+  (void)t.NextHop(0, 3);  // cold: one fill, the row for destination 3
   EXPECT_EQ(t.route_cache_stats().misses, 1u);
-  (void)t.NextHop(0, 2);  // same row: hit
-  (void)t.NextHop(0, 1);
+  (void)t.NextHop(1, 3);  // same row: hit
+  (void)t.NextHop(2, 3);
   EXPECT_EQ(t.route_cache_stats().hits, 2u);
   const std::uint64_t gen = t.generation();
-  t.SetLinkUp(0, false);  // structural change bumps the generation
+  t.SetLinkUp(0, false);  // a removal bumps the generation
   EXPECT_GT(t.generation(), gen);
-  (void)t.NextHop(0, 3);  // stale row: lazy invalidation + refill
+  (void)t.NextHop(2, 3);  // stale row: lazy invalidation + refill
   EXPECT_EQ(t.route_cache_stats().invalidations, 1u);
   EXPECT_EQ(t.route_cache_stats().misses, 2u);
   // Toggling to the same state is not a change and must not invalidate.
   t.SetLinkUp(0, false);
-  (void)t.NextHop(0, 1);
+  (void)t.NextHop(1, 3);
   EXPECT_EQ(t.route_cache_stats().invalidations, 1u);
+  EXPECT_EQ(t.route_cache_stats().hits, 3u);
+  // A link coming back up repairs the live row in place: a hit, no fill.
+  const std::uint64_t down_gen = t.generation();
+  t.SetLinkUp(0, true);
+  EXPECT_GT(t.generation(), down_gen);
+  EXPECT_EQ(t.NextHop(0, 3), 1u);
+  EXPECT_EQ(t.route_cache_stats().hits, 4u);
+  EXPECT_EQ(t.route_cache_stats().misses, 2u);
+  EXPECT_EQ(t.route_cache_stats().invalidations, 1u);
+  // Another destination is another row.
+  (void)t.NextHop(3, 0);
+  EXPECT_EQ(t.route_cache_stats().misses, 3u);
 }
 
 TEST(RouteCache, LruEvictionKeepsCapacityBound) {
@@ -330,9 +530,9 @@ TEST(RouteCache, LruEvictionKeepsCapacityBound) {
   t.SetRouteCacheCapacity(2);
   (void)t.NextHop(0, 3);
   (void)t.NextHop(1, 4);
-  (void)t.NextHop(2, 5);  // evicts the LRU row (source 0)
+  (void)t.NextHop(2, 5);  // evicts the LRU row (destination 3)
   EXPECT_EQ(t.route_cache_stats().evictions, 1u);
-  (void)t.NextHop(0, 3);  // source 0 must refill — and still be correct
+  (void)t.NextHop(0, 3);  // destination 3 must refill — and still be correct
   EXPECT_EQ(t.route_cache_stats().evictions, 2u);
   EXPECT_EQ(t.NextHop(0, 3), t.NextHopUncached(0, 3));
 }
@@ -374,8 +574,8 @@ TEST(RouteCache, MobilityRewiringNeverServesStaleHops) {
 TEST(RouteCache, PublishesGaugesIntoRegistry) {
   sim::StatsRegistry stats;
   Topology t = MakeLine(4);
-  (void)t.NextHop(0, 3);
-  (void)t.NextHop(0, 2);
+  (void)t.NextHop(0, 3);  // fills the row for destination 3
+  (void)t.NextHop(1, 3);  // and reads it again
   PublishRouteCacheStats(stats, t);
   EXPECT_EQ(stats.gauges().at("net.route_cache.hits").value(), 1.0);
   EXPECT_EQ(stats.gauges().at("net.route_cache.misses").value(), 1.0);
@@ -385,6 +585,14 @@ TEST(RouteCache, PublishesGaugesIntoRegistry) {
   // Idempotent: publishing again overwrites, never accumulates.
   PublishRouteCacheStats(stats, t);
   EXPECT_EQ(stats.gauges().at("net.route_cache.hits").value(), 1.0);
+  // A second destination through a one-row cache evicts the first.
+  t.SetRouteCacheCapacity(1);
+  (void)t.NextHop(3, 0);
+  PublishRouteCacheStats(stats, t);
+  EXPECT_EQ(stats.gauges().at("net.route_cache.misses").value(), 2.0);
+  EXPECT_EQ(stats.gauges().at("net.route_cache.evictions").value(), 1.0);
+  EXPECT_EQ(stats.gauges().at("net.route_cache.hit_ratio").value(),
+            1.0 / 3.0);
 }
 
 TEST(RouteCache, DisabledCacheMatchesEnabled) {
