@@ -87,11 +87,16 @@ const Overlay* OverlayManager::Find(OverlayId id) const {
 }
 
 std::size_t OverlayManager::RefreshPaths() {
+  // Pinned paths were built or walked over up links, so without a loss
+  // since the last walk each one is still fully up.
+  const std::uint64_t losses = topology_.losses();
+  const bool walk = walked_losses_ != losses;
   std::size_t changed = 0;
   for (auto& [id, overlay] : overlays_) {
     for (VirtualLink& link : overlay.links) {
       // Check the pinned path is still fully up.
       bool intact = !link.physical_path.empty();
+      if (intact && !walk) continue;
       for (std::size_t i = 0; intact && i + 1 < link.physical_path.size();
            ++i) {
         intact = topology_
@@ -111,6 +116,7 @@ std::size_t OverlayManager::RefreshPaths() {
       ++changed;
     }
   }
+  walked_losses_ = losses;
   return changed;
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,10 @@ class OverlayManager {
   /// Recomputes every virtual link's physical path against the current
   /// topology (after failures/mobility). Links that lost their path are
   /// re-routed; returns how many links changed. Unroutable links remain
-  /// with an empty path (visible to callers as a QoS violation).
+  /// with an empty path (visible to callers as a QoS violation) and are
+  /// retried on every call. Pinned paths are re-walked only when the
+  /// topology lost a link or node since the last walk: additions keep
+  /// every up path up.
   std::size_t RefreshPaths();
 
   /// Average path stretch of an overlay: mean over virtual links of
@@ -87,6 +91,7 @@ class OverlayManager {
       });
     });
     if constexpr (A::kLoading) {
+      walked_losses_.reset();  // the loaded paths were never walked here
       for (auto& [id, overlay] : overlays_) overlay.id = id;
       if (a.ok()) a.Check(CheckNodesInTopology());
     }
@@ -105,6 +110,9 @@ class OverlayManager {
   std::map<OverlayId, Overlay> overlays_;
   OverlayId next_id_ = 1;
   std::uint64_t spawned_total_ = 0;
+  // topology_.losses() at the last full walk; unset until the first one.
+  // Derived state: not snapshotted or hashed.
+  std::optional<std::uint64_t> walked_losses_;
 };
 
 }  // namespace viator::wli

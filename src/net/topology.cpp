@@ -39,6 +39,7 @@ void Topology::SetLinkUp(LinkId id, bool up) {
     LinkCameUp(link.a, link.b);
   } else {
     ++generation_;
+    ++losses_;
   }
 }
 
@@ -49,16 +50,16 @@ void Topology::LinkCameUp(NodeId a, NodeId b) {
   for (CacheRow& row : rows_) {
     if (row.gen != live) continue;
     row.gen = generation_;
-    if (!joins) continue;
-    std::uint32_t* const dist = row.dist.data();
+    if (!joins || row.deep) continue;
+    Dist* const dist = row.dist.data();
     const std::uint32_t da = dist[a];
     const std::uint32_t db = dist[b];
     // The new link shortens paths only through the nearer endpoint, and
     // only when the farther one sits two or more levels below it.
     if (da != kUnreached && (db == kUnreached || db > da + 1)) {
-      LowerFrom(dist, b, da + 1);
+      row.deep = !LowerFrom(dist, b, da + 1);
     } else if (db != kUnreached && (da == kUnreached || da > db + 1)) {
-      LowerFrom(dist, a, db + 1);
+      row.deep = !LowerFrom(dist, a, db + 1);
     }
   }
 }
@@ -67,6 +68,7 @@ void Topology::SetNodeUp(NodeId node, bool up) {
   if (node_up_[node] != up) {
     node_up_[node] = up;
     ++generation_;
+    if (!up) ++losses_;
   }
 }
 
@@ -187,7 +189,8 @@ NodeId Topology::NextHop(NodeId from, NodeId to) const {
   if (from == to) return kInvalidNode;
   CacheRow& row = RouteRowFor(to);
   row.last_used = ++lru_tick_;
-  const std::uint32_t* const dist = row.dist.data();
+  if (row.deep) return NextHopUncached(from, to);
+  const Dist* const dist = row.dist.data();
   const std::uint32_t d = dist[from];
   if (d == kUnreached) return kInvalidNode;
   if (d == 1) return to;
@@ -211,7 +214,7 @@ void Topology::SetRouteCacheCapacity(std::size_t rows) {
       row_of_[victim.to] = kInvalidNode;
     }
     ++cache_stats_.evictions;
-    cache_bytes_.Sub(victim.dist.capacity() * sizeof(std::uint32_t));
+    cache_bytes_.Sub(victim.dist.capacity() * sizeof(Dist));
     rows_.pop_back();
   }
 }
@@ -269,53 +272,48 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId to) const {
 
 void Topology::FillRow(Topology::CacheRow& row, NodeId to) const {
   VIATOR_PERF_SCOPE(kRouteCacheFill);
-  if (csr_gen_ != generation_) BuildCsr();
   row.to = to;
   row.gen = generation_;
   const std::size_t before = row.dist.capacity();
   row.dist.assign(node_count_, kUnreached);
   if (row.dist.capacity() != before) {
-    cache_bytes_.Add((row.dist.capacity() - before) * sizeof(std::uint32_t));
+    cache_bytes_.Add((row.dist.capacity() - before) * sizeof(Dist));
   }
   // One full BFS from the destination; links are full duplex, so a node's
-  // distance from `to` is its distance to it. A set distance is the
-  // visited mark.
-  std::uint32_t* const dist = row.dist.data();
-  dist[to] = 0;
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  frontier_[tail++] = to;
-  while (head < tail) {
-    const NodeId u = frontier_[head++];
-    const std::uint32_t next = dist[u] + 1;
-    for (std::uint32_t k = csr_offsets_[u]; k < csr_offsets_[u + 1]; ++k) {
-      const NodeId v = csr_nodes_[k];
-      if (dist[v] != kUnreached) continue;
-      dist[v] = next;
-      frontier_[tail++] = v;
-    }
-  }
+  // distance from `to` is its distance to it. Over an all-unreached row
+  // the decrease-only BFS is exactly that BFS.
+  row.deep = !LowerFrom(row.dist.data(), to, 0);
 }
 
-void Topology::LowerFrom(std::uint32_t* row, NodeId start,
-                         std::uint32_t dist) const {
+bool Topology::LowerFrom(Dist* row, NodeId start, std::uint32_t dist) const {
+  if (dist >= kUnreached) return false;
   if (csr_gen_ != generation_) BuildCsr();
   // The queue pops in nondecreasing distance, so a node lowered once is
   // already final and enters the queue at most once.
-  row[start] = dist;
+  row[start] = static_cast<Dist>(dist);
   std::size_t head = 0;
   std::size_t tail = 0;
   frontier_[tail++] = start;
   while (head < tail) {
     const NodeId u = frontier_[head++];
     const std::uint32_t next = row[u] + 1;
-    for (std::uint32_t k = csr_offsets_[u]; k < csr_offsets_[u + 1]; ++k) {
+    const std::uint32_t end = csr_offsets_[u + 1];
+    if (next == kUnreached) {
+      // u sits at the deepest level a row holds: a neighbour still
+      // unreached would need one more.
+      for (std::uint32_t k = csr_offsets_[u]; k < end; ++k) {
+        if (row[csr_nodes_[k]] == kUnreached) return false;
+      }
+      continue;
+    }
+    for (std::uint32_t k = csr_offsets_[u]; k < end; ++k) {
       const NodeId v = csr_nodes_[k];
       if (row[v] <= next) continue;
-      row[v] = next;
+      row[v] = static_cast<Dist>(next);
       frontier_[tail++] = v;
     }
   }
+  return true;
 }
 
 void Topology::BuildCsr() const {

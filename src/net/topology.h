@@ -8,12 +8,21 @@
 // lets the Wandering Network's "topology-on-demand" react to real change.
 //
 // NextHop() — the per-hop routing query on the data path — is backed by a
-// generation-stamped route cache of per-destination rows (LRU-bounded): the
-// row for `to` holds every node's hop distance to `to`, 4 bytes per node,
-// filled by one BFS from `to`. Every hop of a shuttle reads the same row.
-// The BFS walks a CSR adjacency (one offsets array, one neighbour array) of
-// the up neighbours, rebuilt at most once per generation, with a reused
-// frontier and the row itself as the visited mark.
+// generation-stamped route cache of per-destination rows (LRU-bounded,
+// 1024 rows by default, so a graph of up to 1024 nodes keeps a row for
+// every destination): the row for `to` holds every node's hop distance to
+// `to`, 2 bytes per node, filled by one BFS from `to`. Every hop of a
+// shuttle reads the same row. The BFS walks a CSR adjacency (one offsets
+// array, one neighbour array) of the up neighbours, rebuilt at most once
+// per generation, with a reused frontier and the row itself as the visited
+// mark.
+//
+// A row holds distances up to 0xFFFE; 0xFFFF marks an unreached node. A
+// destination whose BFS, from a fill or from a repair that joins
+// components, would need a distance of 0xFFFF or more is never cached with
+// wrapped values: its row is marked deep, and every NextHop toward it is
+// answered by NextHopUncached until the row is next refilled. Repairs
+// restamp a deep row without touching it.
 //
 // NextHop(from, to) returns the first neighbour v in from's CSR slice with
 // dist[v] == dist[from] - 1 (`to` itself when dist[from] == 1). That is
@@ -141,12 +150,14 @@ class Topology {
   /// Next hop on the hop-count shortest path, or kInvalidNode. A scan of
   /// from's up neighbours against the cached row for `to` in steady state;
   /// one row-filling BFS per destination otherwise (cold, evicted, or stale
-  /// after a removal or node change).
+  /// after a removal or node change), and NextHopUncached toward a
+  /// destination whose row is deep.
   NodeId NextHop(NodeId from, NodeId to) const;
 
   /// Next hop computed the pre-cache way: a fresh per-pair BFS. Exists so
   /// tests (and the bench's cache-off leg) can prove the cache
-  /// decision-identical; not a data-path API.
+  /// decision-identical, and answers NextHop toward a deep row; callers
+  /// route through NextHop.
   NodeId NextHopUncached(NodeId from, NodeId to) const {
     const auto path = ShortestPath(from, to);
     return path.size() >= 2 ? path[1] : kInvalidNode;
@@ -168,7 +179,7 @@ class Topology {
   bool route_cache_enabled() const { return cache_enabled_; }
 
   /// Caps the number of cached destination rows (LRU eviction beyond it).
-  /// Minimum 1; default 256 rows.
+  /// Minimum 1; default 1024 rows.
   void SetRouteCacheCapacity(std::size_t rows);
   std::size_t route_cache_capacity() const { return cache_capacity_; }
 
@@ -184,6 +195,12 @@ class Topology {
   /// change a shortest path. A link addition restamps the rows it repaired;
   /// rows stamped with an older generation are dead.
   std::uint64_t generation() const { return generation_; }
+
+  /// Monotone count of links and nodes that went down (SetLinkUp(id, false),
+  /// SetNodeUp(n, false)): while it stands still, every path over up links
+  /// stays up. Derived state, like the generation: not snapshotted or
+  /// hashed.
+  std::uint64_t losses() const { return losses_; }
 
   /// HashFields(*this): the digest of the visited fields, recomputed only
   /// when `generation_` moved since the last call.
@@ -245,12 +262,16 @@ class Topology {
 
   // One cached destination row: dist[n] is n's hop count to `to` over up
   // links, kUnreached when there is no path. Valid iff gen == generation_.
-  static constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
+  // A deep row needed a distance of kUnreached or more: its distances are
+  // never read, and lookups toward `to` take the per-pair BFS.
+  using Dist = std::uint16_t;
+  static constexpr std::uint32_t kUnreached = 0xFFFF;
   struct CacheRow {
     NodeId to = kInvalidNode;
+    bool deep = false;
     std::uint64_t gen = 0;
     std::uint64_t last_used = 0;
-    std::vector<std::uint32_t> dist;
+    std::vector<Dist> dist;
   };
 
   CacheRow& RouteRowFor(NodeId to) const;
@@ -259,8 +280,9 @@ class Topology {
   // every row that was live before it (see the header comment).
   void LinkCameUp(NodeId a, NodeId b);
   // Decrease-only BFS: `start` moves to `dist` hops and every node it
-  // brings closer follows.
-  void LowerFrom(std::uint32_t* row, NodeId start, std::uint32_t dist) const;
+  // brings closer follows. False when some node would need a distance of
+  // kUnreached or more; the row is then partly written and must be deep.
+  bool LowerFrom(Dist* row, NodeId start, std::uint32_t dist) const;
   // Rebuilds the CSR adjacency and sizes the frontier for generation_.
   void BuildCsr() const;
 
@@ -270,8 +292,9 @@ class Topology {
   std::vector<bool> node_up_;
 
   std::uint64_t generation_ = 0;
+  std::uint64_t losses_ = 0;
   bool cache_enabled_ = true;
-  std::size_t cache_capacity_ = 256;
+  std::size_t cache_capacity_ = 1024;
   // Cache storage is derived, query-time state: mutable so the const query
   // path can maintain it. Copying a Topology copies the cache, which stays
   // valid (generation and structure travel together).

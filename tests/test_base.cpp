@@ -62,6 +62,28 @@ TEST(Result, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   auto owned = std::move(r).value();
   EXPECT_EQ(*owned, 5);
+  Result<std::unique_ptr<int>> d(std::make_unique<int>(6));
+  auto deref = *std::move(d);
+  EXPECT_EQ(*deref, 6);
+}
+
+TEST(Result, DereferencingAnRvalueMovesTheValue) {
+  struct Counted {
+    explicit Counted(int* counter) : copies(counter) {}
+    Counted(const Counted& other) : copies(other.copies) { ++*copies; }
+    Counted(Counted&&) = default;
+    int* copies;
+  };
+  int copies = 0;
+  Result<Counted> r{Counted(&copies)};
+  const Counted& seen = *r;  // an lvalue still only reads
+  EXPECT_EQ(seen.copies, &copies);
+  Counted moved = *std::move(r);
+  EXPECT_EQ(moved.copies, &copies);
+  EXPECT_EQ(copies, 0);
+  Counted copied = *r;  // an lvalue copies as before
+  EXPECT_EQ(copied.copies, &copies);
+  EXPECT_EQ(copies, 1);
 }
 
 // ---- Hashing ----

@@ -2,6 +2,7 @@
 // and the overlay manager.
 #include <gtest/gtest.h>
 
+#include "base/archive.h"
 #include "base/rng.h"
 #include "core/dcp.h"
 #include "core/mfp.h"
@@ -453,6 +454,103 @@ TEST(Overlay, RefreshRepairsAfterFailure) {
   const auto& repaired = manager.Find(*id)->links[0];
   ASSERT_GE(repaired.physical_path.size(), 2u);
   EXPECT_NE(repaired.physical_path, original_path);
+}
+
+// RefreshPaths re-walks pinned paths only after the topology lost a link
+// or a node; the tests below pin what it must still see.
+std::vector<std::vector<net::NodeId>> PinnedPaths(
+    const OverlayManager& manager) {
+  std::vector<std::vector<net::NodeId>> paths;
+  for (const auto& [id, overlay] : manager.overlays()) {
+    for (const VirtualLink& link : overlay.links) {
+      paths.push_back(link.physical_path);
+    }
+  }
+  return paths;
+}
+
+TEST(Overlay, AddedLinksLeavePinnedPaths) {
+  // Links only added (the growing mix's case) keep every pinned path up, so
+  // a refresh changes none, even where a new chord is faster.
+  net::Topology topo = net::MakeRing(8);
+  OverlayManager manager(topo);
+  ASSERT_TRUE(manager.Spawn("ring", {0, 3, 5}).ok());
+  const auto pinned = PinnedPaths(manager);
+  EXPECT_EQ(manager.RefreshPaths(), 0u);
+  topo.AddLink(0, 3);
+  topo.AddLink(3, 5);
+  const net::LinkId chord = topo.AddLink(0, 5);
+  EXPECT_EQ(manager.RefreshPaths(), 0u);
+  topo.SetLinkUp(chord, false);
+  topo.SetLinkUp(chord, true);  // a loss and a return: still all up
+  EXPECT_EQ(manager.RefreshPaths(), 0u);
+  EXPECT_EQ(PinnedPaths(manager), pinned);
+}
+
+TEST(Overlay, RefreshRepairsLinkAndNodeLossAfterAWalk) {
+  // Each loss after a walk is still seen: a link down, then a node down.
+  net::Topology topo = net::MakeGrid(3, 3);
+  OverlayManager manager(topo);
+  auto id = manager.Spawn("corners", {0, 8});
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(manager.RefreshPaths(), 0u);
+  const auto path_now = [&] { return manager.Find(*id)->links[0].physical_path; };
+  const auto crosses_up_links = [&] {
+    const auto path = path_now();
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      if (!topo.FindLink(path[i], path[i + 1]).has_value()) return false;
+    }
+    return path.size() >= 2;
+  };
+  const auto first = path_now();
+  topo.SetLinkUp(*topo.FindLink(first[0], first[1]), false);
+  EXPECT_EQ(manager.RefreshPaths(), 1u);
+  EXPECT_TRUE(crosses_up_links());
+  EXPECT_NE(path_now(), first);
+  const auto second = path_now();
+  topo.SetNodeUp(second[2], false);
+  EXPECT_EQ(manager.RefreshPaths(), 1u);
+  EXPECT_TRUE(crosses_up_links());
+  EXPECT_EQ(manager.RefreshPaths(), 0u);
+}
+
+TEST(Overlay, UnroutableLinkRetriesOnEveryRefresh) {
+  // A link left without a path is retried even when nothing was lost since:
+  // the link that comes back up re-routes it.
+  net::Topology topo = net::MakeLine(3);
+  OverlayManager manager(topo);
+  auto id = manager.Spawn("ends", {0, 2});
+  ASSERT_TRUE(id.ok());
+  const net::LinkId middle = *topo.FindLink(1, 2);
+  topo.SetLinkUp(middle, false);
+  EXPECT_EQ(manager.RefreshPaths(), 1u);
+  EXPECT_TRUE(manager.Find(*id)->links[0].physical_path.empty());
+  topo.SetLinkUp(middle, true);
+  EXPECT_EQ(manager.RefreshPaths(), 1u);
+  EXPECT_EQ(manager.Find(*id)->links[0].physical_path,
+            (std::vector<net::NodeId>{0, 1, 2}));
+}
+
+TEST(Overlay, RestoredManagerWalksOnItsFirstRefresh) {
+  // The target topology lost a link before its manager's last walk, so the
+  // loss count stands still across the load. The loaded path crosses that
+  // link, and the first refresh must still find and repair it.
+  net::Topology source_topo = net::MakeRing(6);
+  OverlayManager source(source_topo);
+  auto id = source.Spawn("ring", {0, 2});
+  ASSERT_TRUE(id.ok());
+  const auto pinned = source.Find(*id)->links[0].physical_path;
+  ASSERT_EQ(pinned, (std::vector<net::NodeId>{0, 1, 2}));
+
+  net::Topology target_topo = net::MakeRing(6);
+  target_topo.SetLinkUp(*target_topo.FindLink(1, 2), false);
+  OverlayManager target(target_topo);
+  EXPECT_EQ(target.RefreshPaths(), 0u);
+  ASSERT_TRUE(LoadFields(SaveFields(source), target).ok());
+  ASSERT_EQ(target.Find(*id)->links[0].physical_path, pinned);
+  EXPECT_EQ(target.RefreshPaths(), 1u);
+  EXPECT_EQ(target.Find(*id)->links[0].physical_path,
+            (std::vector<net::NodeId>{0, 5, 4, 3, 2}));
 }
 
 TEST(Overlay, ParallelLinkLatencyIsTheFastest) {

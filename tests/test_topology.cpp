@@ -465,6 +465,79 @@ TEST(RouteCache, LinkAdditionRepairsWarmRowsWithoutRefills) {
   EXPECT_GT(t.route_cache_stats().hits, warm.hits);
 }
 
+// Rows hold 2-byte distances, up to 0xFFFE hops. A destination some node
+// sits 0xFFFF or more hops from is never served from wrapped values: its
+// row is deep and every lookup toward it takes the per-pair BFS.
+TEST(RouteCache, DeepFillFallsBackToPerPairBfs) {
+  Topology t = MakeLine(70000);  // node n sits n hops from node 0
+  for (const NodeId from : {1u, 65534u, 65535u, 65536u, 69999u}) {
+    EXPECT_EQ(t.NextHop(from, 0), t.NextHopUncached(from, 0))
+        << "from=" << from;
+    EXPECT_EQ(t.NextHop(from, 0), from - 1) << "from=" << from;
+  }
+  EXPECT_EQ(t.route_cache_stats().misses, 1u);  // one fill, then hits
+}
+
+TEST(RouteCache, DeepRepairFallsBackToPerPairBfs) {
+  // Two 40000-node lines; the warm row for destination 0 reaches only the
+  // first. Joining them end to end puts node 79999 79999 hops out.
+  Topology t;
+  t.AddNodes(80000);
+  for (NodeId n = 0; n + 1 < 80000; ++n) {
+    if (n != 39999) t.AddLink(n, n + 1);
+  }
+  ASSERT_EQ(t.NextHop(1, 0), 0u);
+  ASSERT_EQ(t.NextHop(40001, 0), kInvalidNode);
+  const std::uint64_t misses = t.route_cache_stats().misses;
+  const LinkId join = t.AddLink(39999, 40000);
+  for (const NodeId from : {1u, 65534u, 65535u, 65536u, 79999u}) {
+    EXPECT_EQ(t.NextHop(from, 0), t.NextHopUncached(from, 0))
+        << "from=" << from;
+    EXPECT_EQ(t.NextHop(from, 0), from - 1) << "from=" << from;
+  }
+  EXPECT_EQ(t.route_cache_stats().misses, misses);  // repaired, no fill
+  // Cutting the join again leaves the row stale; its refill fits 2 bytes.
+  t.SetLinkUp(join, false);
+  EXPECT_EQ(t.NextHop(65535, 0), kInvalidNode);
+  EXPECT_EQ(t.NextHop(39999, 0), 39998u);
+  EXPECT_EQ(t.route_cache_stats().misses, misses + 1);
+}
+
+TEST(RouteCache, DefaultCapacityKeepsARowPerDestination) {
+  // The mix's graph: 1024 ships, so the default 1024 rows hold every
+  // destination, at 2 bytes per node, and nothing is ever evicted.
+  Rng rng(7);
+  Topology t = MakeScaleFree(1024, 2, rng);
+  ASSERT_EQ(t.route_cache_capacity(), 1024u);
+  const auto all_pairs = [&t] {
+    for (NodeId from = 0; from < t.node_count(); ++from) {
+      for (NodeId to = 0; to < t.node_count(); ++to) (void)t.NextHop(from, to);
+    }
+  };
+  all_pairs();
+  EXPECT_EQ(t.route_cache_stats().misses, 1024u);
+  EXPECT_EQ(t.route_cache_stats().evictions, 0u);
+  const std::size_t rows_bytes = 1024 * 1024 * sizeof(std::uint16_t);
+  EXPECT_GE(t.route_cache_bytes(), rows_bytes);
+  EXPECT_LT(t.route_cache_bytes(), rows_bytes + rows_bytes / 8);
+  // Growth over the warm rows repairs them: no refill.
+  for (int i = 0; i < 16; ++i) {
+    const auto a = static_cast<NodeId>(rng.Index(t.node_count()));
+    const auto b = static_cast<NodeId>(rng.Index(t.node_count()));
+    if (a != b) t.AddLink(a, b);
+  }
+  all_pairs();
+  EXPECT_EQ(t.route_cache_stats().misses, 1024u);
+  EXPECT_EQ(t.route_cache_stats().evictions, 0u);
+  EXPECT_EQ(t.route_cache_stats().invalidations, 0u);
+  for (NodeId from = 0; from < t.node_count(); from += 31) {
+    for (NodeId to = 0; to < t.node_count(); to += 37) {
+      ASSERT_EQ(t.NextHop(from, to), t.NextHopUncached(from, to))
+          << "from=" << from << " to=" << to;
+    }
+  }
+}
+
 TEST(RouteCache, NeverRoutesOverDownLink) {
   // Warm the cache on a line, then cut the middle link: the cached first
   // hop 1 (toward 2) must disappear immediately, not after some TTL.
