@@ -186,6 +186,14 @@ class WriteArchive {
   void Words(TlvTag tag, std::span<const std::uint64_t> words) {
     for (std::uint64_t word : words) sink().U64(tag, word);
   }
+  /// One group of fields per element, written flat into this record, not
+  /// nested: a load starts a group at each record tagged `first`, the
+  /// group's first field.
+  template <class C, class Fields>
+  void Flat(TlvTag /*first*/, const C& elements, Fields&& fields) {
+    sink().Count(std::size(elements));
+    for (auto& element : const_cast<C&>(elements)) fields(sink(), element);
+  }
 
  private:
   Sink& sink() { return static_cast<Sink&>(*this); }
@@ -455,6 +463,18 @@ class LoadArchive {
       } else {
         return;
       }
+    }
+  }
+  /// Replaces `elements` with one element per flat group of fields, each
+  /// starting at a record tagged `first`.
+  template <class C, class Fields>
+  void Flat(TlvTag first, C& elements, Fields&& fields) {
+    elements.clear();
+    if (!Seek(first)) return;
+    while (ok() && AtTag(first)) {
+      typename C::value_type element{};
+      fields(*this, element);
+      if (ok()) elements.push_back(std::move(element));
     }
   }
   /// Exactly words.size() consecutive U64 records.

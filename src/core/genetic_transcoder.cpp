@@ -1,165 +1,17 @@
 #include "core/genetic_transcoder.h"
 
-#include "base/tlv.h"
-
 namespace viator::wli {
-namespace {
-
-constexpr TlvTag kTagShipClass = 0x30;
-constexpr TlvTag kTagRole = 0x31;
-constexpr TlvTag kTagNextStep = 0x32;
-constexpr TlvTag kTagResident = 0x33;
-constexpr TlvTag kTagVersion = 0x34;
-constexpr TlvTag kTagFact = 0x35;        // nested: key,value,weight
-constexpr TlvTag kTagModule = 0x36;      // nested module gene
-constexpr TlvTag kTagFunction = 0x37;    // nested knowledge-quantum encoding
-
-constexpr TlvTag kTagInnerKey = 0x01;
-constexpr TlvTag kTagInnerValue = 0x02;
-constexpr TlvTag kTagInnerWeight = 0x03;
-constexpr TlvTag kTagInnerModuleId = 0x04;
-constexpr TlvTag kTagInnerClass = 0x05;
-constexpr TlvTag kTagInnerGates = 0x06;
-constexpr TlvTag kTagInnerSpeedup = 0x07;
-constexpr TlvTag kTagInnerDriver = 0x08;
-
-std::vector<std::byte> EncodeFact(const FactSnapshot& fact) {
-  TlvWriter w;
-  w.PutU64(kTagInnerKey, fact.key);
-  w.PutU64(kTagInnerValue, static_cast<std::uint64_t>(fact.value));
-  w.PutDouble(kTagInnerWeight, fact.weight);
-  return w.Finish();
-}
-
-std::vector<std::byte> EncodeModule(const ModuleGene& gene) {
-  TlvWriter w;
-  w.PutU32(kTagInnerModuleId, gene.module_id);
-  w.PutU32(kTagInnerClass, static_cast<std::uint32_t>(gene.accelerates));
-  w.PutU32(kTagInnerGates, gene.gate_count);
-  w.PutDouble(kTagInnerSpeedup, gene.speedup);
-  w.PutU64(kTagInnerDriver, gene.driver_digest);
-  return w.Finish();
-}
-
-Result<FactSnapshot> DecodeFact(std::span<const std::byte> bytes) {
-  TlvReader r(bytes);
-  if (Status s = r.Verify(); !s.ok()) return s;
-  FactSnapshot fact;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagInnerKey: fact.key = rec->AsU64(); break;
-      case kTagInnerValue:
-        fact.value = static_cast<std::int64_t>(rec->AsU64());
-        break;
-      case kTagInnerWeight: fact.weight = rec->AsDouble(); break;
-      default: break;
-    }
-  }
-  return fact;
-}
-
-Result<ModuleGene> DecodeModule(std::span<const std::byte> bytes) {
-  TlvReader r(bytes);
-  if (Status s = r.Verify(); !s.ok()) return s;
-  ModuleGene gene;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagInnerModuleId: gene.module_id = rec->AsU32(); break;
-      case kTagInnerClass:
-        gene.accelerates = static_cast<node::SecondLevelClass>(rec->AsU32());
-        break;
-      case kTagInnerGates: gene.gate_count = rec->AsU32(); break;
-      case kTagInnerSpeedup: gene.speedup = rec->AsDouble(); break;
-      case kTagInnerDriver: gene.driver_digest = rec->AsU64(); break;
-      default: break;
-    }
-  }
-  if (static_cast<std::size_t>(gene.accelerates) >=
-      static_cast<std::size_t>(node::SecondLevelClass::kClassCount)) {
-    return Status(InvalidArgument("module gene has invalid class"));
-  }
-  return gene;
-}
-
-}  // namespace
 
 std::vector<std::byte> EncodeBlueprint(const ShipBlueprint& blueprint) {
-  TlvWriter w;
-  w.PutU32(kTagShipClass, static_cast<std::uint32_t>(blueprint.ship_class));
-  w.PutU32(kTagRole, static_cast<std::uint32_t>(blueprint.role));
-  w.PutU32(kTagNextStep, static_cast<std::uint32_t>(blueprint.next_step));
-  w.PutU32(kTagVersion, blueprint.genome_version);
-  for (Digest d : blueprint.resident_programs) w.PutU64(kTagResident, d);
-  for (const FactSnapshot& fact : blueprint.facts) {
-    w.PutNested(kTagFact, EncodeFact(fact));
-  }
-  for (const ModuleGene& gene : blueprint.modules) {
-    w.PutNested(kTagModule, EncodeModule(gene));
-  }
-  for (const NetFunction& fn : blueprint.functions) {
-    KnowledgeQuantum kq;
-    kq.function = fn;
-    w.PutNested(kTagFunction, EncodeKnowledgeQuantum(kq));
-  }
-  return w.Finish();
+  return SaveFields(blueprint);
 }
 
 Result<ShipBlueprint> DecodeBlueprint(std::span<const std::byte> genome) {
-  TlvReader r(genome);
-  if (Status s = r.Verify(); !s.ok()) return s;
-  ShipBlueprint bp;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagShipClass:
-        bp.ship_class = static_cast<node::ShipClass>(rec->AsU32());
-        break;
-      case kTagRole:
-        bp.role = static_cast<node::FirstLevelRole>(rec->AsU32());
-        break;
-      case kTagNextStep:
-        bp.next_step = static_cast<node::FirstLevelRole>(rec->AsU32());
-        break;
-      case kTagVersion: bp.genome_version = rec->AsU32(); break;
-      case kTagResident: bp.resident_programs.push_back(rec->AsU64()); break;
-      case kTagFact: {
-        auto fact = DecodeFact(rec->payload);
-        if (!fact.ok()) return fact.status();
-        bp.facts.push_back(*fact);
-        break;
-      }
-      case kTagModule: {
-        auto gene = DecodeModule(rec->payload);
-        if (!gene.ok()) return gene.status();
-        bp.modules.push_back(*gene);
-        break;
-      }
-      case kTagFunction: {
-        auto kq = DecodeKnowledgeQuantum(rec->payload);
-        if (!kq.ok()) return kq.status();
-        bp.functions.push_back(kq->function);
-        break;
-      }
-      default:
-        break;
-    }
+  ShipBlueprint blueprint;
+  if (Status status = LoadFields(genome, blueprint); !status.ok()) {
+    return status;
   }
-  if (static_cast<std::size_t>(bp.role) >=
-          static_cast<std::size_t>(node::FirstLevelRole::kRoleCount) ||
-      static_cast<std::size_t>(bp.next_step) >=
-          static_cast<std::size_t>(node::FirstLevelRole::kRoleCount)) {
-    return Status(InvalidArgument("blueprint has invalid role"));
-  }
-  if (static_cast<std::size_t>(bp.ship_class) >
-      static_cast<std::size_t>(node::ShipClass::kAgent)) {
-    return Status(InvalidArgument("blueprint has invalid ship class"));
-  }
-  return bp;
+  return blueprint;
 }
 
 }  // namespace viator::wli

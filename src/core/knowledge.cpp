@@ -2,91 +2,16 @@
 
 #include <algorithm>
 
-#include "base/tlv.h"
-
 namespace viator::wli {
-namespace {
-
-// TLV tags for the knowledge-quantum container.
-constexpr TlvTag kTagFunctionId = 0x10;
-constexpr TlvTag kTagName = 0x11;
-constexpr TlvTag kTagRole = 0x12;
-constexpr TlvTag kTagClass = 0x13;
-constexpr TlvTag kTagProgram = 0x14;
-constexpr TlvTag kTagFactKey = 0x15;
-constexpr TlvTag kTagVersion = 0x16;
-constexpr TlvTag kTagFactSnapshotKey = 0x20;
-constexpr TlvTag kTagFactSnapshotValue = 0x21;
-constexpr TlvTag kTagFactSnapshotWeight = 0x22;
-
-}  // namespace
 
 std::vector<std::byte> EncodeKnowledgeQuantum(const KnowledgeQuantum& kq) {
-  TlvWriter writer;
-  writer.PutU64(kTagFunctionId, kq.function.id);
-  writer.PutString(kTagName, kq.function.name);
-  writer.PutU32(kTagRole, static_cast<std::uint32_t>(kq.function.role));
-  writer.PutU32(kTagClass, static_cast<std::uint32_t>(kq.function.cls));
-  writer.PutU64(kTagProgram, kq.function.program_digest);
-  writer.PutU32(kTagVersion, kq.version);
-  for (FactKey key : kq.function.fact_keys) {
-    writer.PutU64(kTagFactKey, key);
-  }
-  for (const FactSnapshot& snap : kq.facts) {
-    writer.PutU64(kTagFactSnapshotKey, snap.key);
-    writer.PutU64(kTagFactSnapshotValue,
-                  static_cast<std::uint64_t>(snap.value));
-    writer.PutDouble(kTagFactSnapshotWeight, snap.weight);
-  }
-  return writer.Finish();
+  return SaveFields(kq);
 }
 
 Result<KnowledgeQuantum> DecodeKnowledgeQuantum(
     std::span<const std::byte> bytes) {
-  TlvReader reader(bytes);
-  if (Status s = reader.Verify(); !s.ok()) return s;
   KnowledgeQuantum kq;
-  FactSnapshot pending;
-  int pending_fields = 0;
-  while (reader.HasNext()) {
-    auto rec = reader.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagFunctionId: kq.function.id = rec->AsU64(); break;
-      case kTagName: kq.function.name = rec->AsString(); break;
-      case kTagRole:
-        kq.function.role = static_cast<node::FirstLevelRole>(rec->AsU32());
-        break;
-      case kTagClass:
-        kq.function.cls = static_cast<node::SecondLevelClass>(rec->AsU32());
-        break;
-      case kTagProgram: kq.function.program_digest = rec->AsU64(); break;
-      case kTagVersion: kq.version = rec->AsU32(); break;
-      case kTagFactKey: kq.function.fact_keys.push_back(rec->AsU64()); break;
-      case kTagFactSnapshotKey:
-        pending = FactSnapshot{};
-        pending.key = rec->AsU64();
-        pending_fields = 1;
-        break;
-      case kTagFactSnapshotValue:
-        pending.value = static_cast<std::int64_t>(rec->AsU64());
-        ++pending_fields;
-        break;
-      case kTagFactSnapshotWeight:
-        pending.weight = rec->AsDouble();
-        ++pending_fields;
-        if (pending_fields == 3) kq.facts.push_back(pending);
-        break;
-      default:
-        break;  // forward-compatible skip
-    }
-  }
-  if (static_cast<std::size_t>(kq.function.role) >=
-          static_cast<std::size_t>(node::FirstLevelRole::kRoleCount) ||
-      static_cast<std::size_t>(kq.function.cls) >=
-          static_cast<std::size_t>(node::SecondLevelClass::kClassCount)) {
-    return Status(InvalidArgument("knowledge quantum has invalid role/class"));
-  }
+  if (Status status = LoadFields(bytes, kq); !status.ok()) return status;
   return kq;
 }
 

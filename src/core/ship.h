@@ -197,23 +197,10 @@ class Ship : public vm::Environment {
         });
     os_.VisitRoleState(a);
     facts_.Visit(a);
-    if constexpr (A::kLoading) {
-      a.Payloads(0x15, [this](std::span<const std::byte> bytes) -> Status {
-        auto quantum = DecodeKnowledgeQuantum(bytes);
-        if (!quantum.ok()) return quantum.status();
-        if (quantum->function.role >= node::FirstLevelRole::kRoleCount) {
-          return InvalidArgument("net function role out of range");
-        }
-        functions_.Install(std::move(quantum->function));
-        return OkStatus();
-      });
-    } else {
-      a.Blobs(0x15, functions_.functions(), [](const NetFunction& function) {
-        KnowledgeQuantum quantum;
-        quantum.function = function;
-        return EncodeKnowledgeQuantum(quantum);
-      });
-    }
+    // Functions are saved and hashed as their knowledge-quantum bytes.
+    FunctionQuanta(a, 0x15, functions_.functions(), [this](NetFunction fn) {
+      functions_.Install(std::move(fn));
+    });
     a.Record(0x16, congruence_);
     os_.VisitCodeState(a);
   }

@@ -4,22 +4,14 @@
 // Register them on a GenesisManager to ride in the extras region of every
 // snapshot.
 //
-// One template serves them all: each target declares its durable state in
-// a Visit field list (base/archive.h), which Save() and Load() run.
+// One template serves them all (SnapshotAdapter, genesis/snapshotable.h):
+// each target declares its durable state in a Visit field list
+// (base/archive.h), which Save() and Load() run.
 // Scheduled closures (pending failure repairs, in-flight cache misses,
 // probes in flight) cannot cross a snapshot; capture at quiescent points
 // where none are outstanding.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
-#include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "base/archive.h"
-#include "genesis/section_ids.h"
 #include "genesis/snapshotable.h"
 #include "health/probe.h"
 #include "net/failure.h"
@@ -29,37 +21,6 @@
 #include "telemetry/telemetry.h"
 
 namespace viator::genesis {
-
-/// A section name usable as a template argument.
-template <std::size_t N>
-struct AdapterName {
-  constexpr AdapterName(const char (&text)[N]) {  // NOLINT: implicit
-    std::copy_n(text, N, chars);
-  }
-  char chars[N];
-};
-
-/// The extra section of one `T` object: its Visit fields. The id defaults
-/// to kExtraSectionBase + kDefaultOffset.
-template <class T, std::uint32_t kDefaultOffset, AdapterName kName>
-class SnapshotAdapter final : public Snapshotable {
- public:
-  explicit SnapshotAdapter(T& target,
-                           std::uint32_t id = kExtraSectionBase +
-                                              kDefaultOffset)
-      : target_(target), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return kName.chars; }
-  std::vector<std::byte> Save() const override { return SaveFields(target_); }
-  Status Load(std::span<const std::byte> payload) override {
-    return LoadFields(payload, target_);
-  }
-
- private:
-  T& target_;
-  std::uint32_t id_;
-};
 
 /// Failure-process RNG stream + injection counter.
 using FailureInjectorAdapter =

@@ -1,20 +1,10 @@
 #include "replay/journal.h"
 
-#include <cstring>
-
-#include "base/tlv.h"
 #include "core/wandering_network.h"
 
 namespace viator::replay {
 
 namespace {
-
-// Journal TLV tags.
-constexpr TlvTag kTagCapacity = 1;
-constexpr TlvTag kTagTotalRecords = 2;
-constexpr TlvTag kTagRollingDigest = 3;
-constexpr TlvTag kTagRecords = 4;
-constexpr TlvTag kTagWindowHashes = 5;
 
 void AppendWord(std::vector<std::byte>& out, std::uint64_t word) {
   for (int i = 0; i < 8; ++i) {
@@ -22,16 +12,11 @@ void AppendWord(std::vector<std::byte>& out, std::uint64_t word) {
   }
 }
 
-Result<std::uint64_t> ReadWord(std::span<const std::byte> bytes,
-                               std::size_t& cursor) {
-  if (cursor + 8 > bytes.size()) {
-    return InvalidArgument("journal blob truncated");
-  }
+std::uint64_t Word(std::span<const std::byte> bytes, std::size_t at) {
   std::uint64_t word = 0;
   for (int i = 0; i < 8; ++i) {
-    word |= static_cast<std::uint64_t>(bytes[cursor + i]) << (8 * i);
+    word |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
   }
-  cursor += 8;
   return word;
 }
 
@@ -151,96 +136,64 @@ void DecisionJournal::DispatchTrampoline(void* ctx, sim::TimePoint when,
   static_cast<DecisionJournal*>(ctx)->RecordDispatch(when, seq);
 }
 
-std::vector<std::byte> DecisionJournal::Save() const {
-  TlvWriter writer;
-  writer.PutU64(kTagCapacity, config_.capacity);
-  writer.PutU64(kTagTotalRecords, total_records_);
-  writer.PutU64(kTagRollingDigest, rolling_digest_);
-
+std::vector<std::byte> DecisionJournal::PackRecords(
+    const DecisionJournal& journal) {
   std::vector<std::byte> records;
-  records.reserve(ring_.size() * 40);
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const JournalRecord& record = at(i);
+  records.reserve(journal.ring_.size() * 40);
+  for (std::size_t i = 0; i < journal.ring_.size(); ++i) {
+    const JournalRecord& record = journal.at(i);
     AppendWord(records, static_cast<std::uint64_t>(record.kind));
     AppendWord(records, record.stream);
     AppendWord(records, static_cast<std::uint64_t>(record.time));
     AppendWord(records, record.a);
     AppendWord(records, record.digest);
   }
-  writer.PutBytes(kTagRecords, records);
-
-  std::vector<std::byte> windows;
-  windows.reserve(window_hashes_.size() * 16);
-  for (const auto& [window, hash] : window_hashes_) {
-    AppendWord(windows, window);
-    AppendWord(windows, hash);
-  }
-  writer.PutBytes(kTagWindowHashes, windows);
-  return writer.Finish();
+  return records;
 }
 
-Status DecisionJournal::Load(std::span<const std::byte> payload) {
-  TlvReader reader(payload);
-  if (auto status = reader.Verify(); !status.ok()) return status;
-
-  std::vector<JournalRecord> ring;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> windows;
-  std::uint64_t capacity = config_.capacity;
-  std::uint64_t total = 0;
-  std::uint64_t digest = kFnvOffsetBasis;
-
-  while (reader.HasNext()) {
-    auto record = reader.Next();
-    if (!record.ok()) return record.status();
-    switch (record->tag) {
-      case kTagCapacity:
-        capacity = record->AsU64();
-        break;
-      case kTagTotalRecords:
-        total = record->AsU64();
-        break;
-      case kTagRollingDigest:
-        digest = record->AsU64();
-        break;
-      case kTagRecords: {
-        std::size_t cursor = 0;
-        while (cursor < record->payload.size()) {
-          JournalRecord entry;
-          auto kind = ReadWord(record->payload, cursor);
-          auto stream = ReadWord(record->payload, cursor);
-          auto time = ReadWord(record->payload, cursor);
-          auto a = ReadWord(record->payload, cursor);
-          auto entry_digest = ReadWord(record->payload, cursor);
-          if (!kind.ok() || !stream.ok() || !time.ok() || !a.ok() ||
-              !entry_digest.ok()) {
-            return InvalidArgument("journal records blob truncated");
-          }
-          entry.kind = static_cast<RecordKind>(*kind);
-          entry.stream = static_cast<std::uint32_t>(*stream);
-          entry.time = static_cast<sim::TimePoint>(*time);
-          entry.a = *a;
-          entry.digest = *entry_digest;
-          ring.push_back(entry);
-        }
-        break;
-      }
-      case kTagWindowHashes: {
-        std::size_t cursor = 0;
-        while (cursor < record->payload.size()) {
-          auto window = ReadWord(record->payload, cursor);
-          auto hash = ReadWord(record->payload, cursor);
-          if (!window.ok() || !hash.ok()) {
-            return InvalidArgument("journal window blob truncated");
-          }
-          windows.emplace_back(*window, *hash);
-        }
-        break;
-      }
-      default:
-        break;  // forward compatibility: ignore unknown tags
-    }
+std::vector<std::byte> DecisionJournal::PackWindows(
+    const WindowHashes& windows) {
+  std::vector<std::byte> bytes;
+  bytes.reserve(windows.size() * 16);
+  for (const auto& [window, hash] : windows) {
+    AppendWord(bytes, window);
+    AppendWord(bytes, hash);
   }
+  return bytes;
+}
 
+Status DecisionJournal::UnpackRecords(std::span<const std::byte> bytes,
+                                      std::vector<JournalRecord>& ring) {
+  if (bytes.size() % 40 != 0) {
+    return InvalidArgument("journal records blob truncated");
+  }
+  for (std::size_t at = 0; at < bytes.size(); at += 40) {
+    JournalRecord entry;
+    entry.kind = static_cast<RecordKind>(Word(bytes, at));
+    entry.stream = static_cast<std::uint32_t>(Word(bytes, at + 8));
+    entry.time = static_cast<sim::TimePoint>(Word(bytes, at + 16));
+    entry.a = Word(bytes, at + 24);
+    entry.digest = Word(bytes, at + 32);
+    ring.push_back(entry);
+  }
+  return OkStatus();
+}
+
+Status DecisionJournal::UnpackWindows(std::span<const std::byte> bytes,
+                                      WindowHashes& windows) {
+  if (bytes.size() % 16 != 0) {
+    return InvalidArgument("journal window blob truncated");
+  }
+  for (std::size_t at = 0; at < bytes.size(); at += 16) {
+    windows.emplace_back(Word(bytes, at), Word(bytes, at + 8));
+  }
+  return OkStatus();
+}
+
+Status DecisionJournal::Adopt(std::uint64_t capacity, std::uint64_t total,
+                              std::uint64_t digest,
+                              std::vector<JournalRecord> ring,
+                              WindowHashes windows) {
   if (capacity == 0 || ring.size() > capacity || total < ring.size()) {
     return InvalidArgument("journal payload inconsistent");
   }

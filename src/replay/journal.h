@@ -24,9 +24,9 @@
 #include <string_view>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/hash.h"
 #include "base/status.h"
-#include "genesis/snapshot.h"
 #include "genesis/snapshotable.h"
 #include "sim/time.h"
 #include "telemetry/mem_counters.h"
@@ -139,10 +139,55 @@ class DecisionJournal {
 
   // ---- Serialization (TLV; also the genesis section payload) ----
 
-  std::vector<std::byte> Save() const;
-  Status Load(std::span<const std::byte> payload);
+  std::vector<std::byte> Save() const { return SaveFields(*this); }
+  /// A payload that fails to load leaves the journal as it was.
+  Status Load(std::span<const std::byte> payload) {
+    return LoadFields(payload, *this);
+  }
+
+  /// Capacity, record count and rolling digest, then the ring (oldest
+  /// first) and the window hashes, each packed into one blob of 8-byte
+  /// little-endian words.
+  template <class A>
+  void Visit(A& a) {
+    std::uint64_t capacity = config_.capacity;
+    std::uint64_t total = A::kLoading ? 0 : total_records_;
+    std::uint64_t digest = A::kLoading ? kFnvOffsetBasis : rolling_digest_;
+    a.U64(1, capacity);
+    a.U64(2, total);
+    a.U64(3, digest);
+    if constexpr (A::kLoading) {
+      std::vector<JournalRecord> ring;
+      WindowHashes windows;
+      a.Payloads(4, [&ring](std::span<const std::byte> bytes) {
+        return UnpackRecords(bytes, ring);
+      });
+      a.Payloads(5, [&windows](std::span<const std::byte> bytes) {
+        return UnpackWindows(bytes, windows);
+      });
+      if (a.ok()) {
+        a.Check(Adopt(capacity, total, digest, std::move(ring),
+                      std::move(windows)));
+      }
+    } else {
+      a.Blobs(4, std::span(this, 1), PackRecords);
+      a.Blobs(5, std::span(&window_hashes_, 1), PackWindows);
+    }
+  }
 
  private:
+  using WindowHashes = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  static std::vector<std::byte> PackRecords(const DecisionJournal& journal);
+  static std::vector<std::byte> PackWindows(const WindowHashes& windows);
+  static Status UnpackRecords(std::span<const std::byte> bytes,
+                              std::vector<JournalRecord>& ring);
+  static Status UnpackWindows(std::span<const std::byte> bytes,
+                              WindowHashes& windows);
+  // Replaces the journal's contents with a loaded payload's, if consistent.
+  Status Adopt(std::uint64_t capacity, std::uint64_t total,
+               std::uint64_t digest, std::vector<JournalRecord> ring,
+               WindowHashes windows);
+
   void Append(RecordKind kind, std::uint32_t stream, sim::TimePoint time,
               std::uint64_t a);
 
@@ -163,29 +208,14 @@ class DecisionJournal {
   std::size_t head_ = 0;
   std::uint64_t total_records_ = 0;
   std::uint64_t rolling_digest_ = kFnvOffsetBasis;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> window_hashes_;
+  WindowHashes window_hashes_;
   telemetry::mem::ChargedBytes<telemetry::mem::Domain::kJournalRing>
       mem_bytes_;
 };
 
 /// Rides the journal in genesis snapshots (extra section), so a restored
 /// checkpoint resumes the decision history exactly where it was captured.
-class JournalSection : public genesis::Snapshotable {
- public:
-  explicit JournalSection(DecisionJournal& journal,
-                          std::uint32_t id = genesis::kExtraSectionBase + 6)
-      : journal_(journal), id_(id) {}
-
-  std::uint32_t section_id() const override { return id_; }
-  std::string section_name() const override { return "decision-journal"; }
-  std::vector<std::byte> Save() const override { return journal_.Save(); }
-  Status Load(std::span<const std::byte> payload) override {
-    return journal_.Load(payload);
-  }
-
- private:
-  DecisionJournal& journal_;
-  std::uint32_t id_;
-};
+using JournalSection =
+    genesis::SnapshotAdapter<DecisionJournal, 6, "decision-journal">;
 
 }  // namespace viator::replay

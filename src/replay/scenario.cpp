@@ -1,80 +1,23 @@
 #include "replay/scenario.h"
 
-#include "base/tlv.h"
 #include "core/shuttle.h"
 #include "telemetry/perf_counters.h"
 
 namespace viator::replay {
 
-namespace {
-
-// ScenarioConfig TLV tags.
-constexpr TlvTag kTagSeed = 1;
-constexpr TlvTag kTagRows = 2;
-constexpr TlvTag kTagCols = 3;
-constexpr TlvTag kTagSteps = 4;
-constexpr TlvTag kTagInjections = 5;
-constexpr TlvTag kTagPulseEvery = 6;
-constexpr TlvTag kTagCheckpointEvery = 7;
-constexpr TlvTag kTagPerturbStep = 8;
-constexpr TlvTag kTagTracing = 9;
-constexpr TlvTag kTagJournal = 10;
-constexpr TlvTag kTagJournalCapacity = 11;
-constexpr TlvTag kTagHashEvery = 12;
-
-}  // namespace
-
-std::vector<std::byte> ScenarioConfig::Save() const {
-  TlvWriter writer;
-  writer.PutU64(kTagSeed, seed);
-  writer.PutU64(kTagRows, rows);
-  writer.PutU64(kTagCols, cols);
-  writer.PutU64(kTagSteps, steps);
-  writer.PutU64(kTagInjections, injections_per_step);
-  writer.PutU64(kTagPulseEvery, pulse_every);
-  writer.PutU64(kTagCheckpointEvery, checkpoint_every);
-  writer.PutU64(kTagPerturbStep, perturb_step);
-  writer.PutU64(kTagTracing, tracing ? 1 : 0);
-  writer.PutU64(kTagJournal, journal ? 1 : 0);
-  writer.PutU64(kTagJournalCapacity, journal_config.capacity);
-  writer.PutU64(kTagHashEvery, hash_every);
-  return writer.Finish();
-}
-
 Result<ScenarioConfig> ScenarioConfig::Load(
     std::span<const std::byte> payload) {
-  TlvReader reader(payload);
-  if (auto status = reader.Verify(); !status.ok()) return status;
   ScenarioConfig config;
-  while (reader.HasNext()) {
-    auto record = reader.Next();
-    if (!record.ok()) return record.status();
-    switch (record->tag) {
-      case kTagSeed: config.seed = record->AsU64(); break;
-      case kTagRows: config.rows = record->AsU64(); break;
-      case kTagCols: config.cols = record->AsU64(); break;
-      case kTagSteps: config.steps = record->AsU64(); break;
-      case kTagInjections: config.injections_per_step = record->AsU64(); break;
-      case kTagPulseEvery: config.pulse_every = record->AsU64(); break;
-      case kTagCheckpointEvery:
-        config.checkpoint_every = record->AsU64();
-        break;
-      case kTagPerturbStep: config.perturb_step = record->AsU64(); break;
-      case kTagTracing: config.tracing = record->AsU64() != 0; break;
-      case kTagJournal: config.journal = record->AsU64() != 0; break;
-      case kTagJournalCapacity:
-        config.journal_config.capacity =
-            static_cast<std::size_t>(record->AsU64());
-        break;
-      case kTagHashEvery: config.hash_every = record->AsU64(); break;
-      default: break;  // ignore unknown tags (forward compatibility)
-    }
-  }
-  if (config.rows == 0 || config.cols == 0 ||
-      config.rows * config.cols < 2) {
-    return InvalidArgument("scenario grid too small");
+  if (Status status = LoadFields(payload, config); !status.ok()) {
+    return status;
   }
   return config;
+}
+
+Result<FlightFile> FlightFile::Load(std::span<const std::byte> bytes) {
+  FlightFile file;
+  if (Status status = LoadFields(bytes, file); !status.ok()) return status;
+  return file;
 }
 
 ReplayWorld::ReplayWorld(const ScenarioConfig& config, bool populate,

@@ -19,8 +19,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/status.h"
 #include "core/wandering_network.h"
 #include "genesis/manager.h"
@@ -55,8 +57,57 @@ struct ScenarioConfig {
   JournalConfig journal_config;
 
   /// TLV round-trip (scenario metadata in .wnj files and test fixtures).
-  std::vector<std::byte> Save() const;
+  std::vector<std::byte> Save() const { return SaveFields(*this); }
   static Result<ScenarioConfig> Load(std::span<const std::byte> payload);
+
+  /// Every field a U64 record, flags as 0/1; a load refuses a grid of
+  /// fewer than two nodes.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(1, seed);
+    a.U64(2, rows);
+    a.U64(3, cols);
+    a.U64(4, steps);
+    a.U64(5, injections_per_step);
+    a.U64(6, pulse_every);
+    a.U64(7, checkpoint_every);
+    a.U64(8, perturb_step);
+    a.U64(9, tracing);
+    a.U64(10, journal);
+    a.U64(11, journal_config.capacity);
+    a.U64(12, hash_every);
+    if constexpr (A::kLoading) {
+      if (rows == 0 || cols == 0 || rows * cols < 2) {
+        a.Fail(InvalidArgument("scenario grid too small"));
+      }
+    }
+  }
+};
+
+/// A .wnj flight file (wnreplay): the magic "wnj1", then the recorded
+/// scenario and its decision journal as nested records.
+struct FlightFile {
+  static constexpr std::string_view kMagic = "wnj1";
+
+  ScenarioConfig config;
+  DecisionJournal journal;
+
+  std::vector<std::byte> Save() const { return SaveFields(*this); }
+  /// Refuses a stream without the magic, the scenario or the journal.
+  static Result<FlightFile> Load(std::span<const std::byte> bytes);
+
+  template <class A>
+  void Visit(A& a) {
+    std::string_view magic = A::kLoading ? std::string_view() : kMagic;
+    a.Str(1, magic);
+    const bool has_config = a.Record(2, config);
+    const bool has_journal = a.Record(3, journal);
+    if constexpr (A::kLoading) {
+      if (magic != kMagic || !has_config || !has_journal) {
+        a.Fail(InvalidArgument("not a flight file"));
+      }
+    }
+  }
 };
 
 /// One self-contained, replayable simulation world.

@@ -1,16 +1,6 @@
 #include "vm/program.h"
 
-#include "base/tlv.h"
-
 namespace viator::vm {
-namespace {
-
-// TLV tags for the program container.
-constexpr TlvTag kTagName = 1;
-constexpr TlvTag kTagCode = 2;
-constexpr TlvTag kTagConstant = 3;
-
-}  // namespace
 
 Program::Program(std::string name, std::vector<Instruction> code,
                  std::vector<std::int64_t> constants)
@@ -18,63 +8,41 @@ Program::Program(std::string name, std::vector<Instruction> code,
       code_(std::move(code)),
       constants_(std::move(constants)) {}
 
-std::vector<std::byte> Program::Serialize() const {
-  TlvWriter writer;
-  writer.PutString(kTagName, name_);
-  std::vector<std::byte> code_bytes;
-  code_bytes.reserve(code_.size() * 5);
-  for (const Instruction& ins : code_) {
-    code_bytes.push_back(static_cast<std::byte>(ins.opcode));
+std::vector<std::byte> Program::PackCode(const std::vector<Instruction>& code) {
+  std::vector<std::byte> bytes;
+  bytes.reserve(code.size() * 5);
+  for (const Instruction& ins : code) {
+    bytes.push_back(static_cast<std::byte>(ins.opcode));
     const auto operand = static_cast<std::uint32_t>(ins.operand);
     for (int i = 0; i < 4; ++i) {
-      code_bytes.push_back(
-          static_cast<std::byte>((operand >> (8 * i)) & 0xff));
+      bytes.push_back(static_cast<std::byte>((operand >> (8 * i)) & 0xff));
     }
   }
-  writer.PutBytes(kTagCode, code_bytes);
-  for (std::int64_t c : constants_) {
-    writer.PutU64(kTagConstant, static_cast<std::uint64_t>(c));
-  }
-  return writer.Finish();
+  return bytes;
 }
 
-Result<Program> Program::Deserialize(std::span<const std::byte> bytes) {
-  TlvReader reader(bytes);
-  if (Status verify = reader.Verify(); !verify.ok()) return verify;
-  Program program;
-  while (reader.HasNext()) {
-    auto rec = reader.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagName:
-        program.name_ = rec->AsString();
-        break;
-      case kTagCode: {
-        const auto& payload = rec->payload;
-        if (payload.size() % 5 != 0) {
-          return Status(InvalidArgument("malformed code section"));
-        }
-        program.code_.reserve(payload.size() / 5);
-        for (std::size_t at = 0; at < payload.size(); at += 5) {
-          Instruction ins;
-          ins.opcode = static_cast<Opcode>(payload[at]);
-          std::uint32_t operand = 0;
-          for (int i = 0; i < 4; ++i) {
-            operand |= static_cast<std::uint32_t>(payload[at + 1 + i])
-                       << (8 * i);
-          }
-          ins.operand = static_cast<std::int32_t>(operand);
-          program.code_.push_back(ins);
-        }
-        break;
-      }
-      case kTagConstant:
-        program.constants_.push_back(static_cast<std::int64_t>(rec->AsU64()));
-        break;
-      default:
-        break;  // forward compatibility: unknown tags are skipped
+Status Program::UnpackCode(std::span<const std::byte> bytes,
+                           std::vector<Instruction>& code) {
+  if (bytes.size() % 5 != 0) return InvalidArgument("malformed code section");
+  code.reserve(code.size() + bytes.size() / 5);
+  for (std::size_t at = 0; at < bytes.size(); at += 5) {
+    Instruction ins;
+    ins.opcode = static_cast<Opcode>(bytes[at]);
+    std::uint32_t operand = 0;
+    for (int i = 0; i < 4; ++i) {
+      operand |= static_cast<std::uint32_t>(bytes[at + 1 + i]) << (8 * i);
     }
+    ins.operand = static_cast<std::int32_t>(operand);
+    code.push_back(ins);
   }
+  return OkStatus();
+}
+
+std::vector<std::byte> Program::Serialize() const { return SaveFields(*this); }
+
+Result<Program> Program::Deserialize(std::span<const std::byte> bytes) {
+  Program program;
+  if (Status status = LoadFields(bytes, program); !status.ok()) return status;
   return program;
 }
 

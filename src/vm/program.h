@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/hash.h"
 #include "base/status.h"
 #include "vm/isa.h"
@@ -39,7 +41,28 @@ class Program {
 
   bool empty() const { return code_.empty(); }
 
+  /// The serialization's fields: the code travels as one blob of 5-byte
+  /// instructions (opcode, little-endian operand).
+  template <class A>
+  void Visit(A& a) {
+    a.Str(1, name_);
+    if constexpr (A::kLoading) {
+      code_.clear();
+      digest_valid_ = false;
+      a.Payloads(2, [this](std::span<const std::byte> bytes) {
+        return UnpackCode(bytes, code_);
+      });
+    } else {
+      a.Blobs(2, std::span(&code_, 1), PackCode);
+    }
+    a.Repeated(3, constants_);
+  }
+
  private:
+  static std::vector<std::byte> PackCode(const std::vector<Instruction>& code);
+  static Status UnpackCode(std::span<const std::byte> bytes,
+                           std::vector<Instruction>& code);
+
   std::string name_;
   std::vector<Instruction> code_;
   std::vector<std::int64_t> constants_;

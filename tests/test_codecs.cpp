@@ -1,9 +1,11 @@
 // The object codecs outside snapshot sections: ship genomes, knowledge
 // quanta, WanderScript program images, scenario configs, decision journals
 // and .wnj flight files. Their bytes travel between ships and into files
-// other builds read, so they are pinned by a golden of sizes and digests.
+// other builds read, so they are pinned by a golden of sizes and digests,
+// and their decoders refuse what the snapshot loader refuses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -105,13 +107,8 @@ replay::DecisionJournal WrappedJournal() {
   return journal;
 }
 
-/// A .wnj flight file: the magic, the scenario config and the journal.
-std::vector<std::byte> SampleFlightFile() {
-  TlvWriter writer;
-  writer.PutString(1, "wnj1");
-  writer.PutNested(2, OtherConfig().Save());
-  writer.PutNested(3, WrappedJournal().Save());
-  return writer.Finish();
+replay::FlightFile SampleFlightFile() {
+  return {OtherConfig(), WrappedJournal()};
 }
 
 wli::NetFunction RandomFunction(Rng& rng) {
@@ -191,7 +188,7 @@ TEST(CodecGolden, BytesArePinned) {
   table += Line("scenario", OtherConfig().Save());
   table += Line("journal", WrappedJournal().Save());
   table += Line("journal-empty", replay::DecisionJournal{}.Save());
-  table += Line("flight-file", SampleFlightFile());
+  table += Line("flight-file", SampleFlightFile().Save());
   // 200 random blueprints and 200 random quanta, concatenated.
   Rng rng(2020);
   std::vector<std::byte> blueprints, quanta;
@@ -213,6 +210,149 @@ TEST(CodecGolden, BytesArePinned) {
   std::stringstream expected;
   expected << golden.rdbuf();
   EXPECT_EQ(table, expected.str());
+}
+
+// ---- Strict decoders --------------------------------------------------------
+
+/// `stream` with the payload of its first top-level `tag` record resized to
+/// `width` bytes, re-sealed with a fresh trailer.
+std::vector<std::byte> Rewidth(std::span<const std::byte> stream, TlvTag tag,
+                               std::size_t width) {
+  TlvReader reader(stream);
+  EXPECT_TRUE(reader.Verify().ok());
+  TlvWriter out;
+  bool done = false;
+  while (reader.HasNext()) {
+    const auto record = reader.Next();
+    if (!record.ok()) {
+      ADD_FAILURE() << record.status().ToString();
+      break;
+    }
+    if (!done && record->tag == tag) {
+      std::vector<std::byte> payload(width);
+      std::copy_n(record->payload.begin(),
+                  std::min(width, record->payload.size()), payload.begin());
+      out.PutBytes(tag, payload);
+      done = true;
+    } else {
+      out.PutBytes(record->tag, record->payload);
+    }
+  }
+  EXPECT_TRUE(done) << "no record tagged " << tag;
+  return out.Finish();
+}
+
+void ExpectInvalid(const Status& status, const char* what) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << what << ": " << status.ToString();
+}
+
+TEST(StrictDecoders, WrongWidthRecordsAreRefused) {
+  // Each stream carries a valid trailer, so only the field check stands
+  // between a wrong-width record and a value read as 0 (an 8-byte role, a
+  // 4-byte constant).
+  ExpectInvalid(
+      wli::DecodeBlueprint(
+          Rewidth(wli::EncodeBlueprint(SampleBlueprint()), 0x31, 8))
+          .status(),
+      "blueprint role");
+  ExpectInvalid(wli::DecodeKnowledgeQuantum(
+                    Rewidth(wli::EncodeKnowledgeQuantum(SampleQuantum()),
+                            0x22, 4))
+                    .status(),
+                "quantum fact weight");
+  ExpectInvalid(
+      vm::Program::Deserialize(Rewidth(SampleProgram().Serialize(), 3, 4))
+          .status(),
+      "program constant");
+  ExpectInvalid(
+      replay::ScenarioConfig::Load(Rewidth(OtherConfig().Save(), 4, 4))
+          .status(),
+      "scenario steps");
+  replay::DecisionJournal journal = WrappedJournal();
+  ExpectInvalid(journal.Load(Rewidth(journal.Save(), 3, 4)),
+                "journal rolling digest");
+
+  // A flight file whose nested scenario holds the wrong-width record.
+  TlvWriter flight;
+  flight.PutString(1, replay::FlightFile::kMagic);
+  flight.PutNested(2, Rewidth(OtherConfig().Save(), 4, 4));
+  flight.PutNested(3, WrappedJournal().Save());
+  ExpectInvalid(replay::FlightFile::Load(flight.Finish()).status(),
+                "flight-file scenario steps");
+}
+
+TEST(StrictDecoders, NestedAndEnumFieldsAreChecked) {
+  // A module gene's class out of range, a function's role inside a genome
+  // out of range, and a program's code blob that is not whole instructions.
+  wli::ShipBlueprint bad_module = SampleBlueprint();
+  bad_module.modules[1].accelerates = node::SecondLevelClass::kClassCount;
+  ExpectInvalid(wli::DecodeBlueprint(wli::EncodeBlueprint(bad_module)).status(),
+                "module class");
+  wli::ShipBlueprint bad_function = SampleBlueprint();
+  bad_function.functions[0].role = node::FirstLevelRole::kRoleCount;
+  ExpectInvalid(
+      wli::DecodeBlueprint(wli::EncodeBlueprint(bad_function)).status(),
+      "function role");
+  ExpectInvalid(
+      vm::Program::Deserialize(Rewidth(SampleProgram().Serialize(), 2, 7))
+          .status(),
+      "code blob");
+}
+
+TEST(StrictDecoders, FailedJournalLoadChangesNothing) {
+  replay::DecisionJournal journal = WrappedJournal();
+  const std::vector<std::byte> before = journal.Save();
+  // A wrong-width record, a ring of two records in a capacity of one, a
+  // truncated records blob and bytes without a trailer.
+  TlvWriter overfull;
+  overfull.PutU64(1, 1);
+  overfull.PutU64(2, 5);
+  overfull.PutU64(3, 0);
+  overfull.PutBytes(4, std::vector<std::byte>(80));
+  const std::vector<std::byte> loads[] = {
+      Rewidth(before, 3, 4),
+      overfull.Finish(),
+      Rewidth(before, 4, 39),
+      std::vector<std::byte>(13, std::byte{0xab}),
+  };
+  for (const auto& bytes : loads) {
+    EXPECT_FALSE(journal.Load(bytes).ok());
+    EXPECT_EQ(journal.Save(), before);
+  }
+}
+
+TEST(FlightFile, RoundTripsAndRefusesIncompleteFiles) {
+  const std::vector<std::byte> bytes = SampleFlightFile().Save();
+  const auto file = replay::FlightFile::Load(bytes);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->config.Save(), OtherConfig().Save());
+  EXPECT_EQ(file->journal.Save(), WrappedJournal().Save());
+  EXPECT_EQ(file->Save(), bytes);
+
+  // Without the magic, the scenario or the journal, or with another magic.
+  const auto without = [&bytes](TlvTag tag) {
+    TlvReader reader(bytes);
+    TlvWriter out;
+    while (reader.HasNext()) {
+      const auto record = reader.Next();
+      if (record.ok() && record->tag != tag) {
+        out.PutBytes(record->tag, record->payload);
+      }
+    }
+    return out.Finish();
+  };
+  for (const TlvTag tag : {1, 2, 3}) {
+    ExpectInvalid(replay::FlightFile::Load(without(tag)).status(),
+                  "missing record");
+  }
+  ExpectInvalid(replay::FlightFile::Load(Rewidth(bytes, 1, 3)).status(),
+                "magic");
+  // Truncation is caught by the trailer.
+  ExpectInvalid(replay::FlightFile::Load(
+                    std::span(bytes).first(bytes.size() - 1))
+                    .status(),
+                "truncated");
 }
 
 }  // namespace

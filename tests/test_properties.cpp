@@ -3,6 +3,10 @@
 // bytes, fabric conservation laws, and a full-system soak.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "base/rng.h"
 #include "base/tlv.h"
 #include "core/genetic_transcoder.h"
@@ -11,6 +15,8 @@
 #include "core/wanderlib.h"
 #include "net/failure.h"
 #include "net/topology.h"
+#include "replay/journal.h"
+#include "replay/scenario.h"
 #include "services/audit.h"
 #include "services/gossip.h"
 #include "services/security_mgmt.h"
@@ -170,6 +176,154 @@ TEST_P(CodecFuzz, RandomBlueprintsRoundTrip) {
       EXPECT_EQ(decoded->facts[i].key, bp.facts[i].key);
       EXPECT_DOUBLE_EQ(decoded->facts[i].weight, bp.facts[i].weight);
     }
+  }
+}
+
+// One structural edit of a valid TLV stream, at the top level or inside a
+// nested stream: a record dropped, duplicated, swapped with the next,
+// truncated, given another width or overwritten with random bytes. Every
+// stream on the way out is re-sealed with a fresh trailer, so the edit
+// reaches the decoder's field logic instead of its checksum check.
+std::vector<std::byte> MutateRecord(std::span<const std::byte> stream,
+                                    Rng& rng) {
+  std::vector<std::pair<TlvTag, std::vector<std::byte>>> records;
+  TlvReader reader(stream);
+  while (reader.HasNext()) {
+    const auto record = reader.Next();
+    if (!record.ok()) break;
+    records.emplace_back(record->tag, std::vector<std::byte>(
+                                          record->payload.begin(),
+                                          record->payload.end()));
+  }
+  if (records.empty()) records.emplace_back(1, std::vector<std::byte>(8));
+  const std::size_t at = rng.Index(records.size());
+  std::vector<std::byte>& payload = records[at].second;
+  if (TlvReader(payload).Verify().ok() && rng.Index(2) == 0) {
+    payload = MutateRecord(payload, rng);
+  } else {
+    switch (rng.Index(6)) {
+      case 0:
+        records.erase(records.begin() + at);
+        break;
+      case 1: {
+        auto copy = records[at];
+        records.insert(records.begin() + at, std::move(copy));
+        break;
+      }
+      case 2:
+        std::swap(records[at], records[(at + 1) % records.size()]);
+        break;
+      case 3:
+        payload.resize(rng.Index(payload.size() + 1));
+        break;
+      case 4: {
+        constexpr std::size_t kWidths[] = {0, 1, 2, 4, 8, 16};
+        payload.resize(kWidths[rng.Index(std::size(kWidths))]);
+        break;
+      }
+      default:
+        for (std::byte& b : payload) b = static_cast<std::byte>(rng.Next());
+    }
+  }
+  TlvWriter out;
+  for (const auto& [tag, bytes] : records) out.PutBytes(tag, bytes);
+  return out.Finish();
+}
+
+wli::NetFunction RandomFunction(Rng& rng) {
+  wli::NetFunction fn;
+  fn.id = rng.Next();
+  fn.name = std::to_string(rng.Index(100));
+  fn.role = static_cast<node::FirstLevelRole>(
+      rng.Index(static_cast<std::size_t>(node::FirstLevelRole::kRoleCount)));
+  fn.program_digest = rng.Next();
+  for (std::size_t i = rng.Index(3); i > 0; --i) {
+    fn.fact_keys.push_back(rng.Next());
+  }
+  return fn;
+}
+
+TEST_P(CodecFuzz, ResealedRecordMutationsDecodeOrFail) {
+  Rng rng(GetParam() * 131 + 7);
+  replay::DecisionJournal journal({.capacity = 6});
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    journal.RecordDraw(replay::kStreamShipBase + i, rng.Next());
+    journal.RecordWindowHash(i, rng.Next());
+  }
+  replay::ScenarioConfig config;
+  config.rows = 2;
+  config.perturb_step = 3;
+  const std::vector<std::byte> journal_bytes = journal.Save();
+
+  // Each target: a fresh valid encoding and a decode that must return.
+  struct Target {
+    std::function<std::vector<std::byte>()> encode;
+    std::function<Status(std::span<const std::byte>)> decode;
+    std::size_t decoded = 0;
+    std::size_t refused = 0;
+  };
+  vm::Interpreter interpreter;
+  vm::Environment env;
+  Target targets[] = {
+      {[&] {
+         wli::ShipBlueprint bp;
+         bp.role = node::FirstLevelRole::kFission;
+         bp.resident_programs = {rng.Next(), rng.Next()};
+         bp.facts = {{rng.Next(), -5, 0.5}, {rng.Next(), 9, 2.0}};
+         bp.modules = {{4, node::SecondLevelClass::kBoosting, 64, 2.0, 9}};
+         bp.functions = {RandomFunction(rng), RandomFunction(rng)};
+         return wli::EncodeBlueprint(bp);
+       },
+       [](auto bytes) { return wli::DecodeBlueprint(bytes).status(); }},
+      {[&] {
+         wli::KnowledgeQuantum kq;
+         kq.function = RandomFunction(rng);
+         kq.facts = {{rng.Next(), 3, 1.5}, {rng.Next(), -3, 0.5}};
+         return wli::EncodeKnowledgeQuantum(kq);
+       },
+       [](auto bytes) { return wli::DecodeKnowledgeQuantum(bytes).status(); }},
+      {[&] { return RandomProgram(rng, rng.Index(12) + 1).Serialize(); },
+       [&](auto bytes) {
+         // A program the verifier accepts runs within its fuel.
+         const auto program = vm::Program::Deserialize(bytes);
+         if (program.ok() && vm::Verify(*program).ok()) {
+           EXPECT_LE(interpreter.Run(*program, env, 2000).fuel_used, 2000u);
+         }
+         return program.status();
+       }},
+      {[&] { return config.Save(); },
+       [](auto bytes) { return replay::ScenarioConfig::Load(bytes).status(); }},
+      {[&] { return journal_bytes; },
+       [&](auto bytes) {
+         // A failed load leaves the journal as it was.
+         replay::DecisionJournal target = journal;
+         Status status = target.Load(bytes);
+         if (!status.ok()) {
+           EXPECT_EQ(target.Save(), journal_bytes);
+         }
+         return status;
+       }},
+      {[&] { return replay::FlightFile{config, journal}.Save(); },
+       [](auto bytes) { return replay::FlightFile::Load(bytes).status(); }},
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    for (Target& target : targets) {
+      std::vector<std::byte> bytes = target.encode();
+      for (std::size_t edits = rng.Index(3) + 1; edits > 0; --edits) {
+        bytes = MutateRecord(bytes, rng);
+      }
+      // Re-sealed: the stream's own trailer always holds.
+      ASSERT_TRUE(TlvReader(bytes).Verify().ok());
+      if (target.decode(bytes).ok()) {
+        ++target.decoded;
+      } else {
+        ++target.refused;
+      }
+    }
+  }
+  for (const Target& target : targets) {
+    EXPECT_GT(target.decoded, 0u);
+    EXPECT_GT(target.refused, 0u);
   }
 }
 

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "base/tlv.h"
 #include "replay/auditor.h"
 #include "replay/controller.h"
 #include "replay/journal.h"
@@ -48,13 +47,6 @@
 namespace {
 
 using namespace viator;  // tool code; the library never does this
-
-// .wnj flight-file framing: TLV with a magic string, the nested scenario
-// config and the nested journal payload.
-constexpr TlvTag kTagMagic = 1;
-constexpr TlvTag kTagConfig = 2;
-constexpr TlvTag kTagJournal = 3;
-constexpr std::string_view kMagic = "wnj1";
 
 int Usage() {
   std::cerr
@@ -69,19 +61,10 @@ int Usage() {
   return 2;
 }
 
-struct FlightFile {
-  replay::ScenarioConfig config;
-  replay::DecisionJournal journal;
-};
+using replay::FlightFile;
 
-bool WriteFlightFile(const std::string& path,
-                     const replay::ScenarioConfig& config,
-                     const replay::DecisionJournal& journal) {
-  TlvWriter writer;
-  writer.PutString(kTagMagic, kMagic);
-  writer.PutNested(kTagConfig, config.Save());
-  writer.PutNested(kTagJournal, journal.Save());
-  const std::vector<std::byte> bytes = writer.Finish();
+bool WriteFlightFile(const std::string& path, const FlightFile& file) {
+  const std::vector<std::byte> bytes = file.Save();
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     std::cerr << "wnreplay: cannot open " << path << " for writing\n";
@@ -100,41 +83,14 @@ std::optional<FlightFile> ReadFlightFile(const std::string& path) {
   }
   std::vector<char> raw((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-  const auto* data = reinterpret_cast<const std::byte*>(raw.data());
-  TlvReader reader({data, raw.size()});
-  if (!reader.Verify().ok()) {
-    std::cerr << "wnreplay: " << path << " is not a flight file\n";
+  auto file = FlightFile::Load(
+      {reinterpret_cast<const std::byte*>(raw.data()), raw.size()});
+  if (!file.ok()) {
+    std::cerr << "wnreplay: " << path << " is not a valid flight file: "
+              << file.status().message() << "\n";
     return std::nullopt;
   }
-  FlightFile file;
-  bool magic_ok = false, config_ok = false, journal_ok = false;
-  while (reader.HasNext()) {
-    auto record = reader.Next();
-    if (!record.ok()) break;
-    switch (record->tag) {
-      case kTagMagic:
-        magic_ok = record->AsString() == kMagic;
-        break;
-      case kTagConfig: {
-        auto config = replay::ScenarioConfig::Load(record->payload);
-        if (config.ok()) {
-          file.config = *config;
-          config_ok = true;
-        }
-        break;
-      }
-      case kTagJournal:
-        journal_ok = file.journal.Load(record->payload).ok();
-        break;
-      default:
-        break;  // forward compatible
-    }
-  }
-  if (!magic_ok || !config_ok || !journal_ok) {
-    std::cerr << "wnreplay: " << path << " is malformed\n";
-    return std::nullopt;
-  }
-  return file;
+  return *std::move(file);
 }
 
 int RunRecord(int argc, char** argv) {
@@ -165,7 +121,7 @@ int RunRecord(int argc, char** argv) {
   }
   replay::ReplayWorld world(config);
   world.RunToStep(config.steps);
-  if (!WriteFlightFile(out_path, config, world.journal())) return 1;
+  if (!WriteFlightFile(out_path, {config, world.journal()})) return 1;
   std::cout << "recorded " << config.steps << " steps, "
             << world.journal().total_records() << " decisions, digest 0x"
             << std::hex << world.journal().rolling_digest() << std::dec
