@@ -1,90 +1,18 @@
 #include "health/report.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
-#include <set>
+
+#include "telemetry/export.h"
 
 namespace viator::health {
 namespace {
 
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void AppendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string Quoted(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  AppendEscaped(out, text);
-  out += '"';
-  return out;
-}
-
-// Field scanners for our own fixed-shape lines (mirrors telemetry/export.cpp;
-// the shapes are private to each format, so the scanners are too).
-std::optional<std::string> FindString(std::string_view line,
-                                      std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":\"";
-  const auto pos = line.find(pattern);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::size_t i = pos + pattern.size();
-  std::string out;
-  while (i < line.size() && line[i] != '"') {
-    char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char esc = line[i + 1];
-      i += 2;
-      switch (esc) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: out += esc;
-      }
-      continue;
-    }
-    out += c;
-    ++i;
-  }
-  return out;
-}
-
-std::optional<double> FindNumber(std::string_view line, std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(pattern);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::string rest(line.substr(pos + pattern.size()));
-  try {
-    return std::stod(rest);
-  } catch (...) {
-    return std::nullopt;
-  }
-}
+using telemetry::FindDoubleField;
+using telemetry::FindStringField;
+using telemetry::JsonString;
+using telemetry::ShortestDouble;
 
 std::uint64_t AsU64(std::optional<double> v) {
   return v ? static_cast<std::uint64_t>(*v) : 0;
@@ -95,10 +23,11 @@ std::uint64_t AsU64(std::optional<double> v) {
 void WriteHealthJsonl(const HealthReport& report, std::ostream& out) {
   for (const ShipReportEntry& s : report.ships) {
     out << "{\"kind\":\"ship\",\"ship\":" << s.ship
-        << ",\"score\":" << Num(s.score)
-        << ",\"queue_ewma\":" << Num(s.queue_ewma)
-        << ",\"hop_latency_ewma\":" << Num(s.hop_latency_ewma)
-        << ",\"service_latency_ewma\":" << Num(s.service_latency_ewma)
+        << ",\"score\":" << ShortestDouble(s.score)
+        << ",\"queue_ewma\":" << ShortestDouble(s.queue_ewma)
+        << ",\"hop_latency_ewma\":" << ShortestDouble(s.hop_latency_ewma)
+        << ",\"service_latency_ewma\":"
+        << ShortestDouble(s.service_latency_ewma)
         << ",\"samples\":" << s.samples
         << ",\"expected_visits\":" << s.expected_visits
         << ",\"missed_visits\":" << s.missed_visits
@@ -107,10 +36,10 @@ void WriteHealthJsonl(const HealthReport& report, std::ostream& out) {
   }
   for (const HealthEvent& e : report.events) {
     out << "{\"kind\":\"event\",\"time\":" << e.time
-        << ",\"type\":" << Quoted(HealthEventKindName(e.kind))
-        << ",\"ship\":" << e.ship << ",\"value\":" << Num(e.value)
-        << ",\"threshold\":" << Num(e.threshold)
-        << ",\"detail\":" << Quoted(e.detail) << "}\n";
+        << ",\"type\":" << JsonString(HealthEventKindName(e.kind))
+        << ",\"ship\":" << e.ship << ",\"value\":" << ShortestDouble(e.value)
+        << ",\"threshold\":" << ShortestDouble(e.threshold)
+        << ",\"detail\":" << JsonString(e.detail) << "}\n";
   }
   const HealthSummary& sum = report.summary;
   out << "{\"kind\":\"summary\",\"probes_emitted\":" << sum.probes_emitted
@@ -126,44 +55,48 @@ std::optional<HealthReport> ParseHealthJsonl(std::istream& in) {
   bool have_summary = false;
   std::string line;
   while (std::getline(in, line)) {
-    const auto kind = FindString(line, "kind");
+    const auto kind = FindStringField(line, "kind");
     if (!kind) continue;
     if (*kind == "ship") {
       ShipReportEntry s;
-      s.ship = static_cast<net::NodeId>(AsU64(FindNumber(line, "ship")));
-      s.score = FindNumber(line, "score").value_or(1.0);
-      s.queue_ewma = FindNumber(line, "queue_ewma").value_or(0.0);
-      s.hop_latency_ewma = FindNumber(line, "hop_latency_ewma").value_or(0.0);
+      s.ship = static_cast<net::NodeId>(AsU64(FindDoubleField(line, "ship")));
+      s.score = FindDoubleField(line, "score").value_or(1.0);
+      s.queue_ewma = FindDoubleField(line, "queue_ewma").value_or(0.0);
+      s.hop_latency_ewma =
+          FindDoubleField(line, "hop_latency_ewma").value_or(0.0);
       s.service_latency_ewma =
-          FindNumber(line, "service_latency_ewma").value_or(0.0);
-      s.samples = AsU64(FindNumber(line, "samples"));
-      s.expected_visits = AsU64(FindNumber(line, "expected_visits"));
-      s.missed_visits = AsU64(FindNumber(line, "missed_visits"));
-      s.code_executions = AsU64(FindNumber(line, "code_executions"));
-      s.code_misses = AsU64(FindNumber(line, "code_misses"));
+          FindDoubleField(line, "service_latency_ewma").value_or(0.0);
+      s.samples = AsU64(FindDoubleField(line, "samples"));
+      s.expected_visits = AsU64(FindDoubleField(line, "expected_visits"));
+      s.missed_visits = AsU64(FindDoubleField(line, "missed_visits"));
+      s.code_executions = AsU64(FindDoubleField(line, "code_executions"));
+      s.code_misses = AsU64(FindDoubleField(line, "code_misses"));
       report.ships.push_back(s);
     } else if (*kind == "event") {
       HealthEvent e;
-      e.time = AsU64(FindNumber(line, "time"));
-      const auto type = FindString(line, "type");
+      e.time = AsU64(FindDoubleField(line, "time"));
+      const auto type = FindStringField(line, "type");
       if (type) {
         if (const auto parsed = HealthEventKindFromName(*type)) {
           e.kind = *parsed;
         }
       }
-      e.ship = static_cast<net::NodeId>(AsU64(FindNumber(line, "ship")));
-      e.value = FindNumber(line, "value").value_or(0.0);
-      e.threshold = FindNumber(line, "threshold").value_or(0.0);
-      e.detail = FindString(line, "detail").value_or("");
+      e.ship = static_cast<net::NodeId>(AsU64(FindDoubleField(line, "ship")));
+      e.value = FindDoubleField(line, "value").value_or(0.0);
+      e.threshold = FindDoubleField(line, "threshold").value_or(0.0);
+      e.detail = FindStringField(line, "detail").value_or("");
       report.events.push_back(std::move(e));
     } else if (*kind == "summary") {
-      report.summary.probes_emitted = AsU64(FindNumber(line, "probes_emitted"));
+      report.summary.probes_emitted =
+          AsU64(FindDoubleField(line, "probes_emitted"));
       report.summary.probes_absorbed =
-          AsU64(FindNumber(line, "probes_absorbed"));
-      report.summary.probes_lost = AsU64(FindNumber(line, "probes_lost"));
-      report.summary.hops_observed = AsU64(FindNumber(line, "hops_observed"));
-      report.summary.spans_ingested = AsU64(FindNumber(line, "spans_ingested"));
-      report.summary.events = AsU64(FindNumber(line, "events"));
+          AsU64(FindDoubleField(line, "probes_absorbed"));
+      report.summary.probes_lost = AsU64(FindDoubleField(line, "probes_lost"));
+      report.summary.hops_observed =
+          AsU64(FindDoubleField(line, "hops_observed"));
+      report.summary.spans_ingested =
+          AsU64(FindDoubleField(line, "spans_ingested"));
+      report.summary.events = AsU64(FindDoubleField(line, "events"));
       have_summary = true;
     }
   }
@@ -188,8 +121,9 @@ std::vector<std::string> DiffHealthReports(const HealthReport& baseline,
     if (drop > options.score_tolerance) {
       regressions.push_back(
           "ship " + std::to_string(base.ship) + " score dropped " +
-          Num(base.score) + " -> " + Num(it->second->score) +
-          " (tolerance " + Num(options.score_tolerance) + ")");
+          ShortestDouble(base.score) + " -> " +
+          ShortestDouble(it->second->score) + " (tolerance " +
+          ShortestDouble(options.score_tolerance) + ")");
     }
   }
   // Event census per kind: more events of any kind is a regression.
@@ -254,17 +188,20 @@ std::vector<std::string> CompareBenchMetrics(
     if (name.find("digest") != std::string::npos) {
       // A hash near the pinned one is as wrong as any other.
       if (cur != base) {
-        regressions.push_back("metric " + name + " changed " + Num(base) +
-                              " -> " + Num(cur) + " (digests match exactly)");
+        regressions.push_back("metric " + name + " changed " +
+                              ShortestDouble(base) + " -> " +
+                              ShortestDouble(cur) +
+                              " (digests match exactly)");
       }
       continue;
     }
     const double denom = std::max(std::fabs(base), 1e-12);
     const double drift = std::fabs(cur - base) / denom;
     if (drift > options.tolerance) {
-      regressions.push_back("metric " + name + " drifted " + Num(base) +
-                            " -> " + Num(cur) + " (" + Num(drift * 100.0) +
-                            "% > " + Num(options.tolerance * 100.0) + "%)");
+      regressions.push_back(
+          "metric " + name + " drifted " + ShortestDouble(base) + " -> " +
+          ShortestDouble(cur) + " (" + ShortestDouble(drift * 100.0) +
+          "% > " + ShortestDouble(options.tolerance * 100.0) + "%)");
     }
   }
   return regressions;

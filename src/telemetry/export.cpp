@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -15,6 +16,25 @@
 namespace viator::telemetry {
 namespace {
 
+std::string HexId(std::uint64_t id) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(id));
+  return buf;
+}
+
+// Offset just past the first `"key":` in `line` followed by `tail`, or npos.
+std::size_t ValueAt(std::string_view line, std::string_view key,
+                    std::string_view tail) {
+  std::string pattern;
+  pattern.reserve(key.size() + tail.size() + 3);
+  pattern.append(1, '"').append(key).append("\":").append(tail);
+  const std::size_t pos = line.find(pattern);
+  return pos == std::string_view::npos ? pos : pos + pattern.size();
+}
+
+}  // namespace
+
 std::string JsonString(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -22,13 +42,6 @@ std::string JsonString(std::string_view text) {
   AppendEscaped(out, text, EscapeStyle::kJson);
   out += '"';
   return out;
-}
-
-std::string HexId(std::uint64_t id) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(id));
-  return buf;
 }
 
 std::string ShortestDouble(double v) {
@@ -41,10 +54,8 @@ std::string ShortestDouble(double v) {
 
 std::optional<std::string> FindStringField(std::string_view line,
                                            std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":\"";
-  const auto pos = line.find(pattern);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::size_t i = pos + pattern.size();
+  std::size_t i = ValueAt(line, key, "\"");
+  if (i == std::string_view::npos) return std::nullopt;
   std::string out;
   while (i < line.size() && line[i] != '"') {
     char c = line[i];
@@ -55,13 +66,18 @@ std::optional<std::string> FindStringField(std::string_view line,
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u':
-          if (i + 4 <= line.size()) {
-            out += static_cast<char>(
-                std::stoul(std::string(line.substr(i, 4)), nullptr, 16));
+        case 'u': {
+          // Four hex digits; an escape without them is dropped.
+          unsigned code = 0;
+          const char* digits = line.data() + i;
+          if (i + 4 <= line.size() &&
+              std::from_chars(digits, digits + 4, code, 16).ptr ==
+                  digits + 4) {
+            out += static_cast<char>(code);
             i += 4;
           }
           break;
+        }
         default: out += esc;
       }
       continue;
@@ -74,11 +90,9 @@ std::optional<std::string> FindStringField(std::string_view line,
 
 std::optional<std::uint64_t> FindU64Field(std::string_view line,
                                           std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(pattern);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::size_t i = pos + pattern.size();
-  if (i >= line.size() || !std::isdigit(static_cast<unsigned char>(line[i]))) {
+  std::size_t i = ValueAt(line, key, "");
+  if (i == std::string_view::npos || i >= line.size() ||
+      !std::isdigit(static_cast<unsigned char>(line[i]))) {
     return std::nullopt;
   }
   std::uint64_t value = 0;
@@ -91,16 +105,16 @@ std::optional<std::uint64_t> FindU64Field(std::string_view line,
 
 std::optional<double> FindDoubleField(std::string_view line,
                                       std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(pattern);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::string rest(line.substr(pos + pattern.size()));
+  const std::size_t at = ValueAt(line, key, "");
+  if (at == std::string_view::npos) return std::nullopt;
   try {
-    return std::stod(rest);
+    return std::stod(std::string(line.substr(at)));
   } catch (...) {
     return std::nullopt;
   }
 }
+
+namespace {
 
 std::string PrometheusName(std::string_view name) {
   std::string out = "viator_";

@@ -42,6 +42,23 @@ void AppendEscaped(std::string& out, std::string_view text,
 /// Convenience form returning the escaped copy.
 std::string Escaped(std::string_view text, EscapeStyle style);
 
+/// `text` as a JSON string: quoted and escaped per kJson.
+std::string JsonString(std::string_view text);
+
+/// `v` printed with %.17g, which reads back to the same double.
+std::string ShortestDouble(double v);
+
+/// Field scanners for the exporters' own fixed-shape JSON lines (spans,
+/// metrics, health reports): the value after the first `"key":` in `line`,
+/// or nullopt. Strings are unescaped, \uXXXX included; U64 reads decimal
+/// digits, Double what std::stod reads.
+std::optional<std::string> FindStringField(std::string_view line,
+                                           std::string_view key);
+std::optional<std::uint64_t> FindU64Field(std::string_view line,
+                                          std::string_view key);
+std::optional<double> FindDoubleField(std::string_view line,
+                                      std::string_view key);
+
 /// One span per line, fixed field order, 16-digit hex trace ids:
 /// {"trace":"...","span":N,"parent":N,"ship":N,"component":"...",
 ///  "name":"...","start":N,"end":N}

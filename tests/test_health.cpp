@@ -431,6 +431,20 @@ TEST(HealthReport, JsonlRoundTripsAndSelfDiffsClean) {
   EXPECT_FALSE(health::ParseHealthJsonl(truncated).has_value());
 }
 
+TEST(HealthReport, ControlCharactersRoundTrip) {
+  // Written as \u0001 and \u001f, which the reader must decode (not read
+  // back as "u0001").
+  health::HealthReport report = SmallReport();
+  report.events[0].detail = std::string("ship\x01 4\ttab\x1f end\\");
+  std::stringstream stream;
+  health::WriteHealthJsonl(report, stream);
+  EXPECT_NE(stream.str().find("\\u0001"), std::string::npos);
+  const auto parsed = health::ParseHealthJsonl(stream);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->events.size(), 1u);
+  EXPECT_EQ(parsed->events[0].detail, report.events[0].detail);
+}
+
 TEST(HealthReport, DiffFlagsScoreDropsVanishedShipsAndNewEvents) {
   const health::HealthReport baseline = SmallReport();
   health::HealthReport current = SmallReport();
