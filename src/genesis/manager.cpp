@@ -40,7 +40,9 @@ bool GenesisManager::IsQuiescent() const {
 }
 
 Result<std::vector<std::byte>> GenesisManager::Capture(SnapshotKind kind) {
-  if (config_.require_quiescent && !IsQuiescent()) {
+  // Pending closures (scheduled events, shuttles waiting for code) cannot
+  // be serialized, so a restore could not rebuild them.
+  if (!IsQuiescent()) {
     return Status(FailedPrecondition(
         "capture requires a quiescent network (pending events or "
         "shuttles waiting for code)"));
@@ -165,17 +167,13 @@ Status GenesisManager::Restore(const ParsedSnapshot& snap) {
 }
 
 void GenesisManager::CheckpointTick(sim::TimePoint until) {
-  if (IsQuiescent() || !config_.require_quiescent) {
-    auto snapshot = CaptureFull();
-    if (snapshot.ok()) {
-      checkpoints_.push_back(*std::move(snapshot));
-      while (checkpoints_.size() > config_.keep_checkpoints) {
-        checkpoints_.pop_front();
-      }
-      ++checkpoints_taken_;
-    } else {
-      ++checkpoints_skipped_;
+  // A network that is not quiescent refuses the capture: skipped.
+  if (auto snapshot = CaptureFull(); snapshot.ok()) {
+    checkpoints_.push_back(*std::move(snapshot));
+    while (checkpoints_.size() > config_.keep_checkpoints) {
+      checkpoints_.pop_front();
     }
+    ++checkpoints_taken_;
   } else {
     ++checkpoints_skipped_;
   }

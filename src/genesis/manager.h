@@ -31,10 +31,6 @@
 namespace viator::genesis {
 
 struct GenesisConfig {
-  /// Refuse captures while simulator events or shuttles-waiting-for-code are
-  /// in flight (their std::function state cannot be serialized).
-  bool require_quiescent = true;
-
   /// Checkpoint cadence for StartCheckpointing().
   sim::Duration checkpoint_cadence = 50 * sim::kMillisecond;
 
