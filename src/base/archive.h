@@ -1,7 +1,8 @@
 // One field list, three walks: the archives a stateful class's Visit runs.
 //
-// A class that rides in a genesis snapshot declares its state once, as an
-// ordered field list:
+// A class that rides in a genesis snapshot, or has a byte format of its own
+// (ship genomes, knowledge quanta, program images, journals, flight files),
+// declares its state once, as an ordered field list:
 //
 //   template <class A>
 //   void Visit(A& a) {
