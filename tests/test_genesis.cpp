@@ -710,6 +710,131 @@ TEST(GenesisValidation, WrongWidthScalarsAreRefused) {
   }
 }
 
+/// A container's top-level records, in order.
+using RecordList = std::vector<std::pair<TlvTag, std::vector<std::byte>>>;
+
+RecordList ContainerRecords(std::span<const std::byte> container) {
+  RecordList records;
+  TlvReader reader(container);
+  while (reader.HasNext()) {
+    const auto record = reader.Next();
+    if (!record.ok()) {
+      ADD_FAILURE() << record.status().ToString();
+      break;
+    }
+    records.emplace_back(record->tag,
+                         std::vector<std::byte>(record->payload.begin(),
+                                                record->payload.end()));
+  }
+  return records;
+}
+
+/// `records` sealed in the container's framing: section payloads (tag
+/// 0x12) as sealed records, the rest as they are.
+std::vector<std::byte> SealContainer(const RecordList& records) {
+  TlvWriter out;
+  for (const auto& [tag, payload] : records) {
+    if (tag == 0x12) {
+      out.PutSealed(tag, payload);
+    } else {
+      out.PutBytes(tag, payload);
+    }
+  }
+  return out.Finish();
+}
+
+/// `value` as a `width`-byte little-endian payload.
+std::vector<std::byte> LeBytes(std::uint64_t value, std::size_t width) {
+  std::vector<std::byte> bytes(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
+TEST(GenesisValidation, MalformedContainersAreRefused) {
+  // Re-sealed containers whose framing is malformed: a section group (id
+  // 0x10, version 0x11, payload 0x12, digest 0x13) without one of its
+  // parts, a duplicate id, a wrong count (0x08), a bad or missing magic
+  // (0x01) or an unknown kind (0x03). Each is refused with
+  // InvalidArgument, and restoring it adds no ship.
+  Replica source;
+  Drive(source, 0, 8);
+  genesis::GenesisManager manager(*source.network);
+  auto full = manager.CaptureFull();
+  ASSERT_TRUE(full.ok());
+  const RecordList records = ContainerRecords(*full);
+  ASSERT_TRUE(genesis::VerifySnapshot(SealContainer(records)).ok())
+      << "an unedited re-seal must verify";
+
+  // Index of the `nth` record tagged `tag`.
+  const auto at = [&](TlvTag tag, std::size_t nth) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (records[i].first == tag && nth-- == 0) return i;
+    }
+    ADD_FAILURE() << "no record " << tag;
+    return std::size_t{0};
+  };
+  const auto without = [&](TlvTag tag, std::size_t nth) {
+    RecordList edited = records;
+    edited.erase(edited.begin() + at(tag, nth));
+    return edited;
+  };
+  const auto with = [&](TlvTag tag, std::size_t nth,
+                        std::vector<std::byte> payload) {
+    RecordList edited = records;
+    edited[at(tag, nth)].second = std::move(payload);
+    return edited;
+  };
+  std::size_t sections = 0;
+  for (const auto& record : records) sections += record.first == 0x10;
+  ASSERT_GT(sections, 2u);
+
+  const std::pair<const char*, RecordList> cases[] = {
+      {"a section without its payload", without(0x12, 0)},
+      {"the last section without its digest", without(0x13, sections - 1)},
+      {"a section without its digest, then a valid one", without(0x13, 0)},
+      {"a duplicate section id", with(0x10, 1, records[at(0x10, 0)].second)},
+      {"a section count one high", with(0x08, 0, LeBytes(sections + 1, 4))},
+      {"a bad magic", with(0x01, 0, LeBytes(0x5eed, 8))},
+      {"no magic", without(0x01, 0)},
+      {"an unknown kind", with(0x03, 0, LeBytes(2, 4))},
+  };
+  for (const auto& [what, edited] : cases) {
+    const std::vector<std::byte> bytes = SealContainer(edited);
+    EXPECT_EQ(genesis::VerifySnapshot(bytes).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    Replica fresh(Replica::Mode::kFresh);
+    genesis::GenesisManager target(*fresh.network);
+    const Status status = target.RestoreFull(bytes);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+    EXPECT_EQ(fresh.network->ship_count(), 0u) << what;
+  }
+}
+
+TEST(GenesisValidation, FormatOneContainerIsRefusedByItsVersion) {
+  // Format 1 nested each section payload as an ordinary record under the
+  // container's trailer. Its checksums follow another layout, so the
+  // version is read before them and names the problem.
+  Replica source;
+  Drive(source, 0, 8);
+  genesis::GenesisManager manager(*source.network);
+  auto full = manager.CaptureFull();
+  ASSERT_TRUE(full.ok());
+  RecordList records = ContainerRecords(*full);
+  TlvWriter v1;
+  for (auto& [tag, payload] : records) {
+    if (tag == 0x02) payload = LeBytes(1, 4);
+    v1.PutBytes(tag, payload);
+  }
+  const Status status = genesis::VerifySnapshot(v1.Finish());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "unsupported snapshot format version 1 (expected 2)");
+}
+
 // ---- Pinned snapshot bytes --------------------------------------------------
 
 /// "<name> <id> v<version> <size> <fnv>" per section, in capture order.

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -673,6 +674,140 @@ TEST(ShardedNetwork, CheckpointWrongWidthScalarsAreRefused) {
       EXPECT_EQ(shell.shard_network(s).ship_count(), 0u) << what;
     }
   }
+}
+
+TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
+  // Re-sealed checkpoints whose shard groups (handoff ordinal 0x10, then
+  // the sealed container 0x11) do not add up to the world's shards: each
+  // is refused, and no shard of the shell gains a ship.
+  const net::Topology grid = net::MakeGrid(4, 4);
+  shard::ShardedNetwork world(grid, CheckpointConfig(2));
+  DriveToBoundary(world);
+  Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  const std::uint64_t shards = world.shard_count();
+
+  // `edit(record, nth, out)` sees each record with the count of earlier
+  // records of its tag, as ResealCheckpoint's edits do.
+  const auto resealed = [&](const std::function<bool(const TlvRecord&,
+                                                     std::size_t, TlvWriter&)>&
+                                edit) {
+    std::map<TlvTag, std::size_t> seen;
+    return ResealCheckpoint(*checkpoint,
+                            [&](const TlvRecord& record, TlvWriter& out) {
+                              return edit(record, seen[record.tag]++, out);
+                            });
+  };
+  const auto u64 = [](std::uint64_t value) {
+    std::vector<std::byte> bytes(8);
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
+    }
+    return bytes;
+  };
+  const auto shard_count = [&](std::uint64_t count) {
+    return resealed([&](const TlvRecord& record, std::size_t, TlvWriter& out) {
+      if (record.tag != 0x02) return false;
+      out.PutBytes(0x02, u64(count));
+      return true;
+    });
+  };
+  const std::pair<const char*, std::vector<std::byte>> cases[] = {
+      {"a group without its handoff ordinal",
+       resealed([](const TlvRecord& record, std::size_t nth, TlvWriter&) {
+         return record.tag == 0x10 && nth == 1;
+       })},
+      {"one container too many",
+       resealed([&](const TlvRecord& record, std::size_t nth, TlvWriter& out) {
+         if (record.tag != 0x11 || nth + 1 != shards) return false;
+         out.PutSealed(0x11, record.payload);
+         out.PutSealed(0x11, record.payload);
+         return true;
+       })},
+      {"one group too many",
+       resealed([&](const TlvRecord& record, std::size_t nth, TlvWriter& out) {
+         if (record.tag != 0x11 || nth + 1 != shards) return false;
+         out.PutSealed(0x11, record.payload);
+         out.PutBytes(0x10, u64(0));
+         out.PutSealed(0x11, record.payload);
+         return true;
+       })},
+      {"a shard count one low", shard_count(shards - 1)},
+      {"a shard count one high", shard_count(shards + 1)},
+  };
+  {
+    shard::ShardedNetwork shell(grid, CheckpointConfig(2), false);
+    ASSERT_TRUE(shell.RestoreCheckpoint(shard_count(shards)).ok())
+        << "an unedited re-seal must restore";
+  }
+  for (const auto& [what, bytes] : cases) {
+    shard::ShardedNetwork shell(grid, CheckpointConfig(2), false);
+    const Status status = shell.RestoreCheckpoint(bytes);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+    for (shard::ShardId s = 0; s < shell.shard_count(); ++s) {
+      EXPECT_EQ(shell.shard_network(s).ship_count(), 0u) << what;
+    }
+  }
+}
+
+// ---- Pinned framing bytes ---------------------------------------------------
+
+/// "<name> <size> <fnv>" for one encoding.
+std::string FramingLine(const std::string& name,
+                        const std::vector<std::byte>& bytes) {
+  return name + ' ' + std::to_string(bytes.size()) + ' ' +
+         DigestToHex(HashBytes(bytes)) + '\n';
+}
+
+TEST(FramingGolden, BytesArePinned) {
+  // The two framings around the section payloads, compared with committed
+  // sizes and FNV digests: a snapshot container, full and delta, of a
+  // seeded 3x3 world, and the four-shard checkpoint of the 4x4 grid.
+  sim::Simulator simulator;
+  net::Topology topology = net::MakeGrid(3, 3);
+  wli::WanderingNetwork network(simulator, topology, wli::WnConfig{}, 0xf7a3e);
+  network.PopulateAllNodes();
+  genesis::GenesisManager manager(network);
+  const auto drive = [&](std::uint64_t begin, std::uint64_t end) {
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const auto src = static_cast<net::NodeId>(i % 9);
+      const auto dst = static_cast<net::NodeId>((i * 4 + 1) % 9);
+      if (src == dst) continue;
+      ASSERT_TRUE(network
+                      .Inject(wli::Shuttle::Data(
+                          src, dst, {static_cast<std::int64_t>(i)}, i + 1))
+                      .ok());
+      simulator.RunAll();
+    }
+    network.Pulse();
+    simulator.RunAll();
+  };
+  drive(0, 12);
+  const Result<std::vector<std::byte>> full = manager.CaptureFull();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  drive(12, 20);
+  const Result<std::vector<std::byte>> delta = manager.CaptureDelta();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+
+  shard::ShardedNetwork world(net::MakeGrid(4, 4), CheckpointConfig(2));
+  DriveToBoundary(world);
+  const Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+
+  const std::string table = FramingLine("container-full", *full) +
+                            FramingLine("container-delta", *delta) +
+                            FramingLine("checkpoint-4-shards", *checkpoint);
+  const std::string path =
+      std::string(VIATOR_GOLDEN_DIR) + "/framing_bytes.txt";
+  if (std::getenv("VIATOR_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path) << table;  // deliberate golden refresh
+  }
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.is_open()) << "missing tests/golden/framing_bytes.txt";
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(table, expected.str());
 }
 
 // ---- Telemetry --------------------------------------------------------------
