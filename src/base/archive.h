@@ -1,8 +1,9 @@
 // One field list, three walks: the archives a stateful class's Visit runs.
 //
 // A class that rides in a genesis snapshot, or has a byte format of its own
-// (ship genomes, knowledge quanta, program images, journals, flight files),
-// declares its state once, as an ordered field list:
+// (ship genomes, knowledge quanta, program images, journals, flight files,
+// snapshot containers, sharded checkpoints), declares its state once, as an
+// ordered field list:
 //
 //   template <class A>
 //   void Visit(A& a) {
@@ -40,10 +41,20 @@
 // mutable references in every archive). Loads need `if constexpr
 // (A::kLoading)` only where restoring is more than assignment (rebuilds,
 // validation, creation order).
+//
+// Framings that carry finished streams whole (a snapshot container's
+// section payloads, a sharded checkpoint's shard containers) hold each in a
+// Sealed field, a sealed record (base/tlv.h). A save embeds the body and
+// returns it, so its digest can be read off its trailer. A load verifies
+// the enclosing stream once (LoadArchive(stream, tag)) and hands each body,
+// unchecked, to the caller, who verifies it once. Such framings repeat a
+// Flat group per body, and a group's fields are sought only up to the next
+// group: a group never takes a field of the one after it.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -218,6 +229,24 @@ class SaveArchive : public WriteArchive<SaveArchive> {
     }
   }
 
+  /// A Sealed field holding `body`, a finished stream; returns the body.
+  /// Top-level records and flat groups only, as for PutSealed.
+  std::span<const std::byte> Sealed(TlvTag tag,
+                                    std::span<const std::byte> body) {
+    writer_.PutSealed(tag, body);
+    return body;
+  }
+  /// A Sealed field whose body `fields(archive)` writes in place, closed
+  /// with its own trailer; returns the finished body (valid until the next
+  /// write).
+  template <class Fields>
+    requires std::invocable<Fields&, SaveArchive&>
+  std::span<const std::byte> Sealed(TlvTag tag, Fields&& fields) {
+    const std::size_t mark = writer_.BeginSealed(tag);
+    fields(*this);
+    return writer_.EndSealed(mark);
+  }
+
   /// Appends the checksum trailer and returns the stream.
   std::vector<std::byte> Finish() { return writer_.Finish(); }
 
@@ -298,10 +327,12 @@ class LoadArchive {
   static constexpr bool kLoading = true;
 
   /// Reads a complete stream (a section or adapter payload): its checksum
-  /// trailer is verified first.
-  explicit LoadArchive(std::span<const std::byte> stream)
+  /// trailer is verified first, as TlvReader::Verify(sealed) reads it when
+  /// its Sealed fields are tagged `sealed`.
+  explicit LoadArchive(std::span<const std::byte> stream,
+                       std::optional<TlvTag> sealed = std::nullopt)
       : stream_(stream), status_(&own_status_) {
-    Check(TlvReader(stream).Verify());
+    Check(TlvReader(stream).Verify(sealed));
   }
   /// Reads a stream whose trailer was already verified, without hashing it
   /// again (a built-in section a snapshot parse checked).
@@ -309,6 +340,16 @@ class LoadArchive {
       : stream_(stream.bytes()), status_(&own_status_) {}
   LoadArchive(const LoadArchive&) = delete;
   LoadArchive& operator=(const LoadArchive&) = delete;
+
+  /// The first `tag` scalar of a stream not verified yet, read with a
+  /// field's bounds and width checks; nullopt when absent or malformed. For
+  /// the one field that decides how a stream is verified (a snapshot
+  /// container's format version).
+  static std::optional<std::uint64_t> Peek(std::span<const std::byte> stream,
+                                           TlvTag tag, std::size_t width) {
+    Status status;
+    return LoadArchive(stream, &status).Scalar(tag, width);
+  }
 
   bool ok() const { return status_->ok(); }
   const Status& status() const { return *status_; }
@@ -356,6 +397,22 @@ class LoadArchive {
       value = static_cast<E>(*word);
     }
   }
+  /// A Sealed field: `body` becomes the next `tag` record's payload, which
+  /// the caller verifies (the root's verify did not). Absent, it keeps its
+  /// value. A second `tag` record in the same group is refused: nothing
+  /// would verify its body.
+  std::span<const std::byte> Sealed(TlvTag tag,
+                                    std::span<const std::byte>& body) {
+    if (!Seek(tag)) return body;
+    body = Take();
+    const std::size_t after = cursor_;
+    if (Seek(tag)) {
+      Fail(InvalidArgument("sealed record 0x" + Hex(tag) + " repeated"));
+    }
+    cursor_ = after;
+    return body;
+  }
+
   /// Calls `fn(payload)` (returning Status) for each consecutive record
   /// with `tag`: raw payloads an object's own codec decodes.
   template <class Fn>
@@ -467,14 +524,20 @@ class LoadArchive {
     }
   }
   /// Replaces `elements` with one element per flat group of fields, each
-  /// starting at a record tagged `first`.
+  /// starting at a record tagged `first` and sought only up to the next.
   template <class C, class Fields>
   void Flat(TlvTag first, C& elements, Fields&& fields) {
     elements.clear();
     if (!Seek(first)) return;
     while (ok() && AtTag(first)) {
+      const std::size_t start = cursor_;
+      Take();
+      const std::size_t end = Seek(first) ? cursor_ : stream_.size();
+      LoadArchive group(stream_.first(end), status_);
+      group.cursor_ = start;
       typename C::value_type element{};
-      fields(*this, element);
+      fields(group, element);
+      cursor_ = group.cursor_;
       if (ok()) elements.push_back(std::move(element));
     }
   }
@@ -482,13 +545,16 @@ class LoadArchive {
   void Words(TlvTag tag, std::span<std::uint64_t> words) {
     const std::size_t count = Repeated(tag, words);
     if (ok() && count != words.size()) {
-      Fail(InvalidArgument("expected " + std::to_string(words.size()) +
-                           " state words, found " + std::to_string(count)));
+      Fail(InvalidArgument("field 0x" + Hex(tag) + " has " +
+                           std::to_string(count) + " records, want " +
+                           std::to_string(words.size())));
     }
   }
 
  private:
   static constexpr std::size_t kHeader = 6;  // u16 tag + u32 length
+
+  static std::string Hex(TlvTag tag) { return DigestToHex(tag).substr(12); }
 
   // Nested streams share the root's status; their trailer is covered by
   // the root's verified checksum and not re-hashed.
@@ -557,7 +623,7 @@ class LoadArchive {
     if (!Seek(tag)) return std::nullopt;
     const std::size_t length = LengthAt(cursor_);
     if (length != width) {
-      Fail(InvalidArgument("field 0x" + DigestToHex(tag).substr(12) + " is " +
+      Fail(InvalidArgument("field 0x" + Hex(tag) + " is " +
                            std::to_string(length) + " bytes, want " +
                            std::to_string(width)));
       return std::nullopt;
@@ -588,10 +654,12 @@ std::vector<std::byte> SaveFields(const T& object) {
   return archive.Finish();
 }
 
-/// Loads `object`'s fields from a stream SaveFields produced.
+/// Loads `object`'s fields from a stream SaveFields produced (its Sealed
+/// fields tagged `sealed`).
 template <class T>
-Status LoadFields(std::span<const std::byte> stream, T& object) {
-  LoadArchive archive(stream);
+Status LoadFields(std::span<const std::byte> stream, T& object,
+                  std::optional<TlvTag> sealed = std::nullopt) {
+  LoadArchive archive(stream, sealed);
   if (archive.ok()) object.Visit(archive);
   return archive.status();
 }

@@ -1,7 +1,6 @@
 #include "base/tlv.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace viator {
 namespace {
@@ -60,16 +59,6 @@ void TlvWriter::PutU32(TlvTag tag, std::uint32_t value) {
   AppendLe(buffer_, value, 4);
 }
 
-void TlvWriter::PutDouble(TlvTag tag, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(tag, bits);
-}
-
-void TlvWriter::PutNested(TlvTag tag, std::span<const std::byte> stream) {
-  PutBytes(tag, stream);
-}
-
 std::size_t TlvWriter::BeginNested(TlvTag tag) {
   const std::size_t mark = buffer_.size();
   PutHeader(tag, 0);  // length patched by EndNested
@@ -124,35 +113,6 @@ std::vector<std::byte> TlvWriter::Finish() {
   return out;
 }
 
-std::uint64_t TlvRecord::AsU64() const {
-  if (payload.size() != 8) return 0;
-  return ReadLe(payload, 0, 8);
-}
-
-std::uint32_t TlvRecord::AsU32() const {
-  if (payload.size() != 4) return 0;
-  return static_cast<std::uint32_t>(ReadLe(payload, 0, 4));
-}
-
-double TlvRecord::AsDouble() const {
-  const std::uint64_t bits = AsU64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string TlvRecord::AsString() const {
-  return std::string(reinterpret_cast<const char*>(payload.data()),
-                     payload.size());
-}
-
-Status TlvRecord::CheckWidth(std::size_t width) const {
-  if (payload.size() == width) return OkStatus();
-  return InvalidArgument("TLV record 0x" + DigestToHex(tag).substr(12) +
-                         " is " + std::to_string(payload.size()) +
-                         " bytes, want " + std::to_string(width));
-}
-
 Status TlvReader::Verify(std::optional<TlvTag> sealed) const {
   Digest actual = kFnvOffsetBasis;
   std::size_t hashed = 0;  // stream_[0, hashed) is folded into `actual`
@@ -190,9 +150,9 @@ Status TlvReader::Verify(std::optional<TlvTag> sealed) const {
   return InvalidArgument("missing checksum trailer");
 }
 
-Result<VerifiedTlv> TlvReader::Verified() const {
-  if (Status status = Verify(); !status.ok()) return status;
-  return VerifiedTlv(stream_);
+Result<VerifiedTlv> VerifiedTlv::Check(std::span<const std::byte> stream) {
+  if (Status status = TlvReader(stream).Verify(); !status.ok()) return status;
+  return VerifiedTlv(stream);
 }
 
 bool TlvReader::HasNext() const {

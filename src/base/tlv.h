@@ -1,25 +1,26 @@
 // Tag-length-value codec used for "genetic transcoding".
 //
-// Ship genomes, knowledge quanta and shuttle payload sections are serialized
-// as TLV records: a 16-bit tag, a 32-bit length and the payload bytes, with a
-// trailing FNV-1a checksum over the whole stream. Records may nest (a record
-// payload can itself be a TLV stream), which gives the genome its
-// hierarchical structure without a schema compiler.
+// Every byte format of the system is a stream of TLV records: a 16-bit tag,
+// a 32-bit length and the payload bytes, with a trailing FNV-1a checksum
+// over the whole stream. Records may nest (a record payload can itself be a
+// TLV stream), which gives genomes and snapshot sections their
+// hierarchical structure without a schema compiler. Formats are written and
+// read as field lists through base/archive.h, which checks each record's
+// width; TlvWriter and TlvReader are the raw codec underneath it.
 //
 // A container of large finished streams (snapshot sections, shard
-// snapshots) embeds them as *sealed* records instead: the container's
-// trailer covers a sealed record's header and the body's own checksum word,
-// not the body, whose own trailer already covers it. Every byte then sits
-// under exactly one checksum, and the chain of trailers still binds each
-// body to its container. A stream without sealed records is checksummed
-// exactly as before.
+// snapshots) embeds them as *sealed* records instead (the archive's Sealed
+// field): the container's trailer covers a sealed record's header and the
+// body's own checksum word, not the body, whose own trailer already covers
+// it. Every byte then sits under exactly one checksum, and the chain of
+// trailers still binds each body to its container. A stream without sealed
+// records is checksummed exactly as before.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -54,14 +55,11 @@ class TlvWriter {
   void PutString(TlvTag tag, std::string_view text);
   void PutU64(TlvTag tag, std::uint64_t value);
   void PutU32(TlvTag tag, std::uint32_t value);
-  void PutDouble(TlvTag tag, double value);
-  /// Embeds a complete (already-finished or raw) TLV stream as one record.
-  void PutNested(TlvTag tag, std::span<const std::byte> stream);
 
   /// Opens a nested record written in place: the records put until the
   /// matching EndNested(mark) become its payload, closed with their own
-  /// checksum trailer, byte-identical to PutNested of a separately finished
-  /// writer but without the second buffer. Nests to any depth.
+  /// checksum trailer, byte-identical to PutBytes of a separately finished
+  /// writer's stream but without the second buffer. Nests to any depth.
   std::size_t BeginNested(TlvTag tag);
   void EndNested(std::size_t mark);
 
@@ -99,32 +97,25 @@ class TlvWriter {
   std::vector<std::pair<std::size_t, std::size_t>> sealed_;
 };
 
-/// A decoded record view into the reader's underlying buffer.
+/// A decoded record view into the reader's underlying buffer. Its fields
+/// are read through base/archive.h, which checks their widths.
 struct TlvRecord {
   TlvTag tag = 0;
   std::span<const std::byte> payload;
-
-  std::uint64_t AsU64() const;
-  std::uint32_t AsU32() const;
-  double AsDouble() const;
-  std::string AsString() const;
-
-  /// InvalidArgument unless the payload is `width` bytes: what a strict
-  /// parser checks before AsU32/AsU64, which read any other width as 0.
-  Status CheckWidth(std::size_t width) const;
 };
 
-/// A stream whose framing and checksum trailer TlvReader::Verified()
-/// checked. Only the reader makes one, so a consumer that takes it
-/// (LoadArchive) reads the bytes without checking them again. A view, valid
-/// while the bytes are; a default-constructed one is empty.
+/// A stream whose framing and checksum trailer Check() verified. Only
+/// Check() makes one, so a consumer that takes it (LoadArchive) reads the
+/// bytes without checking them again. A view, valid while the bytes are; a
+/// default-constructed one is empty.
 class VerifiedTlv {
  public:
   VerifiedTlv() = default;
+  /// Verifies `stream` as TlvReader::Verify() does and hands it back.
+  static Result<VerifiedTlv> Check(std::span<const std::byte> stream);
   std::span<const std::byte> bytes() const { return bytes_; }
 
  private:
-  friend class TlvReader;
   explicit VerifiedTlv(std::span<const std::byte> bytes) : bytes_(bytes) {}
   std::span<const std::byte> bytes_;
 };
@@ -140,9 +131,6 @@ class TlvReader {
   /// covers their header and checksum word, and their bodies are left to
   /// the caller to verify.
   Status Verify(std::optional<TlvTag> sealed = std::nullopt) const;
-
-  /// Verify(), handing the checked stream back as a VerifiedTlv.
-  Result<VerifiedTlv> Verified() const;
 
   /// True while records (other than the trailer) remain.
   bool HasNext() const;

@@ -1,7 +1,6 @@
 #include "genesis/snapshot.h"
 
 #include <map>
-#include <optional>
 #include <sstream>
 
 #include "base/strings.h"
@@ -9,10 +8,7 @@
 namespace viator::genesis {
 namespace {
 
-// Container tags. Each section is an id, a version, its sealed payload and
-// the payload's digest, in that order (the digest is read off the payload's
-// trailer once the payload is written); the section count follows the last
-// section.
+// Container tags, in the order the field list below reads them.
 constexpr TlvTag kTagMagic = 0x01;
 constexpr TlvTag kTagFormatVersion = 0x02;
 constexpr TlvTag kTagKind = 0x03;
@@ -26,27 +22,62 @@ constexpr TlvTag kTagSectionVersion = 0x11;
 constexpr TlvTag kTagSectionPayload = 0x12;  // sealed
 constexpr TlvTag kTagSectionDigest = 0x13;
 
-// Width of each scalar record; a record of another width is refused rather
-// than read as 0. Zero for records that are not scalars.
-std::size_t ScalarWidth(TlvTag tag) {
-  switch (tag) {
-    case kTagFormatVersion:
-    case kTagKind:
-    case kTagSectionCount:
-    case kTagSectionId:
-    case kTagSectionVersion:
-      return 4;
-    case kTagMagic:
-    case kTagSequence:
-    case kTagBaseSequence:
-    case kTagSnapTime:
-    case kTagScenarioTag:
-    case kTagSectionDigest:
-      return 8;
-    default:
-      return 0;
+constexpr auto kKindCount = static_cast<SnapshotKind>(2);
+
+/// One section as the container frames it. A load leaves the payload
+/// unverified, for ParseSnapshot to check.
+struct Section {
+  std::uint32_t id = 0;
+  std::uint32_t version = 1;
+  std::span<const std::byte> payload;
+  std::uint64_t digest = 0;
+};
+
+// The container's field list: the header, one group per section, then the
+// section count. ParseSnapshot loads it whole; SnapshotBuilder saves it in
+// parts as it streams. A load starts each required field at a value its
+// check refuses, so an absent one is refused too.
+struct Container {
+  Container() { header.format_version = 0; }
+
+  std::uint64_t magic = 0;
+  SnapshotHeader header;
+  std::vector<Section> sections;
+  std::uint32_t count = ~0u;
+
+  template <class A>
+  void Visit(A& a) {
+    Header(a);
+    a.Flat(kTagSectionId, sections, [](auto& group, Section& section) {
+      Group(group, section, section.payload);
+    });
+    a.U32(kTagSectionCount, count);
   }
-}
+
+  template <class A>
+  void Header(A& a) {
+    a.U64(kTagMagic, magic);
+    a.U32(kTagFormatVersion, header.format_version);
+    a.Enum(kTagKind, header.kind, kKindCount, "snapshot kind");
+    a.U64(kTagSequence, header.sequence);
+    a.U64(kTagBaseSequence, header.base_sequence);
+    a.U64(kTagSnapTime, header.snap_time);
+    a.U64(kTagScenarioTag, header.scenario_tag);
+  }
+
+  // One section: its id and version, its payload (what `payload` saves, or
+  // where a load puts it), then exactly one digest record, which a save
+  // reads off the payload's trailer.
+  template <class A, class Payload>
+  static void Group(A& a, Section& section, Payload&& payload) {
+    a.U32(kTagSectionId, section.id);
+    a.U32(kTagSectionVersion, section.version);
+    const std::span<const std::byte> body =
+        a.Sealed(kTagSectionPayload, payload);
+    if constexpr (!A::kLoading) section.digest = TlvStreamDigest(body);
+    a.Words(kTagSectionDigest, std::span(&section.digest, 1));
+  }
+};
 
 Status UnsupportedVersion(std::uint32_t version) {
   return InvalidArgument("unsupported snapshot format version " +
@@ -54,34 +85,16 @@ Status UnsupportedVersion(std::uint32_t version) {
                          std::to_string(kFormatVersion) + ")");
 }
 
-// The format version decides how the checksums are laid out, so it is read
-// before they are checked: a container of another version is refused by its
-// version, not by a checksum it was never meant to pass. Framing errors are
-// left to the verify that follows.
-Status CheckFormatVersion(std::span<const std::byte> bytes) {
-  TlvReader reader(bytes);
-  while (reader.HasNext()) {
-    const Result<TlvRecord> rec = reader.Next();
-    if (!rec.ok()) return OkStatus();
-    if (rec->tag != kTagFormatVersion) continue;
-    if (Status width = rec->CheckWidth(4); !width.ok()) return width;
-    const std::uint32_t version = rec->AsU32();
-    return version == kFormatVersion ? OkStatus() : UnsupportedVersion(version);
-  }
-  return OkStatus();
-}
-
 // Verifies one section's payload: its own trailer (the one pass over its
 // bytes), then the declared digest, read off that trailer.
-Result<SectionPayload> CheckPayload(const SectionRecord& section,
-                                    std::span<const std::byte> payload) {
-  Result<VerifiedTlv> stream = TlvReader(payload).Verified();
+Result<SectionPayload> CheckPayload(const Section& section) {
+  Result<VerifiedTlv> stream = VerifiedTlv::Check(section.payload);
   if (!stream.ok()) {
     return Status(InvalidArgument("snapshot section '" +
                                   SectionName(section.id) + "' payload: " +
                                   std::string(stream.status().message())));
   }
-  if (TlvStreamDigest(payload) != section.digest) {
+  if (TlvStreamDigest(section.payload) != section.digest) {
     return Status(InvalidArgument("snapshot section '" +
                                   SectionName(section.id) +
                                   "' digest mismatch (payload corrupted)"));
@@ -121,21 +134,38 @@ std::string SectionName(std::uint32_t id) {
 }
 
 SnapshotBuilder::SnapshotBuilder(const SnapshotHeader& header) {
-  writer_.PutU64(kTagMagic, kSnapshotMagic);
-  writer_.PutU32(kTagFormatVersion, header.format_version);
-  writer_.PutU32(kTagKind, static_cast<std::uint32_t>(header.kind));
-  writer_.PutU64(kTagSequence, header.sequence);
-  writer_.PutU64(kTagBaseSequence, header.base_sequence);
-  writer_.PutU64(kTagSnapTime, header.snap_time);
-  writer_.PutU64(kTagScenarioTag, header.scenario_tag);
+  Container container;
+  container.magic = kSnapshotMagic;
+  container.header = header;
+  SaveArchive archive(writer_);
+  container.Header(archive);
+}
+
+template <class Payload>
+std::uint64_t SnapshotBuilder::PutSection(std::uint32_t id,
+                                          std::uint32_t version,
+                                          Payload&& payload) {
+  last_section_ = writer_.size();
+  Section section;
+  section.id = id;
+  section.version = version;
+  SaveArchive archive(writer_);
+  Container::Group(archive, section, payload);
+  ++sections_;
+  mem_bytes_.Set(writer_.size());
+  return section.digest;
 }
 
 void SnapshotBuilder::AddSection(std::uint32_t id,
                                  std::span<const std::byte> payload,
                                  std::uint32_t version) {
-  PutHeader(id, version);
-  writer_.PutSealed(kTagSectionPayload, payload);
-  PutDigest(payload);
+  PutSection(id, version, payload);
+}
+
+std::uint64_t SnapshotBuilder::SaveSection(
+    std::uint32_t id, const std::function<void(SaveArchive&)>& save,
+    std::uint32_t version) {
+  return PutSection(id, version, save);
 }
 
 void SnapshotBuilder::DropLastSection() {
@@ -144,28 +174,9 @@ void SnapshotBuilder::DropLastSection() {
   mem_bytes_.Set(writer_.size());
 }
 
-void SnapshotBuilder::PutHeader(std::uint32_t id, std::uint32_t version) {
-  last_section_ = writer_.size();
-  writer_.PutU32(kTagSectionId, id);
-  writer_.PutU32(kTagSectionVersion, version);
-}
-
-std::size_t SnapshotBuilder::BeginSection(std::uint32_t id,
-                                          std::uint32_t version) {
-  PutHeader(id, version);
-  return writer_.BeginSealed(kTagSectionPayload);
-}
-
-std::uint64_t SnapshotBuilder::PutDigest(std::span<const std::byte> payload) {
-  const std::uint64_t digest = TlvStreamDigest(payload);
-  writer_.PutU64(kTagSectionDigest, digest);
-  ++sections_;
-  mem_bytes_.Set(writer_.size());
-  return digest;
-}
-
 std::vector<std::byte> SnapshotBuilder::Finish() {
-  writer_.PutU32(kTagSectionCount, sections_);
+  SaveArchive archive(writer_);
+  archive.U32(kTagSectionCount, sections_);
   return writer_.Finish();
 }
 
@@ -177,97 +188,38 @@ const SectionRecord* ParsedSnapshot::Find(std::uint32_t id) const {
 }
 
 Result<ParsedSnapshot> ParseSnapshot(std::span<const std::byte> bytes) {
-  if (Status s = CheckFormatVersion(bytes); !s.ok()) return s;
-  TlvReader reader(bytes);
-  if (Status s = reader.Verify(kTagSectionPayload); !s.ok()) return s;
-
+  // The format version decides how the checksums are laid out, so it is
+  // read before they are checked: a container of another version is refused
+  // by its version, not by a checksum it was never meant to pass.
+  if (const auto version = LoadArchive::Peek(bytes, kTagFormatVersion, 4);
+      version && *version != kFormatVersion) {
+    return UnsupportedVersion(static_cast<std::uint32_t>(*version));
+  }
+  Container container;
+  if (Status s = LoadFields(bytes, container, kTagSectionPayload); !s.ok()) {
+    return s;
+  }
+  if (container.magic != kSnapshotMagic) {
+    return Status(InvalidArgument(
+        container.magic == 0 ? "not a genesis snapshot (no magic record)"
+                             : "not a genesis snapshot (bad magic)"));
+  }
+  if (container.header.format_version != kFormatVersion) {
+    return UnsupportedVersion(container.header.format_version);
+  }
   ParsedSnapshot snapshot;
-  bool have_magic = false, have_version = false, have_count = false;
-  std::uint32_t declared_count = 0;
-  // The section being read: its id opens it, its digest closes it.
-  std::optional<SectionRecord> open;
-  std::span<const std::byte> payload;
-  bool have_payload = false;
-  const Status incomplete =
-      InvalidArgument("snapshot section missing id/digest/payload");
-  while (reader.HasNext()) {
-    auto rec = reader.Next();
-    if (!rec.ok()) return rec.status();
-    if (const std::size_t width = ScalarWidth(rec->tag); width != 0) {
-      if (Status s = rec->CheckWidth(width); !s.ok()) return s;
+  snapshot.header = container.header;
+  for (const Section& section : container.sections) {
+    Result<SectionPayload> payload = CheckPayload(section);
+    if (!payload.ok()) return payload.status();
+    if (snapshot.Find(section.id) != nullptr) {
+      return Status(InvalidArgument("duplicate snapshot section '" +
+                                    SectionName(section.id) + "'"));
     }
-    switch (rec->tag) {
-      case kTagMagic:
-        if (rec->AsU64() != kSnapshotMagic) {
-          return Status(InvalidArgument("not a genesis snapshot (bad magic)"));
-        }
-        have_magic = true;
-        break;
-      case kTagFormatVersion:
-        snapshot.header.format_version = rec->AsU32();
-        have_version = true;
-        break;
-      case kTagKind: {
-        const std::uint32_t kind = rec->AsU32();
-        if (kind > static_cast<std::uint32_t>(SnapshotKind::kDelta)) {
-          return Status(InvalidArgument("unknown snapshot kind"));
-        }
-        snapshot.header.kind = static_cast<SnapshotKind>(kind);
-        break;
-      }
-      case kTagSequence: snapshot.header.sequence = rec->AsU64(); break;
-      case kTagBaseSequence:
-        snapshot.header.base_sequence = rec->AsU64();
-        break;
-      case kTagSnapTime: snapshot.header.snap_time = rec->AsU64(); break;
-      case kTagScenarioTag:
-        snapshot.header.scenario_tag = rec->AsU64();
-        break;
-      case kTagSectionCount:
-        declared_count = rec->AsU32();
-        have_count = true;
-        break;
-      case kTagSectionId:
-        if (open) return incomplete;
-        open.emplace().id = rec->AsU32();
-        have_payload = false;
-        break;
-      case kTagSectionVersion:
-        if (!open) return incomplete;
-        open->version = rec->AsU32();
-        break;
-      case kTagSectionPayload:
-        if (!open || have_payload) return incomplete;
-        payload = rec->payload;
-        have_payload = true;
-        break;
-      case kTagSectionDigest: {
-        if (!open || !have_payload) return incomplete;
-        open->digest = rec->AsU64();
-        Result<SectionPayload> checked = CheckPayload(*open, payload);
-        if (!checked.ok()) return checked.status();
-        open->payload = *checked;
-        if (snapshot.Find(open->id) != nullptr) {
-          return Status(InvalidArgument("duplicate snapshot section '" +
-                                        SectionName(open->id) + "'"));
-        }
-        snapshot.sections.push_back(*open);
-        open.reset();
-        break;
-      }
-      default:
-        break;  // forward-compatible skip
-    }
+    snapshot.sections.push_back(
+        {section.id, section.version, section.digest, *payload});
   }
-  if (open) return incomplete;
-  if (!have_magic) {
-    return Status(InvalidArgument("not a genesis snapshot (no magic record)"));
-  }
-  if (!have_version ||
-      snapshot.header.format_version != kFormatVersion) {
-    return UnsupportedVersion(snapshot.header.format_version);
-  }
-  if (!have_count || declared_count != snapshot.sections.size()) {
+  if (container.count != snapshot.sections.size()) {
     return Status(InvalidArgument("snapshot section count mismatch"));
   }
   return snapshot;

@@ -6,8 +6,10 @@
 // (clock, RNG streams, topology, fabric, ships, engines, ledger, overlays,
 // stats, trace, ...). Full snapshots carry every section; delta snapshots
 // carry only the sections whose content digest changed since the base full
-// snapshot. Every section payload is a finished TLV stream embedded as a
-// sealed record (base/tlv.h): its own trailer covers its bytes, and the
+// snapshot. The container is one field list (base/archive.h): the header,
+// one group per section (its id, version, payload and the payload's
+// digest), then the section count. Every section payload is a finished TLV
+// stream in a Sealed field: its own trailer covers its bytes, and the
 // container's trailer covers the framing, the section digests and each
 // payload's checksum word. A parse hashes each byte once, and corruption
 // anywhere is detected before any state is touched.
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -101,14 +104,9 @@ class SnapshotBuilder {
 
   /// Adds a section whose payload `save(archive)` writes straight into the
   /// container, through a SaveArchive; returns the payload's digest.
-  template <class Save>
-  std::uint64_t SaveSection(std::uint32_t id, Save&& save,
-                            std::uint32_t version = 1) {
-    const std::size_t mark = BeginSection(id, version);
-    SaveArchive archive(writer_);
-    save(archive);
-    return PutDigest(writer_.EndSealed(mark));
-  }
+  std::uint64_t SaveSection(std::uint32_t id,
+                            const std::function<void(SaveArchive&)>& save,
+                            std::uint32_t version = 1);
 
   /// Takes back the section added last (a delta's unchanged one).
   void DropLastSection();
@@ -117,11 +115,11 @@ class SnapshotBuilder {
   std::vector<std::byte> Finish();
 
  private:
-  // A section is its id and version, its sealed payload, then the
-  // payload's digest; these write the parts around the payload.
-  void PutHeader(std::uint32_t id, std::uint32_t version);
-  std::size_t BeginSection(std::uint32_t id, std::uint32_t version);
-  std::uint64_t PutDigest(std::span<const std::byte> payload);
+  // Writes one section group: `payload` is the finished stream or the
+  // in-place save. Returns the payload's digest.
+  template <class Payload>
+  std::uint64_t PutSection(std::uint32_t id, std::uint32_t version,
+                           Payload&& payload);
 
   TlvWriter writer_;
   std::uint32_t sections_ = 0;
@@ -142,8 +140,9 @@ struct ParsedSnapshot {
 };
 
 /// Strict parse: validates the format version, the codec checksums (the
-/// container's and each payload's, one hash per byte), the magic, scalar
-/// widths, the section count, per-section digests and duplicate ids.
+/// container's and each payload's, one hash per byte), the magic, the kind,
+/// scalar widths, each section group, the section count, per-section
+/// digests and duplicate ids.
 /// Corrupt, truncated or version-mismatched input yields a Status error —
 /// never a partially-parsed result. Payloads are views into `bytes`.
 Result<ParsedSnapshot> ParseSnapshot(std::span<const std::byte> bytes);

@@ -56,12 +56,16 @@ struct ScenarioConfig {
   bool journal = true;
   JournalConfig journal_config;
 
+  /// Bounds on what a world allocates up front: grid nodes, journal ring.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 20;
+  static constexpr std::size_t kMaxJournalCapacity = std::size_t{1} << 22;
+
   /// TLV round-trip (scenario metadata in .wnj files and test fixtures).
   std::vector<std::byte> Save() const { return SaveFields(*this); }
   static Result<ScenarioConfig> Load(std::span<const std::byte> payload);
 
-  /// Every field a U64 record, flags as 0/1; a load refuses a grid of
-  /// fewer than two nodes.
+  /// Every field a U64 record, flags as 0/1; a load refuses a grid or a
+  /// journal capacity outside its bounds.
   template <class A>
   void Visit(A& a) {
     a.U64(1, seed);
@@ -77,8 +81,15 @@ struct ScenarioConfig {
     a.U64(11, journal_config.capacity);
     a.U64(12, hash_every);
     if constexpr (A::kLoading) {
-      if (rows == 0 || cols == 0 || rows * cols < 2) {
-        a.Fail(InvalidArgument("scenario grid too small"));
+      if (rows == 0 || cols == 0 || rows > kMaxNodes / cols ||
+          rows * cols < 2) {
+        a.Fail(InvalidArgument("scenario grid must hold 2 to " +
+                               std::to_string(kMaxNodes) + " nodes"));
+      }
+      if (journal_config.capacity == 0 ||
+          journal_config.capacity > kMaxJournalCapacity) {
+        a.Fail(InvalidArgument("scenario journal capacity must be 1 to " +
+                               std::to_string(kMaxJournalCapacity)));
       }
     }
   }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
+#include "base/archive.h"
 #include "base/rng.h"
-#include "base/tlv.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/shard_metrics.h"
 
@@ -16,23 +16,60 @@ namespace viator::shard {
 
 namespace {
 
-// Checkpoint tags. After the merge-layer records, each shard in shard order
-// writes its handoff ordinal and then its genesis container, sealed.
+// Checkpoint tags, in the order the field list below reads them.
 constexpr TlvTag kTagWindowIndex = 0x01;
 constexpr TlvTag kTagShardCount = 0x02;
+constexpr TlvTag kTagPlanDigest = 0x07;  // the capturing world's plan_digest_
 constexpr TlvTag kTagClamped = 0x03;
 constexpr TlvTag kTagUnroutable = 0x04;
 constexpr TlvTag kTagJournal = 0x05;
-constexpr TlvTag kTagPlanDigest = 0x07;  // the capturing world's plan_digest_
 constexpr TlvTag kTagHandoffSeq = 0x10;
 constexpr TlvTag kTagGenesisBlob = 0x11;  // sealed
 
-/// A u64 record; one of another width is refused rather than read as 0.
-Status ReadU64(const TlvRecord& record, std::uint64_t& value) {
-  if (Status width = record.CheckWidth(8); !width.ok()) return width;
-  value = record.AsU64();
-  return OkStatus();
-}
+/// One shard's group: its handoff ordinal and its genesis container, which
+/// a capture holds until it is copied in and a restore views in place.
+struct ShardGroup {
+  std::uint64_t handoff_seq = 0;
+  std::vector<std::byte> captured;
+  std::span<const std::byte> container;
+};
+
+// A checkpoint's field list: the merge layer's scalars and its journal,
+// then one group per shard, in shard order. A capture saves the two parts
+// apart, to reserve room for the containers once in between.
+struct Checkpoint {
+  std::uint64_t window_index = 0;
+  std::uint64_t shard_count = 0;
+  std::uint64_t plan_digest = 0;
+  std::uint64_t clamped = 0;
+  std::uint64_t unroutable = 0;
+  replay::DecisionJournal* journal = nullptr;
+  bool has_journal = false;
+  std::vector<ShardGroup> shards;
+
+  template <class A>
+  void Visit(A& a) {
+    Merge(a);
+    Shards(a);
+  }
+  template <class A>
+  void Merge(A& a) {
+    a.U64(kTagWindowIndex, window_index);
+    a.U64(kTagShardCount, shard_count);
+    a.Words(kTagPlanDigest, std::span(&plan_digest, 1));  // exactly one
+    a.U64(kTagClamped, clamped);
+    a.U64(kTagUnroutable, unroutable);
+    has_journal = a.Record(kTagJournal, *journal);
+  }
+  template <class A>
+  void Shards(A& a) {
+    a.Flat(kTagHandoffSeq, shards, [](auto& group, ShardGroup& shard) {
+      group.U64(kTagHandoffSeq, shard.handoff_seq);
+      group.Sealed(kTagGenesisBlob, shard.container);
+      shard.captured = std::vector<std::byte>();  // copied: release it
+    });
+  }
+};
 
 /// The first failure in shard order, so the error does not depend on which
 /// worker finished first.
@@ -429,89 +466,57 @@ Result<std::vector<std::byte>> ShardedNetwork::CaptureCheckpoint() {
         "sharded checkpoint requires a quiescent window boundary "
         "(pending events or in-flight handoffs)");
   }
+  Checkpoint checkpoint{window_index_, shard_count(), plan_digest_,
+                        clamped_handoffs_, unroutable_handoffs_, &journal_,
+                        false, std::vector<ShardGroup>(shard_count())};
   // Each shard's container is captured on the worker that owns the shard;
   // the checkpoint is then assembled in shard order, so its bytes do not
   // depend on the thread count.
-  std::vector<std::vector<std::byte>> containers(shard_count());
   std::vector<Status> statuses(shard_count());
   executor_->RunPerShard([&](std::size_t shard) {
     Result<std::vector<std::byte>> container =
         shards_[shard]->genesis->CaptureFull();
-    if (container.ok()) {
-      containers[shard] = std::move(container).value();
-    } else {
+    if (!container.ok()) {
       statuses[shard] = container.status();
+      return;
     }
+    ShardGroup& group = checkpoint.shards[shard];
+    group.handoff_seq = shards_[shard]->handoff_seq;
+    group.captured = std::move(container).value();
+    group.container = group.captured;
   });
   if (Status failed = FirstError(statuses); !failed.ok()) return failed;
 
-  const std::vector<std::byte> journal = journal_.Save();
-  std::size_t size = journal.size();
-  for (const auto& container : containers) size += container.size();
-  TlvWriter writer;
-  writer.Reserve(size + 32 * (shard_count() + 8));  // and their framing
-  writer.PutU64(kTagWindowIndex, window_index_);
-  writer.PutU64(kTagShardCount, shard_count());
-  writer.PutU64(kTagPlanDigest, plan_digest_);
-  writer.PutU64(kTagClamped, clamped_handoffs_);
-  writer.PutU64(kTagUnroutable, unroutable_handoffs_);
-  writer.PutNested(kTagJournal, journal);
-  for (ShardId shard = 0; shard < shard_count(); ++shard) {
-    writer.PutU64(kTagHandoffSeq, shards_[shard]->handoff_seq);
-    writer.PutSealed(kTagGenesisBlob, containers[shard]);
-    containers[shard] = std::vector<std::byte>();  // copied: release it
+  std::size_t size = 32 * (shard_count() + 1);  // the groups' framing
+  for (const ShardGroup& group : checkpoint.shards) {
+    size += group.captured.size();
   }
+  TlvWriter writer;
+  SaveArchive archive(writer);
+  checkpoint.Merge(archive);
+  writer.Reserve(size);
+  checkpoint.Shards(archive);
   return writer.Finish();
 }
 
 Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
-  TlvReader reader(bytes);
-  if (Status verify = reader.Verify(kTagGenesisBlob); !verify.ok()) {
-    return verify;
-  }
-
-  std::uint64_t window_index = 0;
-  std::uint64_t clamped = 0;
-  std::uint64_t unroutable = 0;
-  std::span<const std::byte> journal_blob;
-  std::vector<std::uint64_t> handoff_seqs;
-  std::vector<std::span<const std::byte>> containers;
-  std::uint64_t declared_shards = 0;
-  std::optional<std::uint64_t> plan_digest;
-
-  while (reader.HasNext()) {
-    Result<TlvRecord> record = reader.Next();
-    if (!record.ok()) return record.status();
-    Status read;
-    switch (record->tag) {
-      case kTagWindowIndex: read = ReadU64(*record, window_index); break;
-      case kTagShardCount: read = ReadU64(*record, declared_shards); break;
-      case kTagClamped: read = ReadU64(*record, clamped); break;
-      case kTagUnroutable: read = ReadU64(*record, unroutable); break;
-      case kTagJournal: journal_blob = record->payload; break;
-      case kTagPlanDigest:
-        read = ReadU64(*record, plan_digest.emplace());
-        break;
-      case kTagHandoffSeq:
-        read = ReadU64(*record, handoff_seqs.emplace_back());
-        break;
-      case kTagGenesisBlob: containers.push_back(record->payload); break;
-      default: break;  // forward compatibility: ignore unknown tags
-    }
-    if (!read.ok()) return read;
+  // The journal decodes into a stand-in, adopted once every shard is
+  // restored: a refused checkpoint leaves the world's journal as it was.
+  replay::DecisionJournal journal({.capacity = 1});
+  Checkpoint checkpoint;
+  checkpoint.journal = &journal;
+  if (Status loaded = LoadFields(bytes, checkpoint, kTagGenesisBlob);
+      !loaded.ok()) {
+    return loaded;
   }
   // Shard worlds only fit the plan they were cut by: the same global
   // topology, shard count and node assignment.
-  if (!plan_digest) {
-    return InvalidArgument("checkpoint records no shard plan");
-  }
-  if (*plan_digest != plan_digest_) {
+  if (checkpoint.plan_digest != plan_digest_) {
     return InvalidArgument(
         "checkpoint was taken under a different shard plan");
   }
-  if (declared_shards != shard_count() ||
-      containers.size() != shard_count() ||
-      handoff_seqs.size() != shard_count()) {
+  if (checkpoint.shard_count != shard_count() ||
+      checkpoint.shards.size() != shard_count()) {
     return InvalidArgument("checkpoint shard count does not match this world");
   }
 
@@ -521,7 +526,7 @@ Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
   std::vector<Status> statuses(shard_count());
   executor_->RunPerShard([&](std::size_t shard) {
     Result<genesis::ParsedSnapshot> snapshot =
-        genesis::ParseSnapshot(containers[shard]);
+        genesis::ParseSnapshot(checkpoint.shards[shard].container);
     if (snapshot.ok()) {
       parsed[shard] = std::move(snapshot).value();
     } else {
@@ -531,18 +536,14 @@ Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
   if (Status failed = FirstError(statuses); !failed.ok()) return failed;
   executor_->RunPerShard([&](std::size_t shard) {
     statuses[shard] = shards_[shard]->genesis->Restore(parsed[shard]);
-    shards_[shard]->handoff_seq = handoff_seqs[shard];
+    shards_[shard]->handoff_seq = checkpoint.shards[shard].handoff_seq;
   });
   if (Status failed = FirstError(statuses); !failed.ok()) return failed;
 
-  if (!journal_blob.empty()) {
-    if (Status loaded = journal_.Load(journal_blob); !loaded.ok()) {
-      return loaded;
-    }
-  }
-  window_index_ = window_index;
-  clamped_handoffs_ = clamped;
-  unroutable_handoffs_ = unroutable;
+  if (checkpoint.has_journal) journal_ = std::move(journal);
+  window_index_ = checkpoint.window_index;
+  clamped_handoffs_ = checkpoint.clamped;
+  unroutable_handoffs_ = checkpoint.unroutable;
   return OkStatus();
 }
 

@@ -89,10 +89,8 @@ class Histogram {
     TlvTag count, sum, sum_sq, min, max, zeros, origin, bucket;
   };
 
-  /// Snapshot fields. States saved before fractional buckets carry no
-  /// origin (legacy origin 0); a load shifts their buckets into the current
-  /// layout, so old snapshots stay loadable (their sub-1.0 samples remain in
-  /// `zeros`, exactly as they were recorded).
+  /// Snapshot fields. The bucket origin is saved with the buckets, and a
+  /// load refuses any origin but kBucketOrigin.
   template <class A>
   void Visit(A& a, const Tags& tags) {
     a.U64(tags.count, count_);
@@ -101,16 +99,16 @@ class Histogram {
     a.F64(tags.min, min_);
     a.F64(tags.max, max_);
     a.U64(tags.zeros, zeros_);
-    std::int32_t origin = A::kLoading ? 0 : kBucketOrigin;
+    std::int32_t origin = kBucketOrigin;
     a.U64(tags.origin, origin);
     if constexpr (A::kLoading) {
-      std::uint64_t saved[kBucketCount] = {};
-      a.Repeated(tags.bucket, std::span(saved));
-      const int shift = static_cast<int>(origin) - kBucketOrigin;
-      std::fill(std::begin(buckets_), std::end(buckets_), 0);
-      for (int i = 0; i < kBucketCount; ++i) {
-        buckets_[std::clamp(i + shift, 0, kBucketCount - 1)] += saved[i];
+      if (origin != kBucketOrigin) {
+        a.Fail(InvalidArgument("histogram bucket origin " +
+                               std::to_string(origin) + ", want " +
+                               std::to_string(kBucketOrigin)));
       }
+      std::fill(std::begin(buckets_), std::end(buckets_), 0);
+      a.Repeated(tags.bucket, std::span(buckets_));
     } else {
       a.Repeated(tags.bucket, buckets());
     }

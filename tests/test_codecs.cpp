@@ -276,8 +276,8 @@ TEST(StrictDecoders, WrongWidthRecordsAreRefused) {
   // A flight file whose nested scenario holds the wrong-width record.
   TlvWriter flight;
   flight.PutString(1, replay::FlightFile::kMagic);
-  flight.PutNested(2, Rewidth(OtherConfig().Save(), 4, 4));
-  flight.PutNested(3, WrappedJournal().Save());
+  flight.PutBytes(2, Rewidth(OtherConfig().Save(), 4, 4));
+  flight.PutBytes(3, WrappedJournal().Save());
   ExpectInvalid(replay::FlightFile::Load(flight.Finish()).status(),
                 "flight-file scenario steps");
 }
@@ -320,6 +320,42 @@ TEST(StrictDecoders, FailedJournalLoadChangesNothing) {
     EXPECT_FALSE(journal.Load(bytes).ok());
     EXPECT_EQ(journal.Save(), before);
   }
+}
+
+TEST(StrictDecoders, ScenarioSizesAreBounded) {
+  // A scenario's grid and journal ring are allocated when its world is
+  // built, so a load refuses sizes outside their bounds: a flight file
+  // asking for a ring of 2^62 records used to load, and seeking in it
+  // aborted on the allocation.
+  using replay::ScenarioConfig;
+  const auto load = [](std::size_t rows, std::size_t cols,
+                       std::size_t capacity) {
+    ScenarioConfig config;
+    config.rows = rows;
+    config.cols = cols;
+    config.journal_config.capacity = capacity;
+    return ScenarioConfig::Load(config.Save()).status();
+  };
+  constexpr std::size_t kNodes = ScenarioConfig::kMaxNodes;
+  constexpr std::size_t kCapacity = ScenarioConfig::kMaxJournalCapacity;
+  EXPECT_TRUE(load(1024, kNodes / 1024, kCapacity).ok());
+  EXPECT_TRUE(load(1, 2, 1).ok());
+  ExpectInvalid(load(3, 3, 0), "capacity 0");
+  ExpectInvalid(load(3, 3, kCapacity + 1), "capacity past the bound");
+  ExpectInvalid(load(3, 3, std::size_t{1} << 62), "capacity 2^62");
+  ExpectInvalid(load(1025, kNodes / 1024, 8), "one row past the bound");
+  ExpectInvalid(load(kNodes + 1, 1, 8), "a single column past the bound");
+  ExpectInvalid(load(std::size_t{1} << 32, std::size_t{1} << 32, 8),
+                "rows x cols wraps to 0");
+  ExpectInvalid(load(1, 1, 8), "one node");
+
+  ScenarioConfig huge;
+  huge.journal_config.capacity = std::size_t{1} << 62;
+  ExpectInvalid(
+      replay::FlightFile::Load(
+          replay::FlightFile{huge, replay::DecisionJournal()}.Save())
+          .status(),
+      "flight file with a ring of 2^62 records");
 }
 
 TEST(FlightFile, RoundTripsAndRefusesIncompleteFiles) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/knowledge.h"
 #include "core/wandering_network.h"
 #include "core/wanderlib.h"
+#include "genesis/manager.h"
 #include "net/failure.h"
 #include "net/topology.h"
 #include "replay/journal.h"
@@ -20,6 +22,7 @@
 #include "services/audit.h"
 #include "services/gossip.h"
 #include "services/security_mgmt.h"
+#include "shard/sharded_network.h"
 #include "sim/simulator.h"
 #include "vm/assembler.h"
 #include "vm/interpreter.h"
@@ -181,11 +184,15 @@ TEST_P(CodecFuzz, RandomBlueprintsRoundTrip) {
 
 // One structural edit of a valid TLV stream, at the top level or inside a
 // nested stream: a record dropped, duplicated, swapped with the next,
-// truncated, given another width or overwritten with random bytes. Every
-// stream on the way out is re-sealed with a fresh trailer, so the edit
-// reaches the decoder's field logic instead of its checksum check.
+// truncated, given another width or overwritten with random bytes. Records
+// tagged `sealed` hold whole streams (a container's section payloads, a
+// checkpoint's shard containers): they are only dropped, duplicated,
+// swapped or overwritten whole, and are sealed again. Every stream on the
+// way out is re-sealed with a fresh trailer, so the edit reaches the
+// decoder's field logic instead of its checksum check.
 std::vector<std::byte> MutateRecord(std::span<const std::byte> stream,
-                                    Rng& rng) {
+                                    Rng& rng,
+                                    std::optional<TlvTag> sealed = {}) {
   std::vector<std::pair<TlvTag, std::vector<std::byte>>> records;
   TlvReader reader(stream);
   while (reader.HasNext()) {
@@ -198,10 +205,12 @@ std::vector<std::byte> MutateRecord(std::span<const std::byte> stream,
   if (records.empty()) records.emplace_back(1, std::vector<std::byte>(8));
   const std::size_t at = rng.Index(records.size());
   std::vector<std::byte>& payload = records[at].second;
-  if (TlvReader(payload).Verify().ok() && rng.Index(2) == 0) {
+  const bool body = records[at].first == sealed;
+  if (!body && TlvReader(payload).Verify().ok() && rng.Index(2) == 0) {
     payload = MutateRecord(payload, rng);
   } else {
-    switch (rng.Index(6)) {
+    const std::size_t edit = rng.Index(body ? 4 : 6);
+    switch (body && edit == 3 ? 5 : edit) {
       case 0:
         records.erase(records.begin() + at);
         break;
@@ -226,7 +235,13 @@ std::vector<std::byte> MutateRecord(std::span<const std::byte> stream,
     }
   }
   TlvWriter out;
-  for (const auto& [tag, bytes] : records) out.PutBytes(tag, bytes);
+  for (const auto& [tag, bytes] : records) {
+    if (tag == sealed) {
+      out.PutSealed(tag, bytes);
+    } else {
+      out.PutBytes(tag, bytes);
+    }
+  }
   return out.Finish();
 }
 
@@ -255,10 +270,41 @@ TEST_P(CodecFuzz, ResealedRecordMutationsDecodeOrFail) {
   config.perturb_step = 3;
   const std::vector<std::byte> journal_bytes = journal.Save();
 
+  // A snapshot container of a driven 3x3 world (section payloads sealed
+  // under 0x12), and a four-shard checkpoint of the 4x4 grid (containers
+  // sealed under 0x11). A refused restore must leave the shell untouched.
+  sim::Simulator simulator;
+  net::Topology grid = net::MakeGrid(3, 3);
+  wli::WanderingNetwork network(simulator, grid, wli::WnConfig{},
+                                GetParam());
+  network.PopulateAllNodes();
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    const auto src = static_cast<net::NodeId>(rng.Index(9));
+    const auto dst = static_cast<net::NodeId>((src + 1 + rng.Index(8)) % 9);
+    ASSERT_TRUE(network.Inject(wli::Shuttle::Data(src, dst, {1}, i)).ok());
+    simulator.RunAll();
+  }
+  const Result<std::vector<std::byte>> container =
+      genesis::GenesisManager(network).CaptureFull();
+  ASSERT_TRUE(container.ok()) << container.status().ToString();
+  const net::Topology shard_grid = net::MakeGrid(4, 4);
+  shard::ShardedConfig sharded;
+  sharded.shard_count = 4;
+  sharded.threads = 1;
+  sharded.seed = GetParam();
+  shard::ShardedNetwork world(shard_grid, sharded);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(world.Inject(i % 16, (i * 5 + 3) % 16, {1}, i).ok());
+  }
+  world.RunUntilQuiescent(128);
+  const Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+
   // Each target: a fresh valid encoding and a decode that must return.
   struct Target {
     std::function<std::vector<std::byte>()> encode;
     std::function<Status(std::span<const std::byte>)> decode;
+    std::optional<TlvTag> sealed = {};
     std::size_t decoded = 0;
     std::size_t refused = 0;
   };
@@ -305,15 +351,46 @@ TEST_P(CodecFuzz, ResealedRecordMutationsDecodeOrFail) {
        }},
       {[&] { return replay::FlightFile{config, journal}.Save(); },
        [](auto bytes) { return replay::FlightFile::Load(bytes).status(); }},
+      {[&] { return *container; },
+       [](auto bytes) {
+         sim::Simulator shell_simulator;
+         net::Topology shell_topology;
+         wli::WanderingNetwork shell(shell_simulator, shell_topology,
+                                     wli::WnConfig{}, 1);
+         const Status status =
+             genesis::GenesisManager(shell).RestoreFull(bytes);
+         if (!status.ok()) {
+           EXPECT_EQ(shell.ship_count(), 0u) << status.ToString();
+           EXPECT_EQ(shell_topology.node_count(), 0u) << status.ToString();
+         }
+         return status;
+       },
+       0x12},
+      {[&] { return *checkpoint; },
+       [&](auto bytes) {
+         shard::ShardedNetwork shell(shard_grid, sharded, /*populate=*/false);
+         shell.journal().RecordNote("shell");
+         const std::vector<std::byte> before = shell.journal().Save();
+         const Status status = shell.RestoreCheckpoint(bytes);
+         if (!status.ok()) {
+           for (shard::ShardId s = 0; s < shell.shard_count(); ++s) {
+             EXPECT_EQ(shell.shard_network(s).ship_count(), 0u)
+                 << "shard " << s << ": " << status.ToString();
+           }
+           EXPECT_EQ(shell.journal().Save(), before) << status.ToString();
+         }
+         return status;
+       },
+       0x11},
   };
   for (int trial = 0; trial < 500; ++trial) {
     for (Target& target : targets) {
       std::vector<std::byte> bytes = target.encode();
       for (std::size_t edits = rng.Index(3) + 1; edits > 0; --edits) {
-        bytes = MutateRecord(bytes, rng);
+        bytes = MutateRecord(bytes, rng, target.sealed);
       }
       // Re-sealed: the stream's own trailer always holds.
-      ASSERT_TRUE(TlvReader(bytes).Verify().ok());
+      ASSERT_TRUE(TlvReader(bytes).Verify(target.sealed).ok());
       if (target.decode(bytes).ok()) {
         ++target.decoded;
       } else {

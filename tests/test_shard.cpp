@@ -482,6 +482,16 @@ std::vector<std::byte> ResealCheckpoint(
   return out.Finish();
 }
 
+/// A u64 record's value, as TlvWriter put it (little-endian).
+std::uint64_t U64Of(const TlvRecord& record) {
+  EXPECT_EQ(record.payload.size(), 8u) << "record " << record.tag;
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < record.payload.size() && i < 8; ++i) {
+    value |= static_cast<std::uint64_t>(record.payload[i]) << (8 * i);
+  }
+  return value;
+}
+
 TEST(ShardedNetwork, CheckpointRefusedUnderADifferentPlan) {
   // Shard worlds fit only the plan they were cut by. A checkpoint records
   // the plan digest, and a world built on another plan (another grid, or
@@ -651,7 +661,7 @@ TEST(ShardedNetwork, CheckpointWrongWidthScalarsAreRefused) {
     bool done = false;
     const auto narrow = [&](const TlvRecord& record, TlvWriter& out) {
       if (done || record.tag != tag) return false;
-      out.PutU32(tag, static_cast<std::uint32_t>(record.AsU64()));
+      out.PutU32(tag, static_cast<std::uint32_t>(U64Of(record)));
       done = true;
       return true;
     };
@@ -698,17 +708,10 @@ TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
                               return edit(record, seen[record.tag]++, out);
                             });
   };
-  const auto u64 = [](std::uint64_t value) {
-    std::vector<std::byte> bytes(8);
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
-    }
-    return bytes;
-  };
   const auto shard_count = [&](std::uint64_t count) {
     return resealed([&](const TlvRecord& record, std::size_t, TlvWriter& out) {
       if (record.tag != 0x02) return false;
-      out.PutBytes(0x02, u64(count));
+      out.PutU64(0x02, count);
       return true;
     });
   };
@@ -728,7 +731,7 @@ TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
        resealed([&](const TlvRecord& record, std::size_t nth, TlvWriter& out) {
          if (record.tag != 0x11 || nth + 1 != shards) return false;
          out.PutSealed(0x11, record.payload);
-         out.PutBytes(0x10, u64(0));
+         out.PutU64(0x10, 0);
          out.PutSealed(0x11, record.payload);
          return true;
        })},
@@ -749,6 +752,45 @@ TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
       EXPECT_EQ(shell.shard_network(s).ship_count(), 0u) << what;
     }
   }
+}
+
+TEST(ShardedNetwork, UndecodableJournalIsRefusedBeforeAnyShard) {
+  // The checkpoint's journal (0x05) is decoded before any shard is
+  // applied. One whose capacity field is 4 bytes wide is refused, every
+  // shard of the shell stays empty and the shell's journal is unchanged.
+  const net::Topology grid = net::MakeGrid(4, 4);
+  shard::ShardedNetwork world(grid, CheckpointConfig(2));
+  DriveToBoundary(world);
+  Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  const std::vector<std::byte> bytes = ResealCheckpoint(
+      *checkpoint, [](const TlvRecord& record, TlvWriter& out) {
+        if (record.tag != 0x05) return false;
+        TlvWriter journal;
+        TlvReader fields(record.payload);
+        while (fields.HasNext()) {
+          const Result<TlvRecord> field = fields.Next();
+          if (!field.ok()) break;
+          if (field->tag == 0x01) {
+            journal.PutU32(0x01, static_cast<std::uint32_t>(U64Of(*field)));
+          } else {
+            journal.PutBytes(field->tag, field->payload);
+          }
+        }
+        out.PutBytes(0x05, journal.Finish());
+        return true;
+      });
+
+  shard::ShardedNetwork shell(grid, CheckpointConfig(2), /*populate=*/false);
+  shell.journal().RecordNote("before the restore");
+  const std::vector<std::byte> journal = shell.journal().Save();
+  const Status status = shell.RestoreCheckpoint(bytes);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(status.message(), "field 0x0001 is 4 bytes, want 8");
+  for (shard::ShardId s = 0; s < shell.shard_count(); ++s) {
+    EXPECT_EQ(shell.shard_network(s).ship_count(), 0u) << "shard " << s;
+  }
+  EXPECT_EQ(shell.journal().Save(), journal);
 }
 
 // ---- Pinned framing bytes ---------------------------------------------------

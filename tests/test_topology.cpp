@@ -735,7 +735,7 @@ TEST(TopologyDigest, FollowsRestoreAndCopies) {
   TlvWriter stream;
   stream.PutU64(0x01, 3);
   for (int i = 0; i < 3; ++i) stream.PutU32(0x02, 1);
-  stream.PutNested(0x03, link.Finish());
+  stream.PutBytes(0x03, link.Finish());
   EXPECT_FALSE(LoadFields(stream.Finish(), refused).ok());
   EXPECT_EQ(refused.digest(), refused_before);
   EXPECT_EQ(refused.digest(), FreshDigest(refused));
