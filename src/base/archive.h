@@ -48,8 +48,8 @@
 // returns it, so its digest can be read off its trailer. A load verifies
 // the enclosing stream once (LoadArchive(stream, tag)) and hands each body,
 // unchecked, to the caller, who verifies it once. Such framings repeat a
-// Flat group per body, and a group's fields are sought only up to the next
-// group: a group never takes a field of the one after it.
+// Flat group per body. A Flat group's fields (there, or a quantum's facts)
+// are sought only up to the next group: none takes the next one's field.
 #pragma once
 
 #include <algorithm>

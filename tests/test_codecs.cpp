@@ -322,6 +322,33 @@ TEST(StrictDecoders, FailedJournalLoadChangesNothing) {
   }
 }
 
+TEST(StrictDecoders, FlatGroupsDoNotBorrowTheNextGroupsFields) {
+  // A quantum's facts are flat (key 0x20, value 0x21, weight 0x22) groups.
+  // A fact without its weight keeps the default weight rather than take
+  // the next fact's, and the next fact still decodes.
+  const wli::KnowledgeQuantum kq = SampleQuantum();
+  const std::vector<std::byte> bytes = wli::EncodeKnowledgeQuantum(kq);
+  TlvReader reader(bytes);
+  TlvWriter out;
+  bool dropped = false;
+  while (reader.HasNext()) {
+    const auto record = reader.Next();
+    ASSERT_TRUE(record.ok());
+    if (!dropped && record->tag == 0x22) {
+      dropped = true;
+    } else {
+      out.PutBytes(record->tag, record->payload);
+    }
+  }
+  ASSERT_TRUE(dropped);
+  const auto decoded = wli::DecodeKnowledgeQuantum(out.Finish());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->facts.size(), kq.facts.size());
+  EXPECT_EQ(decoded->facts[0].key, kq.facts[0].key);
+  EXPECT_EQ(decoded->facts[0].weight, wli::FactSnapshot{}.weight);
+  EXPECT_EQ(decoded->facts[1].weight, kq.facts[1].weight);
+}
+
 TEST(StrictDecoders, ScenarioSizesAreBounded) {
   // A scenario's grid and journal ring are allocated when its world is
   // built, so a load refuses sizes outside their bounds: a flight file
