@@ -13,8 +13,8 @@
 // field): the container's trailer covers a sealed record's header and the
 // body's own checksum word, not the body, whose own trailer already covers
 // it. Every byte then sits under exactly one checksum, and the chain of
-// trailers still binds each body to its container. A stream without sealed
-// records is checksummed exactly as before.
+// trailers still binds each body to its container. In a stream without
+// sealed records the trailer covers every byte before it.
 #pragma once
 
 #include <cstddef>
