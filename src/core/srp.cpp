@@ -7,13 +7,12 @@ namespace viator::wli {
 
 void ReputationSystem::ReportInteraction(net::NodeId subject, bool fair) {
   auto [it, inserted] =
-      entries_.try_emplace(subject, Entry{config_.initial_score, false});
+      entries_.try_emplace(subject, Entry{kInitialScore, false});
   Entry& entry = it->second;
-  entry.score =
-      (1.0 - config_.alpha) * entry.score + config_.alpha * (fair ? 1.0 : 0.0);
+  entry.score = (1.0 - kAlpha) * entry.score + kAlpha * (fair ? 1.0 : 0.0);
   if (entry.excluded) {
-    if (entry.score >= config_.readmission_threshold) entry.excluded = false;
-  } else if (entry.score < config_.exclusion_threshold) {
+    if (entry.score >= kReadmissionThreshold) entry.excluded = false;
+  } else if (entry.score < kExclusionThreshold) {
     entry.excluded = true;
   }
   ++reports_;
@@ -21,7 +20,7 @@ void ReputationSystem::ReportInteraction(net::NodeId subject, bool fair) {
 
 double ReputationSystem::ScoreOf(net::NodeId subject) const {
   const auto it = entries_.find(subject);
-  return it == entries_.end() ? config_.initial_score : it->second.score;
+  return it == entries_.end() ? kInitialScore : it->second.score;
 }
 
 bool ReputationSystem::IsExcluded(net::NodeId subject) const {

@@ -35,20 +35,15 @@ struct SelfDescription {
   Digest descriptor_digest = 0;
 };
 
-struct ReputationConfig {
-  double initial_score = 0.5;
-  double alpha = 0.15;             // EWMA step per interaction report
-  double exclusion_threshold = 0.2;
-  double readmission_threshold = 0.35;  // hysteresis for re-entry
-};
-
 /// Community-wide fairness scoring. One instance per Wandering Network;
 /// ships report audit outcomes, the community excludes ships whose score
 /// falls below threshold (and readmits above the hysteresis bound).
 class ReputationSystem {
  public:
-  explicit ReputationSystem(const ReputationConfig& config = {})
-      : config_(config) {}
+  static constexpr double kInitialScore = 0.5;
+  static constexpr double kAlpha = 0.15;  // EWMA step per interaction report
+  static constexpr double kExclusionThreshold = 0.2;
+  static constexpr double kReadmissionThreshold = 0.35;  // re-entry hysteresis
 
   /// Records an audited interaction with `subject` (fair or unfair).
   void ReportInteraction(net::NodeId subject, bool fair);
@@ -76,7 +71,6 @@ class ReputationSystem {
   }
 
  private:
-  ReputationConfig config_;
   std::map<net::NodeId, Entry> entries_;
   std::uint64_t reports_ = 0;
 };

@@ -32,7 +32,6 @@ WanderingNetwork::WanderingNetwork(sim::Simulator& simulator,
       excluded_dropped_(stats_.GetCounter("wn.excluded_dropped")),
       router_absorbed_(stats_.GetCounter("wn.router_absorbed")),
       unroutable_(stats_.GetCounter("wn.unroutable")),
-      reputation_(config.reputation),
       overlays_(topology),
       horizontal_(config.horizontal),
       vertical_(config.vertical),
@@ -348,31 +347,29 @@ void WanderingNetwork::Pulse() {
   }
 
   // 4. Network resonance: emergent functions from fact co-occurrence.
-  if (config_.enable_resonance) {
-    ForEachShip([&](Ship& s) {
-      for (FactKey key : s.facts().Keys()) resonance_.Observe(s.id(), key);
-    });
-    for (const auto& group : resonance_.DetectAndReset()) {
-      NetFunction fn;
-      fn.id = NextFunctionId();
-      fn.name = "resonant-" + std::to_string(fn.id);
-      // The emergent role is derived deterministically from the group.
-      Digest h = kFnvOffsetBasis;
-      for (FactKey key : group) h = HashCombineWord(h, key);
-      fn.role = static_cast<node::FirstLevelRole>(
-          h % static_cast<std::uint64_t>(node::FirstLevelRole::kRoleCount));
-      fn.cls = node::DefaultClassFor(fn.role);
-      fn.fact_keys = group;
-      const net::NodeId host = demand_.HottestNode(fn.role);
-      const net::NodeId target =
-          host != net::kInvalidNode && ship(host) != nullptr
-              ? host
-              : (ship_count_ > 0 ? FirstShipNode() : net::kInvalidNode);
-      if (target != net::kInvalidNode) {
-        DeployFunction(target, fn);
-        ++functions_emerged_;
-        stats_.GetCounter("wn.functions_emerged").Add();
-      }
+  ForEachShip([&](Ship& s) {
+    for (FactKey key : s.facts().Keys()) resonance_.Observe(s.id(), key);
+  });
+  for (const auto& group : resonance_.DetectAndReset()) {
+    NetFunction fn;
+    fn.id = NextFunctionId();
+    fn.name = "resonant-" + std::to_string(fn.id);
+    // The emergent role is derived deterministically from the group.
+    Digest h = kFnvOffsetBasis;
+    for (FactKey key : group) h = HashCombineWord(h, key);
+    fn.role = static_cast<node::FirstLevelRole>(
+        h % static_cast<std::uint64_t>(node::FirstLevelRole::kRoleCount));
+    fn.cls = node::DefaultClassFor(fn.role);
+    fn.fact_keys = group;
+    const net::NodeId host = demand_.HottestNode(fn.role);
+    const net::NodeId target =
+        host != net::kInvalidNode && ship(host) != nullptr
+            ? host
+            : (ship_count_ > 0 ? FirstShipNode() : net::kInvalidNode);
+    if (target != net::kInvalidNode) {
+      DeployFunction(target, fn);
+      ++functions_emerged_;
+      stats_.GetCounter("wn.functions_emerged").Add();
     }
   }
 

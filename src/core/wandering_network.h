@@ -59,12 +59,10 @@ struct WnConfig {
 
   bool enable_horizontal = true;
   bool enable_vertical = true;
-  bool enable_resonance = true;
 
   HorizontalWanderer::Config horizontal;
   VerticalWanderer::Config vertical;
   ResonanceDetector::Config resonance;
-  ReputationConfig reputation;
 
   /// Shared capsule-authorization key; 0 disables authorization checks.
   std::uint64_t auth_key = 0;

@@ -79,7 +79,6 @@ Result<std::vector<std::byte>> GenesisManager::Capture(SnapshotKind kind) {
                          extra->section_version());
     }
   }
-  ++captures_taken_;
   if (kind == SnapshotKind::kFull) {
     full_digests_ = std::move(digests);
     full_sequence_ = header.sequence;
@@ -164,33 +163,6 @@ Status GenesisManager::Restore(const ParsedSnapshot& snap) {
   }
   have_full_ = true;
   return OkStatus();
-}
-
-void GenesisManager::CheckpointTick(sim::TimePoint until) {
-  // A network that is not quiescent refuses the capture: skipped.
-  if (auto snapshot = CaptureFull(); snapshot.ok()) {
-    checkpoints_.push_back(*std::move(snapshot));
-    while (checkpoints_.size() > config_.keep_checkpoints) {
-      checkpoints_.pop_front();
-    }
-    ++checkpoints_taken_;
-  } else {
-    ++checkpoints_skipped_;
-  }
-  const sim::TimePoint next =
-      network_.simulator().now() + config_.checkpoint_cadence;
-  if (next <= until) {
-    network_.simulator().ScheduleAt(next,
-                                    [this, until] { CheckpointTick(until); });
-  }
-}
-
-void GenesisManager::StartCheckpointing(sim::TimePoint until) {
-  const sim::TimePoint first =
-      network_.simulator().now() + config_.checkpoint_cadence;
-  if (first > until) return;
-  network_.simulator().ScheduleAt(first,
-                                  [this, until] { CheckpointTick(until); });
 }
 
 }  // namespace viator::genesis

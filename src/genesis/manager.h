@@ -9,15 +9,11 @@
 // in dependency order into a *fresh* network (empty topology, no ships,
 // idle simulator).
 //
-// StartCheckpointing() self-schedules a capture cadence on the network's
-// simulator and keeps a bounded ring of recent checkpoints, the crash
-// recovery story: after a failure, restore the newest checkpoint into a
-// fresh network and resume.
+// Crash recovery: capture at a quiescent point, and after a failure restore
+// that snapshot into a fresh network and resume.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <span>
 #include <vector>
@@ -26,17 +22,10 @@
 #include "core/wandering_network.h"
 #include "genesis/snapshot.h"
 #include "genesis/snapshotable.h"
-#include "sim/time.h"
 
 namespace viator::genesis {
 
 struct GenesisConfig {
-  /// Checkpoint cadence for StartCheckpointing().
-  sim::Duration checkpoint_cadence = 50 * sim::kMillisecond;
-
-  /// Bounded checkpoint ring: oldest snapshots are dropped beyond this.
-  std::size_t keep_checkpoints = 4;
-
   /// Free-form creator tag stamped into every header (e.g. scenario seed).
   std::uint64_t scenario_tag = 0;
 };
@@ -71,24 +60,8 @@ class GenesisManager {
   /// applies any. Same preconditions as RestoreFull.
   Status Restore(const ParsedSnapshot& snapshot);
 
-  /// Schedules periodic full captures on the network's simulator, every
-  /// checkpoint_cadence until `until` (inclusive). Captures that find the
-  /// network non-quiescent are skipped and counted, not errored.
-  void StartCheckpointing(sim::TimePoint until);
-
-  /// Most recent checkpoints, oldest first (bounded by keep_checkpoints).
-  const std::deque<std::vector<std::byte>>& checkpoints() const {
-    return checkpoints_;
-  }
-
-  std::uint64_t captures_taken() const { return captures_taken_; }
-  std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
-  std::uint64_t checkpoints_skipped() const { return checkpoints_skipped_; }
-  std::uint64_t last_sequence() const { return sequence_; }
-
  private:
   Result<std::vector<std::byte>> Capture(SnapshotKind kind);
-  void CheckpointTick(sim::TimePoint until);
 
   wli::WanderingNetwork& network_;
   GenesisConfig config_;
@@ -99,11 +72,6 @@ class GenesisManager {
   std::map<std::uint32_t, std::uint64_t> full_digests_;
   std::uint64_t full_sequence_ = 0;
   bool have_full_ = false;
-
-  std::deque<std::vector<std::byte>> checkpoints_;
-  std::uint64_t captures_taken_ = 0;
-  std::uint64_t checkpoints_taken_ = 0;
-  std::uint64_t checkpoints_skipped_ = 0;
 };
 
 }  // namespace viator::genesis

@@ -29,10 +29,9 @@ std::optional<HealthEventKind> HealthEventKindFromName(std::string_view name) {
 // ---- HealthRegistry --------------------------------------------------------
 
 void HealthRegistry::Ewma(double& acc, double sample,
-                          std::uint64_t prior_count) const {
+                          std::uint64_t prior_count) {
   // First sample seeds the EWMA exactly; later samples decay toward it.
-  acc = prior_count == 0 ? sample
-                         : acc + config_.ewma_alpha * (sample - acc);
+  acc = prior_count == 0 ? sample : acc + kEwmaAlpha * (sample - acc);
 }
 
 void HealthRegistry::RecordEmission(const std::vector<net::NodeId>& waypoints) {
@@ -85,10 +84,9 @@ double HealthRegistry::ScoreOf(net::NodeId ship) const {
   const auto it = ships_.find(ship);
   if (it == ships_.end()) return 1.0;
   const ShipHealth& s = it->second;
-  const double queue_factor =
-      1.0 / (1.0 + s.queue_ewma / config_.queue_scale_bytes);
+  const double queue_factor = 1.0 / (1.0 + s.queue_ewma / kQueueScaleBytes);
   const double latency_factor =
-      1.0 / (1.0 + s.hop_latency_ewma / config_.latency_scale_ns);
+      1.0 / (1.0 + s.hop_latency_ewma / kLatencyScaleNs);
   const double reach_factor =
       s.expected_visits == 0
           ? 1.0
@@ -136,10 +134,9 @@ std::vector<HealthEvent> AnomalyDetector::CheckRecord(
   std::map<net::NodeId, std::size_t> visits;
   for (const HopSample& hop : record.hops) ++visits[hop.ship];
   for (const auto& [ship, count] : visits) {
-    if (count > config_.loop_repeats) {
+    if (count > kLoopRepeats) {
       Raise(HealthEventKind::kRoutingLoop, ship, now,
-            static_cast<double>(count),
-            static_cast<double>(config_.loop_repeats),
+            static_cast<double>(count), static_cast<double>(kLoopRepeats),
             "probe " + std::to_string(record.probe_id) + " crossed ship " +
                 std::to_string(ship) + " " + std::to_string(count) + " times",
             fresh);
@@ -157,7 +154,7 @@ std::vector<HealthEvent> AnomalyDetector::Evaluate(
   double mean = 0.0, m2 = 0.0;
   std::uint64_t n = 0;
   for (const auto& [node, s] : ships) {
-    if (s.samples < registry.config().min_samples) continue;
+    if (s.samples < kMinSamples) continue;
     ++n;
     const double delta = s.hop_latency_ewma - mean;
     mean += delta / static_cast<double>(n);
@@ -168,23 +165,23 @@ std::vector<HealthEvent> AnomalyDetector::Evaluate(
   for (const auto& [node, s] : ships) {
     bool degraded = false;
     // Rule 1: hop-latency z-score against the network's own distribution.
-    if (s.samples >= config_.min_samples && stddev > 1e-9) {
+    if (s.samples >= kMinSamples && stddev > 1e-9) {
       const double z = (s.hop_latency_ewma - mean) / stddev;
-      if (z > config_.z_threshold) {
+      if (z > kZThreshold) {
         degraded = true;
-        Raise(HealthEventKind::kDegradedShip, node, now, z, config_.z_threshold,
+        Raise(HealthEventKind::kDegradedShip, node, now, z, kZThreshold,
               "hop latency z-score " + std::to_string(z), fresh);
       }
     }
     // Rule 2: probe-loss ratio — probes that name this ship as a waypoint
     // keep vanishing (dead or flaky ship / links).
-    if (s.expected_visits >= config_.min_expected_visits) {
+    if (s.expected_visits >= kMinExpectedVisits) {
       const double ratio = static_cast<double>(s.missed_visits) /
                            static_cast<double>(s.expected_visits);
-      if (ratio >= config_.loss_ratio_threshold) {
+      if (ratio >= kLossRatioThreshold) {
         degraded = true;
         Raise(HealthEventKind::kDegradedShip, node, now, ratio,
-              config_.loss_ratio_threshold,
+              kLossRatioThreshold,
               "probe loss ratio " + std::to_string(ratio) + " (" +
                   std::to_string(s.missed_visits) + "/" +
                   std::to_string(s.expected_visits) + " visits missed)",
@@ -192,13 +189,12 @@ std::vector<HealthEvent> AnomalyDetector::Evaluate(
       }
     }
     // Rule 3: absolute score floor.
-    if (s.samples >= config_.min_samples) {
+    if (s.samples >= kMinSamples) {
       const double score = registry.ScoreOf(node);
-      if (score < config_.degraded_score) {
+      if (score < kDegradedScore) {
         degraded = true;
-        Raise(HealthEventKind::kDegradedShip, node, now, score,
-              config_.degraded_score, "health score " + std::to_string(score),
-              fresh);
+        Raise(HealthEventKind::kDegradedShip, node, now, score, kDegradedScore,
+              "health score " + std::to_string(score), fresh);
       }
     }
     if (!degraded) Clear(HealthEventKind::kDegradedShip, node);

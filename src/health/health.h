@@ -8,7 +8,7 @@
 // measurements, the HealthRegistry folds the deposited records into per-ship
 // EWMAs and deterministic quantile sketches (sim::Histogram buckets), and
 // the AnomalyDetector raises structured HealthEvents from rule + z-score
-// checks over those series — optionally feeding SRP's ReputationSystem.
+// checks over those series.
 //
 // Everything here is bit-for-bit deterministic: same seed, same probes, same
 // scores, same events. Wall-clock never enters any health series.
@@ -37,37 +37,6 @@ struct HealthConfig {
 
   /// Ship that emits probes and collects deposited records.
   net::NodeId collector = 0;
-
-  /// Probe schedule: every `probe_interval`, `probes_per_round` capsules are
-  /// emitted, each wandering through `waypoints_per_probe` random ships
-  /// before returning to the collector.
-  sim::Duration probe_interval = 50 * sim::kMillisecond;
-  std::size_t probes_per_round = 4;
-  std::size_t waypoints_per_probe = 2;
-  std::uint8_t probe_ttl = 64;
-
-  /// A pending probe older than this counts as lost; its waypoints accrue
-  /// missed visits (the loss-ratio rule below detects dead/flaky ships).
-  sim::Duration probe_timeout = 200 * sim::kMillisecond;
-
-  /// Streaming-score parameters. Scores are the product of three factors in
-  /// (0, 1]: queue pressure, hop latency and probe-visit reachability (see
-  /// docs/HEALTH.md for the exact formula).
-  double ewma_alpha = 0.2;
-  double queue_scale_bytes = 4096.0;
-  double latency_scale_ns = 2.0e7;
-
-  /// Anomaly rules.
-  double z_threshold = 3.0;            // hop-latency z-score → degraded
-  double degraded_score = 0.5;         // absolute score floor → degraded
-  double loss_ratio_threshold = 0.5;   // missed/expected visits → degraded
-  std::uint64_t min_samples = 8;       // hop samples before score/z rules
-  std::uint64_t min_expected_visits = 6;  // visits before the loss rule
-  std::size_t loop_repeats = 3;        // same ship > this often in one record
-
-  /// MFP loop closure: report anomalous ships to SRP's ReputationSystem as
-  /// unfair interactions. Off by default (pure observation).
-  bool feed_reputation = false;
 };
 
 enum class HealthEventKind : std::uint8_t {
@@ -83,7 +52,7 @@ std::string_view HealthEventKindName(HealthEventKind kind);
 std::optional<HealthEventKind> HealthEventKindFromName(std::string_view name);
 
 /// One structured anomaly. `value` is the measured quantity that tripped the
-/// rule, `threshold` the configured bound it crossed.
+/// rule, `threshold` the bound it crossed.
 struct HealthEvent {
   sim::TimePoint time = 0;
   HealthEventKind kind = HealthEventKind::kDegradedShip;
@@ -118,7 +87,12 @@ struct ProbeRecord {
 /// deterministic fixed-bucket quantile sketch) for the distributions.
 class HealthRegistry {
  public:
-  explicit HealthRegistry(const HealthConfig& config) : config_(config) {}
+  /// Streaming-score parameters. Scores are the product of three factors in
+  /// (0, 1]: queue pressure, hop latency and probe-visit reachability (see
+  /// docs/HEALTH.md for the exact formula).
+  static constexpr double kEwmaAlpha = 0.2;
+  static constexpr double kQueueScaleBytes = 4096.0;
+  static constexpr double kLatencyScaleNs = 2.0e7;
 
   struct ShipHealth {
     double queue_ewma = 0.0;
@@ -157,7 +131,6 @@ class HealthRegistry {
   double ScoreOf(net::NodeId ship) const;
 
   const std::map<net::NodeId, ShipHealth>& ships() const { return ships_; }
-  const HealthConfig& config() const { return config_; }
 
   std::uint64_t hops_observed() const { return hops_observed_; }
   std::uint64_t spans_ingested() const { return spans_ingested_; }
@@ -197,9 +170,8 @@ class HealthRegistry {
   static constexpr sim::Histogram::Tags kHistogramTags = {
       0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
 
-  void Ewma(double& acc, double sample, std::uint64_t prior_count) const;
+  static void Ewma(double& acc, double sample, std::uint64_t prior_count);
 
-  HealthConfig config_;
   std::map<net::NodeId, ShipHealth> ships_;
   std::uint64_t hops_observed_ = 0;
   std::uint64_t spans_ingested_ = 0;
@@ -211,10 +183,16 @@ class HealthRegistry {
 /// (kind, ship) condition episode (the flag clears when the condition does).
 class AnomalyDetector {
  public:
-  explicit AnomalyDetector(const HealthConfig& config) : config_(config) {}
+  /// Anomaly rules.
+  static constexpr double kZThreshold = 3.0;          // hop-latency z-score
+  static constexpr double kDegradedScore = 0.5;       // absolute score floor
+  static constexpr double kLossRatioThreshold = 0.5;  // missed/expected visits
+  static constexpr std::uint64_t kMinSamples = 8;  // hop samples before score/z
+  static constexpr std::uint64_t kMinExpectedVisits = 6;  // before loss rule
+  static constexpr std::size_t kLoopRepeats = 3;  // same ship in one record
 
   /// Immediate per-record rule: routing-loop suspicion (one ship visited
-  /// more than `loop_repeats` times by a single probe).
+  /// more than kLoopRepeats times by a single probe).
   std::vector<HealthEvent> CheckRecord(const ProbeRecord& record,
                                        sim::TimePoint now);
 
@@ -259,7 +237,6 @@ class AnomalyDetector {
              std::vector<HealthEvent>& fresh);
   void Clear(HealthEventKind kind, net::NodeId ship);
 
-  HealthConfig config_;
   std::vector<HealthEvent> events_;
   // Active (kind, ship) condition episodes.
   std::set<std::pair<std::uint8_t, net::NodeId>> active_;

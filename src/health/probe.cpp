@@ -98,9 +98,7 @@ ProbePlane::ProbePlane(wli::WanderingNetwork& network,
       config_(config),
       // Private itinerary stream, salted off the scenario seed: probe routes
       // are reproducible yet never consume network/fabric draws.
-      rng_(seed ^ 0x9e3779b97f4a7c15ULL),
-      registry_(config),
-      detector_(config) {
+      rng_(seed ^ 0x9e3779b97f4a7c15ULL) {
   network_.SetProbeHandler(
       [this](wli::Ship& ship, wli::Shuttle shuttle, net::NodeId from) {
         OnProbe(ship, std::move(shuttle), from);
@@ -108,15 +106,13 @@ ProbePlane::ProbePlane(wli::WanderingNetwork& network,
 }
 
 void ProbePlane::StartProbes(sim::TimePoint until) {
-  if (!config_.enable_probes || config_.probe_interval == 0) return;
-  network_.simulator().ScheduleAfter(
-      config_.probe_interval,
-      [this, until] {
-        RunRound();
-        if (network_.simulator().now() + config_.probe_interval <= until) {
-          StartProbes(until);
-        }
-      });
+  if (!config_.enable_probes) return;
+  network_.simulator().ScheduleAfter(kProbeInterval, [this, until] {
+    RunRound();
+    if (network_.simulator().now() + kProbeInterval <= until) {
+      StartProbes(until);
+    }
+  });
 }
 
 void ProbePlane::RunRound() {
@@ -126,7 +122,7 @@ void ProbePlane::RunRound() {
   std::vector<net::NodeId> candidates = ShipNodes();
   std::erase(candidates, config_.collector);
   if (candidates.empty()) return;
-  for (std::size_t i = 0; i < config_.probes_per_round; ++i) {
+  for (std::size_t i = 0; i < kProbesPerRound; ++i) {
     EmitProbe(candidates);
   }
 }
@@ -149,8 +145,7 @@ std::vector<net::NodeId> ProbePlane::ShipNodes() const {
 }
 
 void ProbePlane::EmitProbe(const std::vector<net::NodeId>& candidates) {
-  const std::size_t want =
-      std::min(config_.waypoints_per_probe, candidates.size());
+  const std::size_t want = std::min(kWaypointsPerProbe, candidates.size());
   if (want == 0) return;
   // Partial Fisher–Yates: `want` distinct waypoints from the plane's RNG.
   std::vector<net::NodeId> pool = candidates;
@@ -170,7 +165,7 @@ void ProbePlane::EmitProbe(const std::vector<net::NodeId>& candidates) {
   probe.header.destination = waypoints.front();
   probe.header.kind = wli::ShuttleKind::kProbe;
   probe.header.flow_id = id;
-  probe.header.ttl = config_.probe_ttl;
+  probe.header.ttl = kProbeTtl;
   probe.payload = EncodeProbe(id, rounds_, now, waypoints);
 
   registry_.RecordEmission(waypoints);
@@ -249,7 +244,7 @@ void ProbePlane::Deposit(const wli::Shuttle& shuttle, sim::TimePoint now) {
 
 void ProbePlane::ExpirePending(sim::TimePoint now) {
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.emitted + config_.probe_timeout <= now) {
+    if (it->second.emitted + kProbeTimeout <= now) {
       registry_.RecordLoss(it->second.waypoints);
       ++probes_lost_;
       network_.stats().GetCounter("health.probes_lost").Add();
@@ -272,10 +267,6 @@ void ProbePlane::HandleEvents(const std::vector<HealthEvent>& events) {
                          std::string(HealthEventKindName(event.kind)) +
                              " ship " + std::to_string(event.ship) + ": " +
                              event.detail);
-    // MFP loop closure: anomalies become SRP reputation reports.
-    if (config_.feed_reputation && event.ship != net::kInvalidNode) {
-      network_.reputation().ReportInteraction(event.ship, /*fair=*/false);
-    }
   }
 }
 

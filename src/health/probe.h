@@ -68,6 +68,17 @@ net::NodeId ProbeWaypoint(const std::vector<std::int64_t>& payload,
 /// nothing runs until StartProbes() (and with enable_probes false, never).
 class ProbePlane {
  public:
+  /// Probe schedule: every kProbeInterval, kProbesPerRound capsules are
+  /// emitted, each wandering through kWaypointsPerProbe random ships before
+  /// returning to the collector.
+  static constexpr sim::Duration kProbeInterval = 50 * sim::kMillisecond;
+  static constexpr std::size_t kProbesPerRound = 4;
+  static constexpr std::size_t kWaypointsPerProbe = 2;
+  static constexpr std::uint8_t kProbeTtl = 64;
+  /// A pending probe older than this counts as lost; its waypoints accrue
+  /// missed visits (the loss-ratio rule detects dead/flaky ships).
+  static constexpr sim::Duration kProbeTimeout = 200 * sim::kMillisecond;
+
   /// `seed` is the scenario seed; the plane salts it for its private RNG so
   /// probe itineraries never perturb (or correlate with) network draws.
   ProbePlane(wli::WanderingNetwork& network, const HealthConfig& config,
@@ -76,7 +87,7 @@ class ProbePlane {
   ProbePlane(const ProbePlane&) = delete;
   ProbePlane& operator=(const ProbePlane&) = delete;
 
-  /// Schedules RunRound() every probe_interval until `until` (no-op when
+  /// Schedules RunRound() every kProbeInterval until `until` (no-op when
   /// probes are disabled).
   void StartProbes(sim::TimePoint until);
 

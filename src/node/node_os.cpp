@@ -4,6 +4,14 @@
 
 namespace viator::node {
 
+namespace {
+
+// The reconfigurable hardware plane every node carries.
+constexpr std::uint32_t kHardwareGates = 100000;
+constexpr std::uint32_t kHardwareSlots = 8;
+
+}  // namespace
+
 Capabilities Capabilities::ForGeneration(int generation) {
   Capabilities caps;
   caps.ee_programmable = generation >= 1;
@@ -13,12 +21,11 @@ Capabilities Capabilities::ForGeneration(int generation) {
   return caps;
 }
 
-NodeOs::NodeOs(const ResourceQuota& quota, const Capabilities& caps,
-               std::uint32_t hw_gates, std::uint32_t hw_slots)
+NodeOs::NodeOs(const ResourceQuota& quota, const Capabilities& caps)
     : caps_(caps),
       accountant_(quota),
       code_cache_(quota.code_cache_bytes),
-      hardware_(hw_gates, hw_slots) {}
+      hardware_(kHardwareGates, kHardwareSlots) {}
 
 sim::Duration NodeOs::SwitchLatency(SwitchMechanism mechanism) const {
   const ReconfigTiming& t = hardware_.timing();

@@ -40,8 +40,7 @@ struct Capabilities {
 
 class NodeOs {
  public:
-  NodeOs(const ResourceQuota& quota, const Capabilities& caps,
-         std::uint32_t hw_gates = 100000, std::uint32_t hw_slots = 8);
+  NodeOs(const ResourceQuota& quota, const Capabilities& caps);
 
   const Capabilities& capabilities() const { return caps_; }
 
@@ -92,8 +91,6 @@ class NodeOs {
   template <class A>
   void VisitCodeState(A& a) {
     code_cache_.Visit(a);
-    const std::uint32_t max_resident =
-        accountant_.quota().max_resident_programs;
     if constexpr (A::kLoading) {
       a.Records(0x1A, [&](auto& record) {
         std::uint32_t id = 0;
@@ -112,7 +109,7 @@ class NodeOs {
           return;
         }
         ee.set_binding(binding);
-        ee.Visit(record, max_resident);
+        ee.Visit(record, kMaxResidentPrograms);
       });
     } else {
       std::vector<ExecutionEnvironment*> by_id;
@@ -120,8 +117,8 @@ class NodeOs {
       std::sort(by_id.begin(), by_id.end(), [](const auto* x, const auto* y) {
         return x->id() < y->id();
       });
-      a.Each(0x1A, by_id, [max_resident](auto& r, ExecutionEnvironment* ee) {
-        ee->Visit(r, max_resident);
+      a.Each(0x1A, by_id, [](auto& r, ExecutionEnvironment* ee) {
+        ee->Visit(r, kMaxResidentPrograms);
       });
     }
     hardware_.Visit(a);
@@ -152,6 +149,9 @@ class NodeOs {
   Result<sim::Duration> DockNetbot(const Netbot& netbot);
 
  private:
+  // Programs one EE may hold resident.
+  static constexpr std::uint32_t kMaxResidentPrograms = 64;
+
   sim::Duration SwitchLatency(SwitchMechanism mechanism) const;
 
   Capabilities caps_;

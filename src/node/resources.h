@@ -16,7 +16,6 @@ struct ResourceQuota {
   std::uint64_t fuel_per_epoch = 10'000'000;  // aggregate CPU budget per epoch
   std::uint64_t memory_bytes = 1 << 20;       // fact store + resident data
   std::uint64_t code_cache_bytes = 64 << 10;  // resident program bytes
-  std::uint32_t max_resident_programs = 64;
   std::uint32_t max_pending_shuttles = 256;   // waiting for code / EE slot
 };
 

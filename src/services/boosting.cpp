@@ -132,7 +132,7 @@ void ArqBooster::Transmit(std::uint64_t flow, std::uint64_t seq) {
 
 void ArqBooster::ArmTimer(std::uint64_t flow, std::uint64_t seq) {
   network_.simulator().ScheduleAfter(
-      config_.retransmit_timeout,
+      kRetransmitTimeout,
       [this, flow, seq] {
         const auto it = pending_.find({flow, seq});
         if (it == pending_.end() || it->second.acked) return;

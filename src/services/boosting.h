@@ -79,7 +79,6 @@ class ArqBooster {
     net::NodeId ingress = net::kInvalidNode;
     net::NodeId egress = net::kInvalidNode;
     net::NodeId final_destination = net::kInvalidNode;
-    sim::Duration retransmit_timeout = 50 * sim::kMillisecond;
     std::uint32_t max_retries = 4;
   };
 
@@ -97,6 +96,7 @@ class ArqBooster {
   // Payload layouts: data {kArqData, seq, word}; ack {kArqAck, seq}.
   static constexpr std::int64_t kArqData = 0x0a1;
   static constexpr std::int64_t kArqAck = 0x0a2;
+  static constexpr sim::Duration kRetransmitTimeout = 50 * sim::kMillisecond;
 
   void OnEgress(wli::Ship& ship, const wli::Shuttle& shuttle);
   void OnIngressAck(const wli::Shuttle& shuttle);

@@ -14,7 +14,7 @@ void GossipService::RunRound() {
   ++rounds_;
   network_.ForEachShip([this](wli::Ship& ship) {
     const auto strongest =
-        std::as_const(ship).facts().TopByWeight(config_.facts_per_round);
+        std::as_const(ship).facts().TopByWeight(kFactsPerRound);
     if (strongest.empty()) return;
     wli::KnowledgeQuantum kq;
     kq.function.id = 0;  // pure fact carriage, no function installation

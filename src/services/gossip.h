@@ -20,8 +20,7 @@ class GossipService {
  public:
   struct Config {
     sim::Duration interval = 500 * sim::kMillisecond;
-    std::size_t fanout = 2;           // neighbors contacted per ship/round
-    std::size_t facts_per_round = 4;  // strongest facts shared
+    std::size_t fanout = 2;  // neighbors contacted per ship/round
   };
 
   GossipService(wli::WanderingNetwork& network, const Config& config,
@@ -40,6 +39,8 @@ class GossipService {
   std::uint64_t shuttles_sent() const { return shuttles_sent_; }
 
  private:
+  static constexpr std::size_t kFactsPerRound = 4;  // strongest facts shared
+
   wli::WanderingNetwork& network_;
   Config config_;
   Rng rng_;

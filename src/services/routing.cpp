@@ -91,7 +91,7 @@ void DistanceVectorRouter::AdvertiseRound() {
                                            static_cast<std::int64_t>(at), 0};
       for (const auto& [dst, route] : tables_[at]) {
         if (route.next_hop == neighbor && dst != at) continue;
-        if (route.metric >= config_.infinity_metric) continue;
+        if (route.metric >= kInfinityMetric) continue;
         payload.push_back(static_cast<std::int64_t>(dst));
         payload.push_back(static_cast<std::int64_t>(route.metric));
       }
@@ -122,7 +122,7 @@ void DistanceVectorRouter::OnControl(wli::Ship& ship,
     const auto dst = static_cast<net::NodeId>(shuttle.payload[3 + 2 * i]);
     const auto metric =
         static_cast<std::uint32_t>(shuttle.payload[4 + 2 * i]) + 1;
-    if (dst == at || metric >= config_.infinity_metric) continue;
+    if (dst == at || metric >= kInfinityMetric) continue;
     Route& route = tables_[at][dst];
     const bool stale = route.expires < now;
     if (route.next_hop == net::kInvalidNode || stale ||
@@ -256,7 +256,7 @@ void AdaptiveAdHocRouter::StartDiscovery(net::NodeId origin,
                    {kRreq, static_cast<std::int64_t>(origin),
                     static_cast<std::int64_t>(target),
                     static_cast<std::int64_t>(request_id), 0},
-                   config_.max_flood_ttl);
+                   kMaxFloodTtl);
   ++rreq_sent_;
 }
 
@@ -308,12 +308,12 @@ void AdaptiveAdHocRouter::OnControl(wli::Ship& ship,
       (void)network_.Dispatch(at, std::move(reply));
       return;
     }
-    if (hops + 1 >= config_.max_flood_ttl) return;
+    if (hops + 1 >= kMaxFloodTtl) return;
     BroadcastControl(at,
                      {kRreq, shuttle.payload[1], shuttle.payload[2],
                       shuttle.payload[3],
                       static_cast<std::int64_t>(hops + 1)},
-                     static_cast<std::uint8_t>(config_.max_flood_ttl));
+                     kMaxFloodTtl);
     return;
   }
 

@@ -49,7 +49,6 @@ class DistanceVectorRouter {
   struct Config {
     sim::Duration advertise_interval = 500 * sim::kMillisecond;
     sim::Duration route_lifetime = 2 * sim::kSecond;  // ~4 missed ads
-    std::uint32_t infinity_metric = 64;
   };
 
   DistanceVectorRouter(wli::WanderingNetwork& network, const Config& config);
@@ -122,6 +121,8 @@ class DistanceVectorRouter {
  private:
   // Control payload layout: {kDvAdvert, origin, count, (dst, metric)...}.
   static constexpr std::int64_t kDvAdvert = 3;
+  // Metrics at or above this are unreachable (count-to-infinity bound).
+  static constexpr std::uint32_t kInfinityMetric = 64;
 
   void OnControl(wli::Ship& ship, const wli::Shuttle& shuttle);
   void ExpireStale(net::NodeId at);
@@ -138,7 +139,6 @@ class AdaptiveAdHocRouter {
  public:
   struct Config {
     sim::Duration route_lifetime = 5 * sim::kSecond;
-    std::uint8_t max_flood_ttl = 16;
     std::size_t max_buffered_per_node = 64;
     /// Minimum spacing between discovery floods for the same (node, dst)
     /// pair — AODV's RREQ rate limit; prevents flood storms when a
@@ -170,6 +170,8 @@ class AdaptiveAdHocRouter {
   // Control payload layout: {type, origin, target, request_id, hops}.
   static constexpr std::int64_t kRreq = 1;
   static constexpr std::int64_t kRrep = 2;
+  // Hop bound of a discovery flood.
+  static constexpr std::uint8_t kMaxFloodTtl = 16;
 
   struct Route {
     net::NodeId next_hop = net::kInvalidNode;

@@ -9,7 +9,7 @@ TranscodingService::TranscodingService(wli::WanderingNetwork& network,
     : network_(network),
       node_(node),
       config_(config),
-      quality_(config.initial_quality, config.min_quality, 1.0,
+      quality_(kInitialQuality, kMinQuality, 1.0,
                /*increase_step=*/0.05, /*decrease_factor=*/0.7) {
   wli::Ship* ship = network_.ship(node);
   if (ship == nullptr) return;

@@ -3,7 +3,7 @@
 // content-, user- and resource-dependent QoS management".
 //
 // The transcoder relays media shuttles toward a sink at a quality level
-// q ∈ [min_quality, 1]: the forwarded payload keeps ceil(q · n) of the n
+// q ∈ [kMinQuality, 1]: the forwarded payload keeps ceil(q · n) of the n
 // media words. q is governed by an AIMD regulator fed from the per-session
 // feedback dimension — the transcoder publishes its own egress backlog and
 // reacts to congestion signals, closing the MFP loop.
@@ -20,8 +20,6 @@ class TranscodingService {
  public:
   struct Config {
     net::NodeId sink = net::kInvalidNode;
-    double min_quality = 0.25;
-    double initial_quality = 1.0;
     /// Egress backlog (bytes) above which the service reports congestion.
     std::uint64_t congestion_backlog_bytes = 32 * 1024;
   };
@@ -36,6 +34,10 @@ class TranscodingService {
   std::uint64_t congestion_events() const { return congestion_events_; }
 
  private:
+  // Quality starts at full rate and never drops below the floor.
+  static constexpr double kInitialQuality = 1.0;
+  static constexpr double kMinQuality = 0.25;
+
   void OnShuttle(wli::Ship& ship, const wli::Shuttle& shuttle);
 
   wli::WanderingNetwork& network_;

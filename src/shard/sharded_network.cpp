@@ -114,8 +114,7 @@ ShardedNetwork::ShardedNetwork(const net::Topology& global,
       global_(global),
       mailbox_(config.shard_count == 0 ? 1 : config.shard_count),
       journal_(config.journal),
-      observatory_(config.shard_count,
-                   config.observatory_window_capacity) {
+      observatory_(config.shard_count) {
   const ShardAssignment assignment = config_.assignment
                                          ? config_.assignment
                                          : ContiguousBlocks(config_.shard_count);
@@ -128,8 +127,7 @@ ShardedNetwork::ShardedNetwork(const net::Topology& global,
   plan_ = std::move(plan).value();
 
   window_ = plan_.min_cross_latency() > 0 ? plan_.min_cross_latency()
-                                          : config_.default_window;
-  window_ = std::max<sim::Duration>(1, window_);
+                                          : kDefaultWindow;
 
   Hasher plan_hasher;
   plan_.MixDigest(plan_hasher);
@@ -322,10 +320,8 @@ std::uint64_t ShardedNetwork::RunWindows(std::size_t count) {
       slot.window_handoffs_in = 0;
       slot.window_unroutable = 0;
     }
-    if (config_.observatory) {
-      observatory_.RecordWindow(std::move(record));
-      observatory_.PublishStats(stats_);
-    }
+    observatory_.RecordWindow(std::move(record));
+    observatory_.PublishStats(stats_);
     stats_.GetCounter("shard.windows").Add(1);
   }
   return events;

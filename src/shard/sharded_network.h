@@ -57,10 +57,6 @@ struct ShardedConfig {
   /// the raw-speed setting; 1 = every window, the bisection-exact setting).
   std::size_t hash_every = 1;
 
-  /// Window length when the plan has no cross-shard links (single shard or
-  /// fully partitioned shards); otherwise min cross latency wins.
-  sim::Duration default_window = sim::kMillisecond;
-
   /// Partitioner; defaults to ContiguousBlocks(shard_count).
   ShardAssignment assignment;
 
@@ -68,18 +64,14 @@ struct ShardedConfig {
   wli::WnConfig wn;
 
   replay::JournalConfig journal;
-
-  /// Shard Observatory: per-window record retention for the straggler /
-  /// critical-path report and the wnscope parallel timeline. Totals always
-  /// accumulate; only the per-window records are bounded. Disabling skips
-  /// the recording entirely (counters in `stats()` still publish).
-  bool observatory = true;
-  std::size_t observatory_window_capacity =
-      telemetry::ShardObservatory::kDefaultWindowCapacity;
 };
 
 class ShardedNetwork {
  public:
+  /// Window length when the plan has no cross-shard links (single shard or
+  /// fully partitioned shards); otherwise min cross latency wins.
+  static constexpr sim::Duration kDefaultWindow = sim::kMillisecond;
+
   /// Builds the sharded world over a copy of `global`. `populate` = true
   /// creates one server ship per node in every shard; `populate` = false
   /// builds empty shard shells to RestoreCheckpoint() into (the plan and

@@ -40,9 +40,7 @@ void PublishShardWindow(sim::StatsRegistry& stats, std::uint32_t shard,
   }
 }
 
-ShardObservatory::ShardObservatory(std::size_t shard_count,
-                                   std::size_t window_capacity)
-    : window_capacity_(window_capacity) {
+ShardObservatory::ShardObservatory(std::size_t shard_count) {
   Reset(shard_count);
 }
 
@@ -87,7 +85,7 @@ void ShardObservatory::RecordWindow(ShardWindowRecord record) {
     critical_path_wall_ns_ += max_wall;
   }
 
-  if (windows_.size() < window_capacity_) {
+  if (windows_.size() < kDefaultWindowCapacity) {
     windows_.push_back(std::move(record));
   } else {
     ++windows_dropped_;

@@ -133,14 +133,13 @@ struct StragglerReport {
 /// Single-threaded (barrier context), like the rest of the merge layer.
 class ShardObservatory {
  public:
+  /// Per-window records retained; totals see every window regardless.
   static constexpr std::size_t kDefaultWindowCapacity = 1024;
 
-  explicit ShardObservatory(std::size_t shard_count = 0,
-                            std::size_t window_capacity =
-                                kDefaultWindowCapacity);
+  explicit ShardObservatory(std::size_t shard_count = 0);
 
   /// Folds one window in. Totals always accumulate; the record itself is
-  /// retained only while under the window capacity (front of the run is
+  /// retained only while under kDefaultWindowCapacity (front of the run is
   /// kept, later windows are counted in windows_dropped — same policy as
   /// the span collector).
   void RecordWindow(ShardWindowRecord record);
@@ -164,7 +163,6 @@ class ShardObservatory {
 
  private:
   std::size_t shard_count_ = 0;
-  std::size_t window_capacity_ = kDefaultWindowCapacity;
   std::vector<ShardWindowRecord> windows_;
   std::vector<ShardTotals> totals_;
   std::uint64_t windows_seen_ = 0;

@@ -357,20 +357,16 @@ TEST(GenesisCheckpoint, CrashRecoveryFromNewestCheckpoint) {
   net::FailureInjector injector(replica.simulator, replica.topology,
                                 Rng(kSeed ^ 0xfa11));
   genesis::FailureInjectorAdapter adapter(injector);
-  genesis::GenesisConfig gconfig;
-  gconfig.checkpoint_cadence = 20 * sim::kMillisecond;
-  gconfig.keep_checkpoints = 3;
-  genesis::GenesisManager manager(*replica.network, gconfig);
+  genesis::GenesisManager manager(*replica.network);
   ASSERT_TRUE(manager.RegisterExtra(adapter).ok());
 
-  // A transient link failure that fully plays out before the first
-  // checkpoint fires (no pending repair closures at capture time).
+  // A transient link failure that fully plays out before the checkpoint is
+  // taken (no pending repair closures at capture time).
   injector.FailLink(0, 2 * sim::kMillisecond, 5 * sim::kMillisecond);
-  manager.StartCheckpointing(100 * sim::kMillisecond);
   replica.simulator.RunUntil(100 * sim::kMillisecond);
-  ASSERT_GT(manager.checkpoints_taken(), 0u);
-  ASSERT_LE(manager.checkpoints().size(), 3u);
-  const std::vector<std::byte> newest = manager.checkpoints().back();
+  const auto checkpoint = manager.CaptureFull();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  const std::vector<std::byte>& newest = *checkpoint;
 
   // "Crash": throw the replica away, restore the newest checkpoint into a
   // fresh one, failure process included.

@@ -100,8 +100,7 @@ health::ProbeRecord OneHopRecord(net::NodeId ship, std::uint64_t queue_bytes,
 }
 
 TEST(HealthRegistry, ScoresDegradeWithQueueLatencyAndLoss) {
-  health::HealthConfig config;
-  health::HealthRegistry registry(config);
+  health::HealthRegistry registry;
   EXPECT_DOUBLE_EQ(registry.ScoreOf(4), 1.0);  // never observed
 
   // Fast, empty ship: score stays near 1.
@@ -128,8 +127,7 @@ TEST(HealthRegistry, ScoresDegradeWithQueueLatencyAndLoss) {
 }
 
 TEST(HealthRegistry, MirrorsDistributionsIntoStatsRegistry) {
-  health::HealthConfig config;
-  health::HealthRegistry registry(config);
+  health::HealthRegistry registry;
   sim::StatsRegistry stats;
   registry.AbsorbProbe(OneHopRecord(2, 256, 0, 5000), &stats);
   EXPECT_EQ(stats.GetHistogram("health.hop_latency_ns").count(), 1u);
@@ -140,14 +138,13 @@ TEST(HealthRegistry, MirrorsDistributionsIntoStatsRegistry) {
 }
 
 TEST(HealthRegistry, SaveRestoreRoundTripsExactly) {
-  health::HealthConfig config;
-  health::HealthRegistry registry(config);
+  health::HealthRegistry registry;
   registry.RecordEmission({1, 2});
   registry.AbsorbProbe(OneHopRecord(1, 100, 0, 2000));
   registry.AbsorbProbe(OneHopRecord(2, 900, 0, 9000));
   registry.RecordLoss({2});
 
-  health::HealthRegistry restored(config);
+  health::HealthRegistry restored;
   ASSERT_TRUE(LoadFields(SaveFields(registry), restored).ok());
   EXPECT_DOUBLE_EQ(restored.ScoreOf(1), registry.ScoreOf(1));
   EXPECT_DOUBLE_EQ(restored.ScoreOf(2), registry.ScoreOf(2));
@@ -158,8 +155,7 @@ TEST(HealthRegistry, SaveRestoreRoundTripsExactly) {
 // ---- Anomaly rules ----------------------------------------------------------
 
 TEST(AnomalyDetector, FlagsRoutingLoopsOncePerEpisode) {
-  health::HealthConfig config;  // loop_repeats = 3
-  health::AnomalyDetector detector(config);
+  health::AnomalyDetector detector;  // kLoopRepeats = 3
   health::ProbeRecord record;
   record.probe_id = 9;
   health::HopSample hop;
@@ -177,10 +173,8 @@ TEST(AnomalyDetector, FlagsRoutingLoopsOncePerEpisode) {
 }
 
 TEST(AnomalyDetector, FlagsStarvedEeWhenMissesGrowWithoutExecutions) {
-  health::HealthConfig config;
-  config.min_samples = 1;
-  health::HealthRegistry registry(config);
-  health::AnomalyDetector detector(config);
+  health::HealthRegistry registry;
+  health::AnomalyDetector detector;
 
   registry.AbsorbProbe(OneHopRecord(3, 0, 0, 1000, /*executions=*/2,
                                     /*misses=*/5));
@@ -201,15 +195,14 @@ TEST(AnomalyDetector, FlagsStarvedEeWhenMissesGrowWithoutExecutions) {
 }
 
 TEST(AnomalyDetector, SaveRestoreKeepsEventsAndEpisodes) {
-  health::HealthConfig config;
-  health::AnomalyDetector detector(config);
+  health::AnomalyDetector detector;
   health::ProbeRecord record;
   health::HopSample hop;
   hop.ship = 1;
   for (int i = 0; i < 5; ++i) record.hops.push_back(hop);
   ASSERT_EQ(detector.CheckRecord(record, 500).size(), 1u);
 
-  health::AnomalyDetector restored(config);
+  health::AnomalyDetector restored;
   ASSERT_TRUE(LoadFields(SaveFields(detector), restored).ok());
   ASSERT_EQ(restored.events().size(), 1u);
   EXPECT_EQ(restored.events()[0].detail, detector.events()[0].detail);

@@ -104,8 +104,7 @@ TEST(Srp, FairShipsStay) {
 }
 
 TEST(Srp, ReadmissionHasHysteresis) {
-  ReputationConfig cfg;
-  ReputationSystem rep(cfg);
+  ReputationSystem rep;
   for (int i = 0; i < 20; ++i) rep.ReportInteraction(7, false);
   ASSERT_TRUE(rep.IsExcluded(7));
   // A few good reports are not enough (score must cross the readmission

@@ -1032,7 +1032,7 @@ TEST(ShardedNetwork, SingleShardPlanRunsAndReportsBalanced) {
   config.shard_count = 1;
   config.threads = 2;
   shard::ShardedNetwork world(grid, config);
-  EXPECT_EQ(world.window(), config.default_window);
+  EXPECT_EQ(world.window(), shard::ShardedNetwork::kDefaultWindow);
   ASSERT_TRUE(world.Inject(0, 15, {1}).ok());
   world.RunUntilQuiescent(64);
   EXPECT_EQ(world.Delivered(), 1u);
@@ -1092,34 +1092,22 @@ TEST(ShardObservatory, StragglerReportNamesDeliberatelyHotShard) {
 }
 
 TEST(ShardObservatory, WindowCapacityBoundsRetentionNotTotals) {
-  net::Topology grid = net::MakeGrid(4, 4);
-  shard::ShardedConfig config;
-  config.shard_count = 2;
-  config.threads = 1;
-  config.observatory_window_capacity = 3;
-  shard::ShardedNetwork world(grid, config);
-  ASSERT_TRUE(world.Inject(0, 15, {1}).ok());
-  world.RunWindows(10);
-  const telemetry::ShardObservatory& obs = world.observatory();
-  EXPECT_EQ(obs.windows_seen(), 10u);
-  EXPECT_EQ(obs.windows().size(), 3u);   // retention bounded...
+  constexpr std::size_t kCapacity =
+      telemetry::ShardObservatory::kDefaultWindowCapacity;
+  telemetry::ShardObservatory obs(2);
+  for (std::size_t i = 0; i < kCapacity + 7; ++i) {
+    telemetry::ShardWindowRecord record;
+    record.window_index = i + 1;
+    record.shards = {{.dispatched = 1, .wall_ns = 10},
+                     {.dispatched = 2, .wall_ns = 20}};
+    obs.RecordWindow(std::move(record));
+  }
+  EXPECT_EQ(obs.windows_seen(), kCapacity + 7);
+  EXPECT_EQ(obs.windows().size(), kCapacity);  // retention bounded...
+  EXPECT_EQ(obs.windows().back().window_index, kCapacity);  // front kept
   EXPECT_EQ(obs.windows_dropped(), 7u);
-  EXPECT_EQ(obs.Report().windows, 10u);  // ...totals still see every window
-}
-
-TEST(ShardObservatory, DisabledObservatoryRecordsNothing) {
-  net::Topology grid = net::MakeGrid(4, 4);
-  shard::ShardedConfig config;
-  config.shard_count = 2;
-  config.threads = 1;
-  config.observatory = false;
-  shard::ShardedNetwork world(grid, config);
-  ASSERT_TRUE(world.Inject(0, 15, {1}).ok());
-  world.RunUntilQuiescent(64);
-  EXPECT_EQ(world.Delivered(), 1u);
-  EXPECT_EQ(world.observatory().windows_seen(), 0u);
-  // The per-shard stats counters still publish regardless.
-  EXPECT_GT(world.stats().CounterValue("shard.0.dispatched"), 0u);
+  EXPECT_EQ(obs.Report().windows, kCapacity + 7);  // ...totals see them all
+  EXPECT_EQ(obs.totals()[1].dispatched, 2 * (kCapacity + 7));
 }
 
 TEST(ShardObservatory, CountersAreReplayNeutral) {
