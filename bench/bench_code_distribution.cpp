@@ -70,7 +70,7 @@ int main() {
     std::vector<vm::Program> population;
     for (int i = 0; i < 40; ++i) {
       auto program = vm::Assemble(
-          "p" + std::to_string(i),
+          std::string("p").append(std::to_string(i)),
           "push " + std::to_string(i) + "\nsys emit\nhalt\n");
       population.push_back(*program);
     }

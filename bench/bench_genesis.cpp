@@ -148,8 +148,10 @@ int main() {
          FormatDouble(static_cast<double>(delta_bytes) /
                           static_cast<double>(full_bytes),
                       2)});
-    const std::string suffix =
-        "_" + std::to_string(side) + "x" + std::to_string(side);
+    const std::string suffix = std::string("_")
+                                   .append(std::to_string(side))
+                                   .append("x")
+                                   .append(std::to_string(side));
     report.Set("full_kib" + suffix,
                static_cast<double>(full_bytes) / 1024.0);
     report.Set("capture_ms" + suffix, capture_ms / kReps);

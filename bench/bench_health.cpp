@@ -139,8 +139,10 @@ int main() {
                                   : 0.0,
                       1)});
 
-    const std::string suffix =
-        "_" + std::to_string(side) + "x" + std::to_string(side);
+    const std::string suffix = std::string("_")
+                                   .append(std::to_string(side))
+                                   .append("x")
+                                   .append(std::to_string(side));
     // Deterministic coverage counters — these gate in CI.
     report.Set("probes_emitted" + suffix, static_cast<double>(emitted));
     report.Set("probes_absorbed" + suffix, static_cast<double>(absorbed));

@@ -116,8 +116,10 @@ int main() {
          FormatDouble(overhead(full_ms), 1) + "%",
          std::to_string(decisions), std::to_string(checkpoints)});
 
-    const std::string suffix =
-        "_" + std::to_string(side) + "x" + std::to_string(side);
+    const std::string suffix = std::string("_")
+                                   .append(std::to_string(side))
+                                   .append("x")
+                                   .append(std::to_string(side));
     // Deterministic coverage counters — these gate in CI.
     report.Set("decisions" + suffix, static_cast<double>(decisions));
     report.Set("window_hashes" + suffix, static_cast<double>(hashes));

@@ -6,7 +6,6 @@
 // scheduling. The generator is xoshiro256** seeded through splitmix64.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -85,15 +84,6 @@ class Rng {
 
   /// Fisher–Yates shuffle of an index vector 0..n-1.
   std::vector<std::size_t> Permutation(std::size_t n);
-
-  /// The raw xoshiro256** state. Restoring a saved state resumes the stream
-  /// exactly where it was captured.
-  std::array<std::uint64_t, 4> SaveState() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void RestoreState(const std::array<std::uint64_t, 4>& state) {
-    for (int i = 0; i < 4; ++i) state_[i] = state[i];
-  }
 
   /// Snapshot fields (base/archive.h): the four state words, tag 0x01 each.
   template <class A>

@@ -125,12 +125,10 @@ Status Simulator::RestoreClock(TimePoint now, std::uint64_t dispatched_count,
   if (now < now_) {
     return InvalidArgument("cannot restore clock backwards");
   }
-  if (schedule_ordinal != kKeepScheduleOrdinal) {
-    if (schedule_ordinal < next_seq_) {
-      return InvalidArgument("cannot restore schedule ordinal backwards");
-    }
-    next_seq_ = schedule_ordinal;
+  if (schedule_ordinal < next_seq_) {
+    return InvalidArgument("cannot restore schedule ordinal backwards");
   }
+  next_seq_ = schedule_ordinal;
   now_ = now;
   dispatched_ = dispatched_count;
   return OkStatus();

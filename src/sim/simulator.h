@@ -128,32 +128,26 @@ class Simulator {
   /// before binding are folded into the counter at bind time.
   void BindClampCounter(Counter* counter);
 
-  /// Sentinel for RestoreClock: leave the schedule ordinal unchanged
-  /// (pre-ordinal snapshots restore with this default).
-  static constexpr std::uint64_t kKeepScheduleOrdinal =
-      ~static_cast<std::uint64_t>(0);
-
   /// Next schedule ordinal to be assigned — the stable same-time tie-break
   /// key. Saved by genesis snapshots so that events scheduled after a
   /// restore tie-break exactly as they would have in the uninterrupted run.
   std::uint64_t schedule_ordinal() const { return next_seq_; }
 
   /// Restores the virtual clock to `now` with a given dispatch count and
-  /// (optionally) schedule ordinal (snapshot restore). Only legal on an idle
-  /// simulator: fails with kFailedPrecondition when events are still queued,
-  /// and with kInvalidArgument when `now` would move the clock backwards or
+  /// schedule ordinal (snapshot restore). Only legal on an idle simulator:
+  /// fails with kFailedPrecondition when events are still queued, and with
+  /// kInvalidArgument when `now` would move the clock backwards or
   /// `schedule_ordinal` would move the tie-break counter backwards.
   Status RestoreClock(TimePoint now, std::uint64_t dispatched_count,
-                      std::uint64_t schedule_ordinal = kKeepScheduleOrdinal);
+                      std::uint64_t schedule_ordinal);
 
   /// Snapshot fields (the genesis clock section): virtual time, dispatch
-  /// count and schedule ordinal. Loads go through RestoreClock's checks; an
-  /// absent ordinal (older snapshots) keeps the fresh counter.
+  /// count and schedule ordinal. Loads go through RestoreClock's checks.
   template <class A>
   void Visit(A& a) {
     TimePoint now = now_;
     std::uint64_t dispatched = dispatched_;
-    std::uint64_t ordinal = A::kLoading ? kKeepScheduleOrdinal : next_seq_;
+    std::uint64_t ordinal = next_seq_;
     a.U64(0x01, now);
     a.U64(0x02, dispatched);
     a.U64(0x03, ordinal);

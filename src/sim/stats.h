@@ -167,28 +167,27 @@ class TimeSeries {
 
   /// Snapshot fields (inside a stats registry record): down-sampling
   /// position and every retained sample. A load replaces them verbatim,
-  /// bypassing Record() so it never re-triggers decimation; payloads from
-  /// before bounded series carry neither stride nor ticks (one tick per
-  /// kept sample).
+  /// bypassing Record() so it never re-triggers decimation, and refuses a
+  /// stride of 0.
   template <class A>
   void Visit(A& a) {
-    std::uint64_t stride = A::kLoading ? 0 : stride_;
-    std::uint64_t ticks = A::kLoading ? kNoTicks : ticks_;
+    std::uint64_t stride = stride_;
     a.U64(0x0C, stride);
-    a.U64(0x0D, ticks);
+    a.U64(0x0D, ticks_);
     a.Each(0x0B, samples_, [](auto& r, auto& sample) {
       r.U64(0x01, sample.time);
       r.F64(0x02, sample.value);
     });
     if constexpr (A::kLoading) {
-      stride_ = stride == 0 ? 1 : stride;
-      ticks_ = ticks == kNoTicks ? samples_.size() : ticks;
+      if (stride == 0) {
+        a.Fail(InvalidArgument("time series stride 0"));
+      } else {
+        stride_ = stride;
+      }
     }
   }
 
  private:
-  static constexpr std::uint64_t kNoTicks = ~std::uint64_t{0};
-
   std::vector<Sample> samples_;
   std::size_t max_samples_ = 0;
   std::uint64_t stride_ = 1;  // keep records with ticks_ % stride_ == 0

@@ -190,7 +190,8 @@ std::string Disassemble(const Program& program) {
   for (const Instruction& ins : program.code()) {
     if (ins.opcode == Opcode::kJmp || ins.opcode == Opcode::kJz ||
         ins.opcode == Opcode::kJnz || ins.opcode == Opcode::kCall) {
-      targets.emplace(ins.operand, "L" + std::to_string(ins.operand));
+      targets.emplace(ins.operand,
+                      std::string("L").append(std::to_string(ins.operand)));
     }
   }
   std::ostringstream out;

@@ -272,10 +272,10 @@ TEST(ProbeNeutrality, EnabledProbesChangeNoSimulationDecision) {
   // …yet every decision stream is bit-identical: the network RNG, the
   // fabric's loss RNG and every ship's workload counters match the
   // probe-free twin exactly.
-  EXPECT_EQ(with_probes.network->rng().SaveState(),
-            without.network->rng().SaveState());
-  EXPECT_EQ(with_probes.network->fabric().rng().SaveState(),
-            without.network->fabric().rng().SaveState());
+  EXPECT_EQ(SaveFields(with_probes.network->rng()),
+            SaveFields(without.network->rng()));
+  EXPECT_EQ(SaveFields(with_probes.network->fabric().rng()),
+            SaveFields(without.network->fabric().rng()));
   without.network->ForEachShip([&](wli::Ship& ship) {
     const wli::Ship* twin = with_probes.network->ship(ship.id());
     ASSERT_NE(twin, nullptr);

@@ -84,14 +84,6 @@ TEST(Simulator, RestoreClockRestoresScheduleOrdinal) {
   (void)fresh.RestoreClock(5, 1, 4);
   const Status backwards = fresh.RestoreClock(6, 1, 2);
   EXPECT_EQ(backwards.code(), StatusCode::kInvalidArgument);
-
-  // The sentinel default leaves the counter alone (pre-ordinal snapshots).
-  Simulator legacy;
-  legacy.ScheduleAt(1, [] {});
-  legacy.RunAll();
-  const std::uint64_t before = legacy.schedule_ordinal();
-  ASSERT_TRUE(legacy.RestoreClock(100, 5).ok());
-  EXPECT_EQ(legacy.schedule_ordinal(), before);
 }
 
 TEST(Simulator, OrdersByTime) {
@@ -406,6 +398,15 @@ TEST(Stats, TimeSeriesRestoreBypassesDecimation) {
   EXPECT_EQ(ts.samples().size(), 6u);  // verbatim, even past the cap
   EXPECT_EQ(ts.stride(), 16u);
   EXPECT_EQ(ts.ticks(), 96u);
+
+  // A stride of 0 would divide by zero in Record(): refused.
+  TlvWriter zero;
+  zero.PutU64(0x0C, 0);
+  zero.PutU64(0x0D, 96);
+  TimeSeries refused;
+  EXPECT_EQ(LoadFields(zero.Finish(), refused).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.stride(), 1u);
 }
 
 TEST(Stats, RegistryFindsByName) {
@@ -626,7 +627,7 @@ TEST(CalendarQueue, RestoreClockAcrossQueuedTombstones) {
   EventHandle h = s.ScheduleAt(50, [] {});
   h.Cancel();
   EXPECT_EQ(s.PendingEvents(), 0u);
-  EXPECT_TRUE(s.RestoreClock(1000, 0).ok());
+  EXPECT_TRUE(s.RestoreClock(1000, 0, s.schedule_ordinal()).ok());
   EXPECT_EQ(s.now(), 1000u);
   // And scheduling after the jump lands relative to the restored clock.
   TimePoint fired = 0;
