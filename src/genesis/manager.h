@@ -26,7 +26,8 @@
 namespace viator::genesis {
 
 struct GenesisConfig {
-  /// Free-form creator tag stamped into every header (e.g. scenario seed).
+  /// Creator tag stamped into every header: the scenario seed, or in a
+  /// sharded checkpoint the shard's index, which its restore checks.
   std::uint64_t scenario_tag = 0;
 };
 

@@ -141,8 +141,10 @@ ShardedNetwork::ShardedNetwork(const net::Topology& global,
         slot->simulator, slot->topology, config_.wn,
         DeriveSubstreamSeed(config_.seed, shard));
     if (populate) slot->network->PopulateAllNodes();
-    slot->genesis =
-        std::make_unique<genesis::GenesisManager>(*slot->network);
+    // The container header names its shard, so a restore can tell
+    // containers swapped between groups apart.
+    slot->genesis = std::make_unique<genesis::GenesisManager>(
+        *slot->network, genesis::GenesisConfig{.scenario_tag = shard});
     shards_.push_back(std::move(slot));
     simulators_.push_back(&shards_.back()->simulator);
     networks_.push_back(shards_.back()->network.get());
@@ -518,15 +520,28 @@ Status ShardedNetwork::RestoreCheckpoint(std::span<const std::byte> bytes) {
 
   // Parse, and so verify, every shard's container on its worker before any
   // shard is touched: a corrupt shard leaves every other one as it was.
+  // Each container must name its own shard and have been captured at this
+  // checkpoint's boundary, not at another checkpoint's.
+  const sim::TimePoint boundary = checkpoint.window_index * window_;
   std::vector<genesis::ParsedSnapshot> parsed(shard_count());
   std::vector<Status> statuses(shard_count());
   executor_->RunPerShard([&](std::size_t shard) {
     Result<genesis::ParsedSnapshot> snapshot =
         genesis::ParseSnapshot(checkpoint.shards[shard].container);
-    if (snapshot.ok()) {
-      parsed[shard] = std::move(snapshot).value();
-    } else {
+    if (!snapshot.ok()) {
       statuses[shard] = snapshot.status();
+    } else if (snapshot->header.scenario_tag != shard) {
+      statuses[shard] = InvalidArgument(
+          "checkpoint group " + std::to_string(shard) +
+          " holds the container of shard " +
+          std::to_string(snapshot->header.scenario_tag));
+    } else if (snapshot->header.snap_time != boundary) {
+      statuses[shard] = InvalidArgument(
+          "shard " + std::to_string(shard) + "'s container was captured at " +
+          std::to_string(snapshot->header.snap_time) +
+          " ns, not at the checkpoint's boundary " + std::to_string(boundary));
+    } else {
+      parsed[shard] = std::move(snapshot).value();
     }
   });
   if (Status failed = FirstError(statuses); !failed.ok()) return failed;

@@ -688,7 +688,8 @@ TEST(ShardedNetwork, CheckpointWrongWidthScalarsAreRefused) {
 
 TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
   // Re-sealed checkpoints whose shard groups (handoff ordinal 0x10, then
-  // the sealed container 0x11) do not add up to the world's shards: each
+  // the sealed container 0x11) do not add up to the world's shards, or
+  // whose containers belong to another shard or another checkpoint: each
   // is refused, and no shard of the shell gains a ship.
   const net::Topology grid = net::MakeGrid(4, 4);
   shard::ShardedNetwork world(grid, CheckpointConfig(2));
@@ -696,6 +697,23 @@ TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
   Result<std::vector<std::byte>> checkpoint = world.CaptureCheckpoint();
   ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
   const std::uint64_t shards = world.shard_count();
+  DriveToBoundary(world);
+  Result<std::vector<std::byte>> later = world.CaptureCheckpoint();
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  const auto containers = [](std::span<const std::byte> bytes) {
+    std::vector<std::vector<std::byte>> found;
+    ResealCheckpoint(bytes, [&](const TlvRecord& record, TlvWriter&) {
+      if (record.tag == 0x11) {
+        found.emplace_back(record.payload.begin(), record.payload.end());
+      }
+      return false;
+    });
+    return found;
+  };
+  const std::vector<std::vector<std::byte>> own = containers(*checkpoint);
+  const std::vector<std::vector<std::byte>> next = containers(*later);
+  ASSERT_EQ(own.size(), shards);
+  ASSERT_EQ(next.size(), shards);
 
   // `edit(record, nth, out)` sees each record with the count of earlier
   // records of its tag, as ResealCheckpoint's edits do.
@@ -737,6 +755,20 @@ TEST(ShardedNetwork, MalformedCheckpointGroupsAreRefused) {
        })},
       {"a shard count one low", shard_count(shards - 1)},
       {"a shard count one high", shard_count(shards + 1)},
+      // Rows 1 and 2 have the same local topology: only the stamped shard
+      // index tells their containers apart.
+      {"the containers of shards 1 and 2 swapped",
+       resealed([&](const TlvRecord& record, std::size_t nth, TlvWriter& out) {
+         if (record.tag != 0x11 || (nth != 1 && nth != 2)) return false;
+         out.PutSealed(0x11, own[3 - nth]);
+         return true;
+       })},
+      {"shard 1's container from a later checkpoint",
+       resealed([&](const TlvRecord& record, std::size_t nth, TlvWriter& out) {
+         if (record.tag != 0x11 || nth != 1) return false;
+         out.PutSealed(0x11, next[1]);
+         return true;
+       })},
   };
   {
     shard::ShardedNetwork shell(grid, CheckpointConfig(2), false);
