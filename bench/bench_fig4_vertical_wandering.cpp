@@ -29,7 +29,6 @@ int main() {
     net::Topology topology = net::MakeGrid(3, 3);
     wli::WnConfig config;
     config.vertical.spawn_threshold = 4.0;
-    config.vertical.min_members = 2;
     wli::WanderingNetwork wn(simulator, topology, config, 17);
     wn.PopulateAllNodes();
 

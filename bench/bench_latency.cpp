@@ -15,8 +15,7 @@
 //     workload, pinned exactly in bench/baselines/BENCH_latency.json.
 //  3. Overhead: the harness's paired min-ratio CPU leg; the enabled plane
 //     must cost under 3% when VIATOR_REQUIRE_OVERHEAD is set, recorded
-//     always. The compiled-out cost is exactly zero by construction
-//     (tests/test_planes_compiled_out.cpp).
+//     always.
 //  4. SLO burn: the health plane's SloBurnDetector must flag a synthetic
 //     breach series exactly once, stay quiet on the healthy workload's
 //     per-window p99 series, and — on a deliberately congested rerun (the

@@ -18,8 +18,6 @@
 //     itself is host-varying and rides along under a gate-exempt name.
 //  3. Overhead: the harness's paired min-ratio CPU leg; enabled probes must
 //     cost under 3% when VIATOR_REQUIRE_OVERHEAD is set, recorded always.
-//     The compiled-out cost is exactly zero by construction
-//     (tests/test_planes_compiled_out.cpp).
 //  4. Growth anomalies: the health plane's MemGrowthDetector must flag a
 //     synthetic monotone leak series exactly once and raise zero episodes
 //     on the real workload's deterministic per-window pool-byte series.

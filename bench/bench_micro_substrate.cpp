@@ -256,14 +256,12 @@ ShardedRun RunShardedTier(std::size_t side, std::size_t threads,
 /// count, and (only when VIATOR_REQUIRE_SPEEDUP is set on a >=4-core
 /// machine) 4 threads must clear 2x the single-thread event rate.
 bool RunShardedSweep(telemetry::BenchReport& report) {
-  // Per-hop routing cost scales with active shuttles, so the committed
-  // defaults keep the 256x256 grid (the scale claim) but bound the shuttle
-  // load and window count to stay CI-sized. Override for bigger sweeps with
-  // VIATOR_SHARD_SIDE / VIATOR_SHARD_WINDOWS / VIATOR_SHARD_LOAD — the gate
-  // counters are only comparable at the baseline's settings.
-  const std::size_t side = bench::EnvOr("VIATOR_SHARD_SIDE", 256);
-  const std::size_t windows = bench::EnvOr("VIATOR_SHARD_WINDOWS", 12);
-  const std::uint64_t load = bench::EnvOr("VIATOR_SHARD_LOAD", 8192);
+  // Per-hop routing cost scales with active shuttles, so the sweep keeps the
+  // 256x256 grid (the scale claim) but bounds the shuttle load and window
+  // count to stay CI-sized.
+  constexpr std::size_t side = 256;
+  constexpr std::size_t windows = 12;
+  constexpr std::uint64_t load = 8192;
   report.Set("sharded.grid_side", static_cast<double>(side));
   report.Set("sharded.shards", 4.0);
   report.Set("sharded.windows", static_cast<double>(windows));

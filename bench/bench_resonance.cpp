@@ -28,7 +28,6 @@ double EmergedAt(double correlation, std::size_t min_support,
   net::Topology topology = net::MakeRing(16);
   wli::WnConfig config;
   config.resonance.min_support = min_support;
-  config.resonance.min_jaccard = 0.5;
   config.enable_horizontal = false;
   config.enable_vertical = false;
   wli::WanderingNetwork wn(simulator, topology, config, seed);

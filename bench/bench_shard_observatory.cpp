@@ -14,8 +14,7 @@
 //     bench/baselines/BENCH_shard_observatory.json by the CI gate.
 //  3. Overhead: the harness's paired min-ratio CPU leg; enabled counters
 //     must stay under 3% when VIATOR_REQUIRE_OVERHEAD is set (CI Release),
-//     recorded always. The compiled-out cost is exactly zero by
-//     construction (tests/test_planes_compiled_out.cpp).
+//     recorded always.
 //
 // Exit nonzero on any contract violation; wall metrics carry "wall" in
 // their names so the bench gate ignores them.

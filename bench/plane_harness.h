@@ -271,7 +271,7 @@ bool RunOverheadLeg(telemetry::BenchReport& report,
   const double wall_pct =
       best_off > 0.0 ? (best_on - best_off) / best_off * 100.0 : 0.0;
   std::printf("overhead: cpu %+.2f%% min / %+.2f%% median of %zu pairs, "
-              "wall best-of-%zu %+.2f%% (compiled-out is 0 by construction)\n",
+              "wall best-of-%zu %+.2f%%\n",
               overhead_pct, median_pct, cpu_ratios.size(), reps, wall_pct);
   report.Set(key_prefix + "wall_off_seconds", best_off);
   report.Set(key_prefix + "wall_on_seconds", best_on);

@@ -48,20 +48,12 @@ inline std::size_t StringHeapBytes(const std::string& s) {
 /// Domain-tagged charge/release pair shared by the flat containers.
 template <telemetry::mem::Domain Domain>
 inline void ChargeBytes(std::size_t bytes) {
-#if VIATOR_PLANES
   if (bytes != 0) telemetry::mem::OnAlloc(Domain, bytes);
-#else
-  (void)bytes;
-#endif
 }
 
 template <telemetry::mem::Domain Domain>
 inline void ReleaseBytes(std::size_t bytes) {
-#if VIATOR_PLANES
   if (bytes != 0) telemetry::mem::OnFree(Domain, bytes);
-#else
-  (void)bytes;
-#endif
 }
 
 }  // namespace internal

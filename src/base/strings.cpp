@@ -8,6 +8,47 @@
 
 namespace viator {
 
+void AppendEscaped(std::string& out, std::string_view text,
+                   EscapeStyle style) {
+  const bool json = style == EscapeStyle::kJson;
+  const bool quotes = json || style == EscapeStyle::kPrometheusLabel;
+  for (const char c : text) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '"':
+        out += quotes ? "\\\"" : "\"";
+        break;
+      case '\r':
+        out += json ? "\\r" : "\r";
+        break;
+      case '\t':
+        out += json ? "\\t" : "\t";
+        break;
+      default:
+        if (json && static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string Escaped(std::string_view text, EscapeStyle style) {
+  std::string out;
+  out.reserve(text.size());
+  AppendEscaped(out, text, style);
+  return out;
+}
+
 std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

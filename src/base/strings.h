@@ -1,14 +1,31 @@
-// Text helpers shared by benches and examples: fixed-width table rendering
-// (every bench prints paper-style rows through TablePrinter) and numeric
-// formatting.
+// Text helpers shared by benches, examples and the exporters: fixed-width
+// table rendering (every bench prints paper-style rows through
+// TablePrinter), numeric formatting and string escaping.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace viator {
+
+/// Escaping styles the text writers share. All styles escape backslash and
+/// newline; kJson additionally escapes the double quote, carriage return,
+/// tab and all other control characters (as \uXXXX); kPrometheusLabel
+/// additionally escapes only the double quote; kPrometheusHelp escapes
+/// nothing further (HELP text per the exposition format).
+enum class EscapeStyle { kJson, kPrometheusHelp, kPrometheusLabel };
+
+/// Appends `text` to `out`, escaped per `style` — the one escaping
+/// implementation behind the trace log and the JSONL and Prometheus
+/// exporters.
+void AppendEscaped(std::string& out, std::string_view text,
+                   EscapeStyle style);
+
+/// Convenience form returning the escaped copy.
+std::string Escaped(std::string_view text, EscapeStyle style);
 
 /// Formats `value` with `digits` digits after the decimal point.
 std::string FormatDouble(double value, int digits = 2);

@@ -35,19 +35,17 @@ void ShipAggregate::Renew(sim::TimePoint now, sim::Duration lease) {
   lease_until_ = std::max(lease_until_, now + lease);
 }
 
-ShipBlueprint ShipAggregate::JointBlueprint(
-    std::size_t max_facts_per_member) const {
+ShipBlueprint ShipAggregate::JointBlueprint() const {
   ShipBlueprint joint;
   const Ship* speaker_ship = network_->ship(speaker());
   joint.ship_class = speaker_ship->ship_class();
   joint.role = speaker_ship->os().current_role();
   joint.next_step = speaker_ship->os().next_step();
 
-  std::set<Digest> residents;
   std::set<FunctionId> functions_seen;
   for (net::NodeId member : members_) {
     const Ship* ship = network_->ship(member);
-    for (const auto& fact : ship->facts().TopByWeight(max_facts_per_member)) {
+    for (const auto& fact : ship->facts().TopByWeight(kFactsPerMember)) {
       joint.facts.push_back({fact.key, fact.value, fact.weight});
     }
     for (const NetFunction& fn : ship->functions().functions()) {

@@ -38,10 +38,13 @@ class ShipAggregate {
   /// Extends the lease ("temporary" means renewable, not permanent).
   void Renew(sim::TimePoint now, sim::Duration lease);
 
+  /// Strongest facts each member adds to the joint blueprint.
+  static constexpr std::size_t kFactsPerMember = 4;
+
   /// Joint architecture: merged blueprint over all members — union of
-  /// functions and resident programs, pooled strongest facts, the speaker's
+  /// functions and hardware modules, pooled strongest facts, the speaker's
   /// role state.
-  ShipBlueprint JointBlueprint(std::size_t max_facts_per_member = 4) const;
+  ShipBlueprint JointBlueprint() const;
 
   /// Pooled per-epoch fuel capacity across members.
   std::uint64_t PooledFuelBudget() const;

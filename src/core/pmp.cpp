@@ -12,7 +12,7 @@ void DemandTracker::Record(net::NodeId node, node::FirstLevelRole role,
 
 void DemandTracker::Decay() {
   for (auto it = demand_.begin(); it != demand_.end();) {
-    it->second *= decay_;
+    it->second *= kDecay;
     if (it->second < 1e-6) {
       it = demand_.erase(it);
     } else {
@@ -61,7 +61,7 @@ std::vector<HorizontalWanderer::Migration> HorizontalWanderer::Decide(
     if (hotspot == net::kInvalidNode || hotspot == host) continue;
     const double at_hotspot = demand.DemandAt(hotspot, role);
     const double at_host = demand.DemandAt(host, role);
-    if (at_hotspot < config_.min_demand) continue;
+    if (at_hotspot < kMinDemand) continue;
     if (at_hotspot > std::max(at_host, 1e-9) * config_.hysteresis) {
       out.push_back(Migration{fn, host, hotspot});
     }
@@ -89,7 +89,7 @@ std::vector<VerticalWanderer::SpawnDecision> VerticalWanderer::Decide(
         decision.members.push_back(node);
       }
     }
-    if (decision.members.size() >= config_.min_members) {
+    if (decision.members.size() >= kMinMembers) {
       std::sort(decision.members.begin(), decision.members.end());
       out.push_back(std::move(decision));
     }
@@ -113,7 +113,7 @@ std::vector<std::vector<FactKey>> ResonanceDetector::DetectAndReset() {
       const std::size_t either = a->second.size() + b->second.size() - both;
       if (both >= config_.min_support && either > 0 &&
           static_cast<double>(both) / static_cast<double>(either) >=
-              config_.min_jaccard) {
+              kMinJaccard) {
         resonant_pairs.emplace_back(a->first, b->first);
       }
     }

@@ -27,7 +27,8 @@ namespace viator::wli {
 /// wanderer follows *current* load (the Figure-3 hotspot moving over time).
 class DemandTracker {
  public:
-  explicit DemandTracker(double decay = 0.7) : decay_(decay) {}
+  /// Share of each demand figure a pulse keeps.
+  static constexpr double kDecay = 0.7;
 
   void Record(net::NodeId node, node::FirstLevelRole role, double amount);
   void Decay();
@@ -54,7 +55,6 @@ class DemandTracker {
   }
 
  private:
-  double decay_;
   std::map<Key, double> demand_;
 };
 
@@ -66,8 +66,10 @@ class HorizontalWanderer {
  public:
   struct Config {
     double hysteresis = 1.5;     // hotspot must beat host by this factor
-    double min_demand = 1.0;     // below this nothing moves
   };
+
+  /// Hotspot demand below this moves nothing.
+  static constexpr double kMinDemand = 1.0;
 
   HorizontalWanderer() : HorizontalWanderer(Config()) {}
   explicit HorizontalWanderer(const Config& config) : config_(config) {}
@@ -94,8 +96,10 @@ class VerticalWanderer {
  public:
   struct Config {
     double spawn_threshold = 5.0;  // class activity needed to spawn
-    std::size_t min_members = 2;
   };
+
+  /// Active nodes a class needs before it spawns an overlay.
+  static constexpr std::size_t kMinMembers = 2;
 
   VerticalWanderer() : VerticalWanderer(Config()) {}
   explicit VerticalWanderer(const Config& config) : config_(config) {}
@@ -121,8 +125,10 @@ class ResonanceDetector {
  public:
   struct Config {
     std::size_t min_support = 3;   // ships that must hold both facts
-    double min_jaccard = 0.5;      // |both| / |either|
   };
+
+  /// Least |both| / |either| of a resonant pair.
+  static constexpr double kMinJaccard = 0.5;
 
   ResonanceDetector() : ResonanceDetector(Config()) {}
   explicit ResonanceDetector(const Config& config) : config_(config) {}

@@ -386,12 +386,12 @@ Status Ship::SwitchRole(node::FirstLevelRole role,
   return OkStatus();
 }
 
-ShipBlueprint Ship::ToBlueprint(std::size_t max_facts) const {
+ShipBlueprint Ship::ToBlueprint() const {
   ShipBlueprint bp;
   bp.ship_class = class_;
   bp.role = os_.current_role();
   bp.next_step = os_.next_step();
-  for (const auto& fact : facts_.TopByWeight(max_facts)) {
+  for (const auto& fact : facts_.TopByWeight(kBlueprintFacts)) {
     bp.facts.push_back(FactSnapshot{fact.key, fact.value, fact.weight});
   }
   for (const auto& slot : os_.hardware().slots()) {

@@ -106,8 +106,11 @@ class Ship : public vm::Environment {
   /// modelled as added latency on the next processing).
   Status SwitchRole(node::FirstLevelRole role, node::SwitchMechanism mechanism);
 
+  /// Facts a blueprint carries: the ship's heaviest.
+  static constexpr std::size_t kBlueprintFacts = 8;
+
   /// Node Genesis: snapshot this ship's structure as a genome blueprint.
-  ShipBlueprint ToBlueprint(std::size_t max_facts = 8) const;
+  ShipBlueprint ToBlueprint() const;
 
   /// Applies a blueprint (arrived via shuttle genome): adopts role state,
   /// facts and functions. Hardware genes require a 3G+ node and available

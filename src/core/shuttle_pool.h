@@ -28,10 +28,9 @@ namespace viator::wli {
 
 class ShuttlePool {
  public:
-  /// `max_pooled` caps retained shells; releases beyond it simply destroy
-  /// the shuttle (bounds memory under bursty traffic).
-  explicit ShuttlePool(std::size_t max_pooled = 1024)
-      : max_pooled_(max_pooled) {}
+  /// Cap on retained shells; releases beyond it simply destroy the shuttle
+  /// (bounds memory under bursty traffic).
+  static constexpr std::size_t kMaxPooled = 1024;
 
   /// A default-constructed shuttle, reusing a released shell's buffer
   /// capacity when one is available.
@@ -66,7 +65,7 @@ class ShuttlePool {
   /// only the vectors' capacity survives.
   void Release(Shuttle&& s) {
     ++released_;
-    if (free_.size() >= max_pooled_) return;  // s destructs, memory returned
+    if (free_.size() >= kMaxPooled) return;  // s destructs, memory returned
     s.header = ShuttleHeader{};
     s.code_digest = 0;
     s.code_image.clear();
@@ -87,7 +86,6 @@ class ShuttlePool {
   }
 
   std::size_t pooled() const { return free_.size(); }
-  std::size_t max_pooled() const { return max_pooled_; }
   std::uint64_t acquired() const { return acquired_; }
   std::uint64_t reused() const { return reused_; }
   std::uint64_t released() const { return released_; }
@@ -116,7 +114,6 @@ class ShuttlePool {
   }
 
   std::vector<Shuttle> free_;
-  std::size_t max_pooled_;
   std::uint64_t acquired_ = 0;
   std::uint64_t reused_ = 0;
   std::uint64_t released_ = 0;

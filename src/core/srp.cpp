@@ -42,7 +42,7 @@ void ClusterManager::ObserveInteraction(net::NodeId a, net::NodeId b,
 
 void ClusterManager::Decay() {
   for (auto it = affinity_.begin(); it != affinity_.end();) {
-    it->second *= decay_;
+    it->second *= kDecay;
     if (it->second < 1e-3) {
       it = affinity_.erase(it);
     } else {

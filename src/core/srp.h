@@ -81,7 +81,8 @@ class ReputationSystem {
 /// clusters are *temporary* aggregations, as the paper requires.
 class ClusterManager {
  public:
-  explicit ClusterManager(double decay = 0.9) : decay_(decay) {}
+  /// Share of each affinity a decay step keeps.
+  static constexpr double kDecay = 0.9;
 
   /// Records one interaction between two ships (order-insensitive).
   void ObserveInteraction(net::NodeId a, net::NodeId b, double strength = 1.0);
@@ -113,7 +114,6 @@ class ClusterManager {
   static Pair Canonical(net::NodeId a, net::NodeId b) {
     return a < b ? Pair{a, b} : Pair{b, a};
   }
-  double decay_;
   std::map<Pair, double> affinity_;
 };
 

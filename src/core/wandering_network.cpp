@@ -23,7 +23,6 @@ WanderingNetwork::WanderingNetwork(sim::Simulator& simulator,
       topology_(topology),
       config_(config),
       rng_(seed),
-      trace_(8192),
       // Trace-id stream is forked off the seed with its own salt so tracing
       // never consumes draws from (or correlates with) the network stream.
       telemetry_(simulator, config.telemetry, seed ^ 0xd6e8feb86659fd93ULL),

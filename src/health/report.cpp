@@ -3,6 +3,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "telemetry/export.h"
 
@@ -105,8 +106,7 @@ std::optional<HealthReport> ParseHealthJsonl(std::istream& in) {
 }
 
 std::vector<std::string> DiffHealthReports(const HealthReport& baseline,
-                                           const HealthReport& current,
-                                           const HealthDiffOptions& options) {
+                                           const HealthReport& current) {
   std::vector<std::string> regressions;
   std::map<net::NodeId, const ShipReportEntry*> current_ships;
   for (const ShipReportEntry& s : current.ships) current_ships[s.ship] = &s;
@@ -118,12 +118,12 @@ std::vector<std::string> DiffHealthReports(const HealthReport& baseline,
       continue;
     }
     const double drop = base.score - it->second->score;
-    if (drop > options.score_tolerance) {
+    if (drop > kScoreTolerance) {
       regressions.push_back(
           "ship " + std::to_string(base.ship) + " score dropped " +
           ShortestDouble(base.score) + " -> " +
           ShortestDouble(it->second->score) + " (tolerance " +
-          ShortestDouble(options.score_tolerance) + ")");
+          ShortestDouble(kScoreTolerance) + ")");
     }
   }
   // Event census per kind: more events of any kind is a regression.
@@ -168,11 +168,12 @@ std::map<std::string, double> ParseFlatJson(std::istream& in) {
 
 std::vector<std::string> CompareBenchMetrics(
     const std::map<std::string, double>& baseline,
-    const std::map<std::string, double>& current,
-    const BenchGateOptions& options) {
+    const std::map<std::string, double>& current) {
+  constexpr std::string_view kWallClockKeys[] = {"wall", "per_sec", "mops",
+                                                 "seconds", "speedup"};
   std::vector<std::string> regressions;
   const auto ignored = [&](const std::string& name) {
-    for (const std::string& sub : options.ignore_substrings) {
+    for (const std::string_view sub : kWallClockKeys) {
       if (name.find(sub) != std::string::npos) return true;
     }
     return false;
@@ -197,11 +198,11 @@ std::vector<std::string> CompareBenchMetrics(
     }
     const double denom = std::max(std::fabs(base), 1e-12);
     const double drift = std::fabs(cur - base) / denom;
-    if (drift > options.tolerance) {
+    if (drift > kBenchTolerance) {
       regressions.push_back(
           "metric " + name + " drifted " + ShortestDouble(base) + " -> " +
           ShortestDouble(cur) + " (" + ShortestDouble(drift * 100.0) +
-          "% > " + ShortestDouble(options.tolerance * 100.0) + "%)");
+          "% > " + ShortestDouble(kBenchTolerance * 100.0) + "%)");
     }
   }
   return regressions;

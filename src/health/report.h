@@ -56,17 +56,14 @@ std::optional<HealthReport> ParseHealthJsonl(std::istream& in);
 
 // ---- Report diff (wnhealth diff) ------------------------------------------
 
-struct HealthDiffOptions {
-  /// Allowed per-ship score drop before it counts as a regression.
-  double score_tolerance = 0.05;
-};
+/// Allowed per-ship score drop before it counts as a regression.
+inline constexpr double kScoreTolerance = 0.05;
 
-/// Regressions of `current` against `baseline`: ship score drops beyond the
-/// tolerance band, ships that disappeared, and per-kind event-count growth.
+/// Regressions of `current` against `baseline`: ship score drops beyond
+/// kScoreTolerance, ships that disappeared, and per-kind event-count growth.
 /// Empty means the gate passes. Improvements are not regressions.
 std::vector<std::string> DiffHealthReports(const HealthReport& baseline,
-                                           const HealthReport& current,
-                                           const HealthDiffOptions& options);
+                                           const HealthReport& current);
 
 // ---- Bench gate (wnhealth bench) ------------------------------------------
 
@@ -74,23 +71,17 @@ std::vector<std::string> DiffHealthReports(const HealthReport& baseline,
 /// BENCH_*.json shape written by telemetry::BenchReport.
 std::map<std::string, double> ParseFlatJson(std::istream& in);
 
-struct BenchGateOptions {
-  /// Allowed relative drift per metric.
-  double tolerance = 0.25;
-  /// Metrics whose name contains any of these substrings are skipped:
-  /// wall-clock-derived values vary across machines and never gate.
-  /// (Fixed rule alongside: metrics whose name contains "digest" are state
-  /// hashes, which gate exactly, whatever the tolerance.)
-  std::vector<std::string> ignore_substrings = {"wall", "per_sec", "mops",
-                                                "seconds", "speedup"};
-};
+/// Allowed relative drift per bench metric.
+inline constexpr double kBenchTolerance = 0.25;
 
 /// Regressions of `current` against `baseline`: missing metrics, digests
-/// that differ at all and other values drifting beyond the tolerance band.
-/// Metrics only in `current` are new, not regressions.
+/// (metrics whose name contains "digest") that differ at all and other
+/// values drifting beyond kBenchTolerance. Metrics whose name contains
+/// "wall", "per_sec", "mops", "seconds" or "speedup" are wall-clock-derived,
+/// vary across machines and never gate. Metrics only in `current` are new,
+/// not regressions.
 std::vector<std::string> CompareBenchMetrics(
     const std::map<std::string, double>& baseline,
-    const std::map<std::string, double>& current,
-    const BenchGateOptions& options);
+    const std::map<std::string, double>& current);
 
 }  // namespace viator::health

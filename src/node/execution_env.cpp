@@ -4,10 +4,9 @@
 
 namespace viator::node {
 
-Status ExecutionEnvironment::AddResident(Digest digest,
-                                         std::uint32_t max_resident) {
+Status ExecutionEnvironment::AddResident(Digest digest) {
   if (IsResident(digest)) return OkStatus();
-  if (residents_.size() >= max_resident) {
+  if (residents_.size() >= kMaxResidentPrograms) {
     return ResourceExhausted("resident program limit reached");
   }
   residents_.push_back(digest);

@@ -22,6 +22,9 @@ namespace viator::node {
 
 class ExecutionEnvironment {
  public:
+  /// Programs one EE may hold resident.
+  static constexpr std::uint32_t kMaxResidentPrograms = 64;
+
   ExecutionEnvironment(std::uint32_t id, SecondLevelClass cls,
                        RoleBinding binding)
       : id_(id), cls_(cls), binding_(binding) {}
@@ -32,7 +35,7 @@ class ExecutionEnvironment {
   void set_binding(RoleBinding binding) { binding_ = binding; }
 
   /// Registers a resident program (by digest; storage is the ship's cache).
-  Status AddResident(Digest digest, std::uint32_t max_resident);
+  Status AddResident(Digest digest);
   bool IsResident(Digest digest) const;
   const std::vector<Digest>& residents() const { return residents_; }
 
@@ -53,12 +56,12 @@ class ExecutionEnvironment {
   /// starts after id, class and binding: the NodeOS reads those itself to
   /// recreate the EE first. Residents re-register under the quota.
   template <class A>
-  void Visit(A& a, std::uint32_t max_resident) {
+  void Visit(A& a) {
     if constexpr (A::kLoading) {
       std::vector<Digest> residents;
       a.Repeated(0x04, residents);
       for (Digest digest : residents) {
-        if (a.ok()) a.Check(AddResident(digest, max_resident));
+        if (a.ok()) a.Check(AddResident(digest));
       }
     } else {
       a.U32(0x01, id_);

@@ -109,7 +109,7 @@ class NodeOs {
           return;
         }
         ee.set_binding(binding);
-        ee.Visit(record, kMaxResidentPrograms);
+        ee.Visit(record);
       });
     } else {
       std::vector<ExecutionEnvironment*> by_id;
@@ -118,7 +118,7 @@ class NodeOs {
         return x->id() < y->id();
       });
       a.Each(0x1A, by_id, [](auto& r, ExecutionEnvironment* ee) {
-        ee->Visit(r, kMaxResidentPrograms);
+        ee->Visit(r);
       });
     }
     hardware_.Visit(a);
@@ -149,9 +149,6 @@ class NodeOs {
   Result<sim::Duration> DockNetbot(const Netbot& netbot);
 
  private:
-  // Programs one EE may hold resident.
-  static constexpr std::uint32_t kMaxResidentPrograms = 64;
-
   sim::Duration SwitchLatency(SwitchMechanism mechanism) const;
 
   Capabilities caps_;

@@ -12,7 +12,7 @@ Status ResourceAccountant::ChargeFuel(std::uint64_t fuel) {
 }
 
 Status ResourceAccountant::ChargeMemory(std::uint64_t bytes) {
-  if (memory_used_ + bytes > quota_.memory_bytes) {
+  if (memory_used_ + bytes > kMemoryBytes) {
     return ResourceExhausted("memory quota exhausted");
   }
   memory_used_ += bytes;
@@ -24,7 +24,7 @@ void ResourceAccountant::ReleaseMemory(std::uint64_t bytes) {
 }
 
 Status ResourceAccountant::AcquirePendingSlot() {
-  if (pending_shuttles_ >= quota_.max_pending_shuttles) {
+  if (pending_shuttles_ >= kMaxPendingShuttles) {
     return ResourceExhausted("pending shuttle queue full");
   }
   ++pending_shuttles_;

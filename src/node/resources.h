@@ -14,13 +14,16 @@ namespace viator::node {
 struct ResourceQuota {
   std::uint64_t fuel_per_capsule = 100000;    // VM fuel per shuttle execution
   std::uint64_t fuel_per_epoch = 10'000'000;  // aggregate CPU budget per epoch
-  std::uint64_t memory_bytes = 1 << 20;       // fact store + resident data
   std::uint64_t code_cache_bytes = 64 << 10;  // resident program bytes
-  std::uint32_t max_pending_shuttles = 256;   // waiting for code / EE slot
 };
 
 class ResourceAccountant {
  public:
+  /// Resident memory quota (fact store + resident data).
+  static constexpr std::uint64_t kMemoryBytes = 1 << 20;
+  /// Pending-shuttle slots (waiting for code / EE slot).
+  static constexpr std::uint32_t kMaxPendingShuttles = 256;
+
   explicit ResourceAccountant(const ResourceQuota& quota) : quota_(quota) {}
 
   const ResourceQuota& quota() const { return quota_; }

@@ -4,9 +4,8 @@
 
 namespace viator::services {
 
-AuditService::AuditService(wli::WanderingNetwork& network,
-                           const Config& config, Rng rng)
-    : network_(network), config_(config), rng_(rng) {}
+AuditService::AuditService(wli::WanderingNetwork& network, Rng rng)
+    : network_(network), rng_(rng) {}
 
 bool AuditService::AuditShip(wli::Ship& ship) {
   ++audits_;
@@ -31,7 +30,7 @@ std::size_t AuditService::RunRound() {
   std::size_t caught = 0;
   const std::size_t population = network_.topology().node_count();
   if (population == 0) return 0;
-  for (std::size_t i = 0; i < config_.samples_per_round; ++i) {
+  for (std::size_t i = 0; i < kSamplesPerRound; ++i) {
     const auto node = static_cast<net::NodeId>(rng_.Index(population));
     wli::Ship* ship = network_.ship(node);
     if (ship == nullptr) continue;
@@ -41,9 +40,9 @@ std::size_t AuditService::RunRound() {
 }
 
 void AuditService::Start(sim::TimePoint until) {
-  network_.simulator().ScheduleAfter(config_.interval, [this, until] {
+  network_.simulator().ScheduleAfter(kInterval, [this, until] {
     (void)RunRound();
-    if (network_.simulator().now() + config_.interval <= until) {
+    if (network_.simulator().now() + kInterval <= until) {
       Start(until);
     }
   });

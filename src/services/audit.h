@@ -18,12 +18,12 @@ namespace viator::services {
 
 class AuditService {
  public:
-  struct Config {
-    sim::Duration interval = 250 * sim::kMillisecond;
-    std::size_t samples_per_round = 4;  // ships audited per round
-  };
+  /// Cadence of the audit loop.
+  static constexpr sim::Duration kInterval = 250 * sim::kMillisecond;
+  /// Ships audited per round.
+  static constexpr std::size_t kSamplesPerRound = 4;
 
-  AuditService(wli::WanderingNetwork& network, const Config& config, Rng rng);
+  AuditService(wli::WanderingNetwork& network, Rng rng);
 
   /// Starts the periodic audit loop until `until`.
   void Start(sim::TimePoint until);
@@ -39,7 +39,6 @@ class AuditService {
   bool AuditShip(wli::Ship& ship);
 
   wli::WanderingNetwork& network_;
-  Config config_;
   Rng rng_;
   std::uint64_t audits_ = 0;
   std::uint64_t violations_ = 0;

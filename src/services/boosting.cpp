@@ -24,7 +24,7 @@ Status FecBooster::SendData(std::uint64_t flow, std::int64_t word) {
   if (ingress == nullptr) return NotFound("no ingress ship");
   IngressBlock& block = ingress_blocks_[flow];
   block.words.push_back(word);
-  if (block.words.size() < config_.block_size) return OkStatus();
+  if (block.words.size() < kBlockSize) return OkStatus();
 
   // Emit the block: k data shuttles + 1 parity shuttle.
   std::int64_t parity = 0;
@@ -39,7 +39,7 @@ Status FecBooster::SendData(std::uint64_t flow, std::int64_t word) {
   (void)ingress->SendShuttle(wli::Shuttle::Data(
       config_.ingress, config_.egress,
       {kFecMarker, static_cast<std::int64_t>(block.block_id),
-       static_cast<std::int64_t>(config_.block_size), parity},
+       static_cast<std::int64_t>(kBlockSize), parity},
       flow));
   ++parity_sent_;
   ++block.block_id;
@@ -57,7 +57,7 @@ void FecBooster::OnEgress(wli::Ship& ship, const wli::Shuttle& shuttle) {
   telemetry::SpanScope span(network_.telemetry(), shuttle.trace,
                             config_.egress, "svc.boosting", "fec_egress");
   EgressBlock& block = egress_blocks_[{flow, block_id}];
-  if (index == config_.block_size) {
+  if (index == kBlockSize) {
     block.has_parity = true;
     block.parity = word;
   } else if (block.received.emplace(index, word).second) {
@@ -72,10 +72,10 @@ void FecBooster::OnEgress(wli::Ship& ship, const wli::Shuttle& shuttle) {
 
   // Exactly one data shuttle missing and the parity present: rebuild it.
   if (!block.flushed && block.has_parity &&
-      block.received.size() == config_.block_size - 1) {
+      block.received.size() == kBlockSize - 1) {
     std::int64_t missing = block.parity;
     std::uint32_t missing_index = 0;
-    for (std::uint32_t i = 0; i < config_.block_size; ++i) {
+    for (std::uint32_t i = 0; i < kBlockSize; ++i) {
       const auto it = block.received.find(i);
       if (it == block.received.end()) {
         missing_index = i;
@@ -136,7 +136,7 @@ void ArqBooster::ArmTimer(std::uint64_t flow, std::uint64_t seq) {
       [this, flow, seq] {
         const auto it = pending_.find({flow, seq});
         if (it == pending_.end() || it->second.acked) return;
-        if (it->second.attempts > config_.max_retries) {
+        if (it->second.attempts > kMaxRetries) {
           ++given_up_;
           pending_.erase(it);
           return;
@@ -206,8 +206,8 @@ Status CompressionBooster::SendData(std::uint64_t flow,
   if (ingress == nullptr) return NotFound("no ingress ship");
   const std::size_t n = payload.size();
   const auto keep = static_cast<std::size_t>(
-      std::ceil(config_.ratio * static_cast<double>(n)));
-  // Model: the compressed image carries ceil(ratio·n) words; the egress
+      std::ceil(kRatio * static_cast<double>(n)));
+  // Model: the compressed image carries ceil(kRatio·n) words; the egress
   // re-expands to the original length (a real booster would decompress the
   // byte stream — the experiments only measure bytes over the segment).
   std::vector<std::int64_t> compressed = {kZipMarker,

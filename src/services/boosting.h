@@ -27,8 +27,10 @@ class FecBooster {
     net::NodeId ingress = net::kInvalidNode;
     net::NodeId egress = net::kInvalidNode;
     net::NodeId final_destination = net::kInvalidNode;
-    std::uint32_t block_size = 4;  // data shuttles per parity
   };
+
+  /// Data shuttles per parity shuttle.
+  static constexpr std::uint32_t kBlockSize = 4;
 
   FecBooster(wli::WanderingNetwork& network, const Config& config);
 
@@ -40,7 +42,7 @@ class FecBooster {
   std::uint64_t parity_sent() const { return parity_sent_; }
 
  private:
-  // Payload layout: {marker, block_id, index_in_block (block_size = parity),
+  // Payload layout: {marker, block_id, index_in_block (kBlockSize = parity),
   // data word}.
   static constexpr std::int64_t kFecMarker = 0x0fec;
 
@@ -79,8 +81,10 @@ class ArqBooster {
     net::NodeId ingress = net::kInvalidNode;
     net::NodeId egress = net::kInvalidNode;
     net::NodeId final_destination = net::kInvalidNode;
-    std::uint32_t max_retries = 4;
   };
+
+  /// Retransmissions of one word before the ingress gives up on it.
+  static constexpr std::uint32_t kMaxRetries = 4;
 
   ArqBooster(wli::WanderingNetwork& network, const Config& config);
 
@@ -126,8 +130,10 @@ class CompressionBooster {
     net::NodeId ingress = net::kInvalidNode;
     net::NodeId egress = net::kInvalidNode;
     net::NodeId final_destination = net::kInvalidNode;
-    double ratio = 0.5;  // compressed size / original size
   };
+
+  /// Modelled compressed size / original size.
+  static constexpr double kRatio = 0.5;
 
   CompressionBooster(wli::WanderingNetwork& network, const Config& config);
 

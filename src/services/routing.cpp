@@ -232,7 +232,7 @@ net::NodeId AdaptiveAdHocRouter::ChooseNextHop(net::NodeId at,
   }
   // No usable route: buffer the shuttle and discover.
   auto& queue = buffered_[at][dst];
-  if (queue.size() >= config_.max_buffered_per_node) {
+  if (queue.size() >= kMaxBufferedPerNode) {
     ++dropped_no_route_;
     return at;  // absorbed (dropped under buffer pressure)
   }
@@ -248,7 +248,7 @@ void AdaptiveAdHocRouter::StartDiscovery(net::NodeId origin,
   const sim::TimePoint now = network_.simulator().now();
   auto& gate = next_discovery_[origin][target];
   if (now < gate) return;
-  gate = now + config_.discovery_backoff;
+  gate = now + kDiscoveryBackoff;
   ++discoveries_;
   const std::uint64_t request_id = next_request_id_++;
   seen_requests_[origin].insert(request_id);

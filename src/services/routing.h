@@ -139,12 +139,14 @@ class AdaptiveAdHocRouter {
  public:
   struct Config {
     sim::Duration route_lifetime = 5 * sim::kSecond;
-    std::size_t max_buffered_per_node = 64;
-    /// Minimum spacing between discovery floods for the same (node, dst)
-    /// pair — AODV's RREQ rate limit; prevents flood storms when a
-    /// destination is (temporarily) unreachable.
-    sim::Duration discovery_backoff = 500 * sim::kMillisecond;
   };
+
+  /// Shuttles one node buffers per destination while it discovers a route.
+  static constexpr std::size_t kMaxBufferedPerNode = 64;
+  /// Minimum spacing between discovery floods for the same (node, dst)
+  /// pair — AODV's RREQ rate limit; prevents flood storms when a
+  /// destination is (temporarily) unreachable.
+  static constexpr sim::Duration kDiscoveryBackoff = 500 * sim::kMillisecond;
 
   /// Installs control handlers on every ship and takes over next-hop
   /// selection for data shuttles. Exactly one router per network.

@@ -33,10 +33,10 @@ void ContentBuffer::OnShuttle(wli::Ship& ship, const wli::Shuttle& shuttle) {
   held_.push_back(std::move(held));
   ++buffered_total_;
   if (held_.size() == 1) {
-    timeout_event_ = network_.simulator().ScheduleAfter(
-        config_.timeout, [this] { Release(); });
+    timeout_event_ =
+        network_.simulator().ScheduleAfter(kTimeout, [this] { Release(); });
   }
-  if (held_.size() >= config_.batch_size) {
+  if (held_.size() >= kBatchSize) {
     timeout_event_.Cancel();
     Release();
   }

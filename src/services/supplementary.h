@@ -2,8 +2,8 @@
 // altering, but depending on, their contents, e.g. content-based buffering."
 //
 // ContentBuffer holds data shuttles whose leading payload word matches a
-// predicate value until either `batch_size` matching shuttles accumulated or
-// `timeout` passed, then releases them to their destination in one burst —
+// predicate value until either `kBatchSize` matching shuttles accumulated or
+// `kTimeout` passed, then releases them to their destination in one burst —
 // trading latency for downstream burst efficiency (and giving the E2/E3
 // workload one more distinct second-level class to exercise).
 #pragma once
@@ -20,9 +20,12 @@ class ContentBuffer {
   struct Config {
     net::NodeId sink = net::kInvalidNode;
     std::int64_t match_tag = 0;       // buffer shuttles whose payload[0] == tag
-    std::size_t batch_size = 8;
-    sim::Duration timeout = 100 * sim::kMillisecond;
   };
+
+  /// Held shuttles that release a batch at once.
+  static constexpr std::size_t kBatchSize = 8;
+  /// Longest a held shuttle waits for its batch to fill.
+  static constexpr sim::Duration kTimeout = 100 * sim::kMillisecond;
 
   ContentBuffer(wli::WanderingNetwork& network, net::NodeId node,
                 const Config& config);

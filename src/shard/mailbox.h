@@ -67,12 +67,10 @@ class MailboxGrid {
   MailboxGrid& operator=(const MailboxGrid&) = delete;
 
   ~MailboxGrid() {
-#if VIATOR_PLANES
     for (const Stripe& stripe : stripes_) {
       VIATOR_MEM_FREE(kMailbox,
                       stripe.pending.capacity() * sizeof(Handoff));
     }
-#endif
   }
 
   /// Deposits a handoff bound for `destination_shard`. Thread-safe; called

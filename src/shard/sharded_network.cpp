@@ -113,7 +113,6 @@ ShardedNetwork::ShardedNetwork(const net::Topology& global,
     : config_(config),
       global_(global),
       mailbox_(config.shard_count == 0 ? 1 : config.shard_count),
-      journal_(config.journal),
       observatory_(config.shard_count) {
   const ShardAssignment assignment = config_.assignment
                                          ? config_.assignment

@@ -62,8 +62,6 @@ struct ShardedConfig {
 
   /// Per-shard network configuration (telemetry switches, quotas, ...).
   wli::WnConfig wn;
-
-  replay::JournalConfig journal;
 };
 
 class ShardedNetwork {

@@ -1,6 +1,5 @@
 #include "sim/trace.h"
 
-#include <cstdio>
 #include <ostream>
 
 #include "base/strings.h"
@@ -19,41 +18,10 @@ std::string_view TraceLevelName(TraceLevel level) {
 
 void TraceSink::Log(TimePoint time, TraceLevel level, std::string component,
                     std::string message) {
-  if (level < min_level_) return;
-  if (echo_) {
-    std::printf("[%s] %-5s %-18s %s\n", FormatNanos(time).c_str(),
-                std::string(TraceLevelName(level)).c_str(), component.c_str(),
-                message.c_str());
-  }
   entries_.push_back(Entry{time, level, std::move(component),
                            std::move(message)});
-  while (entries_.size() > capacity_) entries_.pop_front();
+  while (entries_.size() > kCapacity) entries_.pop_front();
 }
-
-namespace {
-
-// Minimal JSON string escaping: quotes, backslashes and control characters.
-void AppendJsonEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void TraceSink::WriteJsonl(std::ostream& out) const {
   std::string line;
@@ -64,9 +32,9 @@ void TraceSink::WriteJsonl(std::ostream& out) const {
     line += ",\"level\":\"";
     line += TraceLevelName(e.level);
     line += "\",\"component\":\"";
-    AppendJsonEscaped(line, e.component);
+    AppendEscaped(line, e.component, EscapeStyle::kJson);
     line += "\",\"message\":\"";
-    AppendJsonEscaped(line, e.message);
+    AppendEscaped(line, e.message, EscapeStyle::kJson);
     line += "\"}\n";
     out << line;
   }

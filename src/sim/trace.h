@@ -1,6 +1,5 @@
 // Structured trace log. Subsystems emit (time, level, component, message)
-// entries into a bounded ring buffer; tests assert against the buffer,
-// examples optionally echo it to stdout.
+// entries into a bounded ring buffer; tests assert against the buffer.
 #pragma once
 
 #include <cstdint>
@@ -29,16 +28,12 @@ class TraceSink {
     std::string message;
   };
 
-  explicit TraceSink(std::size_t capacity = 4096, bool echo_stdout = false)
-      : capacity_(capacity), echo_(echo_stdout) {}
+  /// Entries retained; the oldest is evicted past it.
+  static constexpr std::size_t kCapacity = 8192;
 
   /// Records an entry, evicting the oldest when over capacity.
   void Log(TimePoint time, TraceLevel level, std::string component,
            std::string message);
-
-  /// Drops entries below this level (default: keep everything).
-  void set_min_level(TraceLevel level) { min_level_ = level; }
-  void set_echo(bool echo) { echo_ = echo; }
 
   const std::deque<Entry>& entries() const { return entries_; }
 
@@ -55,8 +50,8 @@ class TraceSink {
   void WriteJsonl(std::ostream& out) const;
 
   /// Snapshot fields (the genesis trace section): one record per retained
-  /// entry. A load replaces the entries verbatim, bypassing the level filter
-  /// and stdout echo but still enforcing the capacity bound.
+  /// entry. A load replaces the entries verbatim, still enforcing the
+  /// capacity bound.
   template <class A>
   void Visit(A& a) {
     a.Each(0x01, entries_, [](auto& r, auto& entry) {
@@ -66,16 +61,13 @@ class TraceSink {
       r.Str(0x04, entry.message);
     });
     if constexpr (A::kLoading) {
-      while (entries_.size() > capacity_) entries_.pop_front();
+      while (entries_.size() > kCapacity) entries_.pop_front();
     }
   }
 
   void Clear() { entries_.clear(); }
 
  private:
-  std::size_t capacity_;
-  bool echo_;
-  TraceLevel min_level_ = TraceLevel::kDebug;
   std::deque<Entry> entries_;
 };
 

@@ -134,47 +134,6 @@ void PrometheusHeader(std::ostream& out, const std::string& pname,
 
 }  // namespace
 
-void AppendEscaped(std::string& out, std::string_view text,
-                   EscapeStyle style) {
-  const bool json = style == EscapeStyle::kJson;
-  const bool quotes = json || style == EscapeStyle::kPrometheusLabel;
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '"':
-        out += quotes ? "\\\"" : "\"";
-        break;
-      case '\r':
-        out += json ? "\\r" : "\r";
-        break;
-      case '\t':
-        out += json ? "\\t" : "\t";
-        break;
-      default:
-        if (json && static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string Escaped(std::string_view text, EscapeStyle style) {
-  std::string out;
-  out.reserve(text.size());
-  AppendEscaped(out, text, style);
-  return out;
-}
-
 void WriteSpansJsonl(const std::vector<SpanRecord>& spans, std::ostream& out) {
   for (const SpanRecord& s : spans) {
     out << "{\"trace\":\"" << HexId(s.trace_id) << "\",\"span\":" << s.span_id

@@ -27,22 +27,7 @@
 
 namespace viator::telemetry {
 
-/// Escaping styles the exporters share. All styles escape backslash and
-/// newline; kJson additionally escapes the double quote, carriage return,
-/// tab and all other control characters (as \uXXXX); kPrometheusLabel
-/// additionally escapes only the double quote; kPrometheusHelp escapes
-/// nothing further (HELP text per the exposition format).
-enum class EscapeStyle { kJson, kPrometheusHelp, kPrometheusLabel };
-
-/// Appends `text` to `out`, escaped per `style` — the one escaping
-/// implementation behind the JSONL and Prometheus exporters.
-void AppendEscaped(std::string& out, std::string_view text,
-                   EscapeStyle style);
-
-/// Convenience form returning the escaped copy.
-std::string Escaped(std::string_view text, EscapeStyle style);
-
-/// `text` as a JSON string: quoted and escaped per kJson.
+/// `text` as a JSON string: quoted and escaped per kJson (base/strings.h).
 std::string JsonString(std::string_view text);
 
 /// `v` printed with %.17g, which reads back to the same double.

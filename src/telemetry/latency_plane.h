@@ -143,7 +143,7 @@ struct Exemplar {
 class Lane {
  public:
   /// Worst-K exemplars retained per window.
-  static constexpr std::size_t kDefaultExemplarCapacity = 4;
+  static constexpr std::size_t kExemplarCapacity = 4;
 
   // ---- side table -----------------------------------------------------
 
@@ -295,11 +295,6 @@ class Lane {
   }
   std::size_t open_flights() const { return flights_.size(); }
 
-  void set_exemplar_capacity(std::size_t capacity) {
-    exemplar_capacity_ = capacity == 0 ? 1 : capacity;
-  }
-  std::size_t exemplar_capacity() const { return exemplar_capacity_; }
-
   /// Snapshot fields (the genesis latency section): one record per
   /// non-empty (stage, class) sketch with its coordinates, then the window
   /// delivery sketch when non-empty. Open flights are transient and not
@@ -386,7 +381,7 @@ class Lane {
   /// Bounded worst-K insertion, kept sorted worst-first; cheap because a
   /// candidate below the current K-th worst is rejected with one compare.
   void OfferExemplar(Exemplar candidate) {
-    if (window_worst_.size() >= exemplar_capacity_ &&
+    if (window_worst_.size() >= kExemplarCapacity &&
         !candidate.WorseThan(window_worst_.back())) {
       return;
     }
@@ -394,14 +389,13 @@ class Lane {
         window_worst_.begin(), window_worst_.end(), candidate,
         [](const Exemplar& a, const Exemplar& b) { return a.WorseThan(b); });
     window_worst_.insert(pos, candidate);
-    if (window_worst_.size() > exemplar_capacity_) window_worst_.pop_back();
+    if (window_worst_.size() > kExemplarCapacity) window_worst_.pop_back();
   }
 
   std::array<std::array<LatencySketch, kClassCount>, 4> per_class_{};
   std::array<LatencySketch, kRoleCount> exec_{};
   LatencySketch window_delivery_;
   std::vector<Exemplar> window_worst_;
-  std::size_t exemplar_capacity_ = kDefaultExemplarCapacity;
   std::unordered_map<std::uint64_t, Flight> flights_;
 };
 
@@ -465,11 +459,7 @@ inline void ProbeLost(Lane* lane, std::uint64_t lat_id, sim::TimePoint now) {
 
 }  // namespace viator::telemetry::lat
 
-// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
-// to nothing at all — the compiled-out contract. Arguments are only
-// evaluated when the plane is compiled in, so expressions must stay
-// side-effect free.
-#if VIATOR_PLANES
+// The probe macros instrumented code uses.
 #define VIATOR_LAT_BIRTH(lane, shuttle, now) \
   ::viator::telemetry::lat::ProbeBirth((lane), (shuttle), (now))
 #define VIATOR_LAT_DELIVERED(lane, shuttle, now) \
@@ -486,13 +476,3 @@ inline void ProbeLost(Lane* lane, std::uint64_t lat_id, sim::TimePoint now) {
   ::viator::telemetry::lat::ProbeQueue((lane), (cls), (ns))
 #define VIATOR_LAT_LOST(lane, lat_id, now) \
   ::viator::telemetry::lat::ProbeLost((lane), (lat_id), (now))
-#else
-#define VIATOR_LAT_BIRTH(lane, shuttle, now) ((void)0)
-#define VIATOR_LAT_DELIVERED(lane, shuttle, now) ((void)0)
-#define VIATOR_LAT_DROP(lane, shuttle, now) ((void)0)
-#define VIATOR_LAT_EXEC_ENTER(lane, shuttle, now) ((void)0)
-#define VIATOR_LAT_EXEC_DONE(lane, shuttle, now, role) ((void)0)
-#define VIATOR_LAT_HOP(lane, cls, ns) ((void)0)
-#define VIATOR_LAT_QUEUE(lane, cls, ns) ((void)0)
-#define VIATOR_LAT_LOST(lane, lat_id, now) ((void)0)
-#endif

@@ -128,12 +128,7 @@ inline void OnResize(Domain domain, std::size_t old_bytes,
 /// holding one can be copied, moved and destroyed without ever leaking or
 /// double-freeing attributed bytes. Value reads (`value()`) are always-on
 /// and deterministic; only the global mirroring obeys Enabled().
-///
-/// `kMirror` defaults to this translation unit's VIATOR_PLANES value; baking
-/// it into the type keeps -DVIATOR_PLANES=0 units (the compiled-out test)
-/// from violating the ODR against library units built with probes on — the
-/// two configurations instantiate distinct types.
-template <Domain D, bool kMirror = (VIATOR_PLANES != 0)>
+template <Domain D>
 class ChargedBytes {
  public:
   ChargedBytes() = default;
@@ -157,15 +152,11 @@ class ChargedBytes {
   ~ChargedBytes() { Set(0); }
 
   void Add(std::size_t bytes) {
-    if constexpr (kMirror) {
-      if (bytes != 0) OnAlloc(D, bytes);
-    }
+    if (bytes != 0) OnAlloc(D, bytes);
     value_ += bytes;
   }
   void Sub(std::size_t bytes) {
-    if constexpr (kMirror) {
-      if (bytes != 0) OnFree(D, bytes);
-    }
+    if (bytes != 0) OnFree(D, bytes);
     value_ -= bytes;
   }
   void Set(std::size_t bytes) {
@@ -183,11 +174,7 @@ class ChargedBytes {
 
 }  // namespace viator::telemetry::mem
 
-// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
-// to nothing at all — the compiled-out contract. Arguments are only
-// evaluated when the plane is compiled in, so byte expressions must stay
-// side-effect free.
-#if VIATOR_PLANES
+// The probe macros instrumented code uses.
 #define VIATOR_MEM_ALLOC(domain, bytes)       \
   ::viator::telemetry::mem::OnAlloc(          \
       ::viator::telemetry::mem::Domain::domain, (bytes))
@@ -197,8 +184,3 @@ class ChargedBytes {
 #define VIATOR_MEM_RESIZE(domain, old_bytes, new_bytes)  \
   ::viator::telemetry::mem::OnResize(                    \
       ::viator::telemetry::mem::Domain::domain, (old_bytes), (new_bytes))
-#else
-#define VIATOR_MEM_ALLOC(domain, bytes) ((void)0)
-#define VIATOR_MEM_FREE(domain, bytes) ((void)0)
-#define VIATOR_MEM_RESIZE(domain, old_bytes, new_bytes) ((void)0)
-#endif

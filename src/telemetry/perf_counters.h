@@ -133,9 +133,7 @@ class Timer {
 
 }  // namespace viator::telemetry::perf
 
-// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
-// to nothing at all — the compiled-out contract.
-#if VIATOR_PLANES
+// The probe macros instrumented code uses.
 #define VIATOR_PERF_CAT2(a, b) a##b
 #define VIATOR_PERF_CAT(a, b) VIATOR_PERF_CAT2(a, b)
 #define VIATOR_PERF_SCOPE(metric)                    \
@@ -143,7 +141,3 @@ class Timer {
       viator_perf_timer_, __LINE__)(::viator::telemetry::perf::Metric::metric)
 #define VIATOR_PERF_COUNT(metric) \
   ::viator::telemetry::perf::Count(::viator::telemetry::perf::Metric::metric)
-#else
-#define VIATOR_PERF_SCOPE(metric) ((void)0)
-#define VIATOR_PERF_COUNT(metric) ((void)0)
-#endif

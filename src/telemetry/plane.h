@@ -1,12 +1,9 @@
 // The shared kit of the three measurement planes — cycles
 // (telemetry/perf_counters.h), bytes (telemetry/mem_counters.h) and
-// latency (telemetry/latency_plane.h): the one compile-time switch, the
-// per-plane runtime switch and the per-thread counter-block registry.
+// latency (telemetry/latency_plane.h): the per-plane runtime switch and the
+// per-thread counter-block registry.
 //
 // Cost contract, identical for every plane (docs/OBSERVABILITY.md):
-//  - compiled out (-DVIATOR_PLANES=0): every probe macro of every plane
-//    expands to nothing — zero instructions, zero bytes, provably (see
-//    tests/test_planes_compiled_out.cpp);
 //  - runtime off (the default): one relaxed atomic load + predicted branch
 //    per probe;
 //  - runtime on: plane-specific work against this thread's private block
@@ -26,10 +23,6 @@
 #include <memory>
 #include <mutex>
 #include <vector>
-
-#if !defined(VIATOR_PLANES)
-#define VIATOR_PLANES 1
-#endif
 
 namespace viator::telemetry::plane {
 

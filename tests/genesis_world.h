@@ -145,7 +145,7 @@ class GenesisWorld {
     (void)wn.ship(3)->os().DockNetbot(bot);
 
     // SRP audit rounds catch the dishonest ship.
-    services::AuditService audit(wn, {}, Rng(kSeed + 3));
+    services::AuditService audit(wn, Rng(kSeed + 3));
     for (int i = 0; i < 3; ++i) {
       audit.RunRound();
       simulator.RunAll();

@@ -121,7 +121,7 @@ TEST_F(ExtFixture, AggregationFeedsClustering) {
 
 TEST_F(ExtFixture, AuditPassesHonestShips) {
   Build();
-  services::AuditService audit(*wn, {}, Rng(5));
+  services::AuditService audit(*wn, Rng(5));
   for (int round = 0; round < 10; ++round) {
     EXPECT_EQ(audit.RunRound(), 0u);
   }
@@ -135,9 +135,7 @@ TEST_F(ExtFixture, AuditPassesHonestShips) {
 TEST_F(ExtFixture, AuditCatchesAndExcludesDishonestShip) {
   Build();
   wn->ship(3)->set_honest(false);
-  services::AuditService::Config cfg;
-  cfg.samples_per_round = 6;  // audit everyone-ish each round
-  services::AuditService audit(*wn, cfg, Rng(5));
+  services::AuditService audit(*wn, Rng(5));
   for (int round = 0; round < 40; ++round) {
     (void)audit.RunRound();
   }
@@ -152,12 +150,11 @@ TEST_F(ExtFixture, AuditCatchesAndExcludesDishonestShip) {
 
 TEST_F(ExtFixture, AuditLoopRunsPeriodically) {
   Build();
-  services::AuditService::Config cfg;
-  cfg.interval = 100 * sim::kMillisecond;
-  services::AuditService audit(*wn, cfg, Rng(5));
-  audit.Start(sim::kSecond);
-  simulator.RunUntil(sim::kSecond);
-  EXPECT_GE(audit.audits(), 9u * cfg.samples_per_round);
+  services::AuditService audit(*wn, Rng(5));
+  const sim::TimePoint until = 10 * services::AuditService::kInterval;
+  audit.Start(until);
+  simulator.RunUntil(until);
+  EXPECT_GE(audit.audits(), 9u * services::AuditService::kSamplesPerRound);
 }
 
 // ---- Forward-and-Copy ----
@@ -290,10 +287,7 @@ TEST_F(ExtFixture, DiscoveryBackoffLimitsFloodStorms) {
   Build();
   topology.SetLinkUp(0, false);
   topology.SetLinkUp(5, false);  // isolate node 0 on the ring
-  services::AdaptiveAdHocRouter::Config cfg;
-  cfg.discovery_backoff = sim::kSecond;
-  cfg.max_buffered_per_node = 100;
-  services::AdaptiveAdHocRouter router(*wn, cfg);
+  services::AdaptiveAdHocRouter router(*wn, {});
   // 10 sends to an unreachable destination in quick succession: exactly one
   // discovery flood inside the backoff window.
   for (int i = 0; i < 10; ++i) {
@@ -302,7 +296,8 @@ TEST_F(ExtFixture, DiscoveryBackoffLimitsFloodStorms) {
   }
   EXPECT_EQ(router.discoveries(), 1u);
   // After the window, the gate reopens.
-  simulator.RunUntil(simulator.now() + 2 * sim::kSecond);
+  simulator.RunUntil(simulator.now() +
+                     2 * services::AdaptiveAdHocRouter::kDiscoveryBackoff);
   (void)router.Send(0, 3, {99}, 99);
   simulator.RunAll();
   EXPECT_EQ(router.discoveries(), 2u);

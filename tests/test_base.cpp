@@ -629,6 +629,40 @@ TEST(Strings, TablePrinterAlignsColumns) {
   EXPECT_NE(out.find("| b     | 22222 |"), std::string::npos);
 }
 
+// ---- Escaping (trace log and exporters) ----
+
+TEST(Escaping, JsonStyleEscapesQuotesAndControls) {
+  const std::string raw = "a\"b\\c\nd\re\tf\x01g";
+  EXPECT_EQ(Escaped(raw, EscapeStyle::kJson),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g");
+}
+
+TEST(Escaping, PrometheusHelpEscapesOnlyBackslashAndNewline) {
+  const std::string raw = "a\"b\\c\nd\te";
+  EXPECT_EQ(Escaped(raw, EscapeStyle::kPrometheusHelp),
+            "a\"b\\\\c\\nd\te");
+}
+
+TEST(Escaping, PrometheusLabelEscapesQuoteBackslashNewline) {
+  const std::string raw = "a\"b\\c\nd\te";
+  EXPECT_EQ(Escaped(raw, EscapeStyle::kPrometheusLabel),
+            "a\\\"b\\\\c\\nd\te");
+}
+
+TEST(Escaping, AppendFormAppendsInPlace) {
+  std::string out = "prefix:";
+  AppendEscaped(out, "x\ny", EscapeStyle::kJson);
+  EXPECT_EQ(out, "prefix:x\\ny");
+}
+
+TEST(Escaping, PassThroughForPlainText) {
+  for (const auto style :
+       {EscapeStyle::kJson, EscapeStyle::kPrometheusHelp,
+        EscapeStyle::kPrometheusLabel}) {
+    EXPECT_EQ(Escaped("plain_text-123", style), "plain_text-123");
+  }
+}
+
 // ---- FlatMap / FlatNameMap -------------------------------------------------
 
 TEST(FlatMap, InsertFindEraseKeepKeyOrder) {

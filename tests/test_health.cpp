@@ -418,7 +418,7 @@ TEST(HealthReport, JsonlRoundTripsAndSelfDiffsClean) {
   EXPECT_EQ(parsed->events[0].detail, report.events[0].detail);
   EXPECT_EQ(parsed->summary.probes_absorbed, 9u);
 
-  EXPECT_TRUE(health::DiffHealthReports(*parsed, *parsed, {}).empty());
+  EXPECT_TRUE(health::DiffHealthReports(*parsed, *parsed).empty());
   // Truncated stream (no summary line) is not a report.
   std::stringstream truncated("{\"kind\":\"ship\",\"ship\":4}\n");
   EXPECT_FALSE(health::ParseHealthJsonl(truncated).has_value());
@@ -445,14 +445,14 @@ TEST(HealthReport, DiffFlagsScoreDropsVanishedShipsAndNewEvents) {
   health::HealthEvent extra;
   extra.kind = health::HealthEventKind::kDegradedShip;
   current.events.push_back(extra);
-  auto regressions = health::DiffHealthReports(baseline, current, {});
+  auto regressions = health::DiffHealthReports(baseline, current);
   ASSERT_EQ(regressions.size(), 2u);
   EXPECT_NE(regressions[0].find("score dropped"), std::string::npos);
   EXPECT_NE(regressions[1].find("degraded-ship"), std::string::npos);
 
   current = SmallReport();
   current.ships.clear();
-  regressions = health::DiffHealthReports(baseline, current, {});
+  regressions = health::DiffHealthReports(baseline, current);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_NE(regressions[0].find("disappeared"), std::string::npos);
 }
@@ -555,19 +555,17 @@ TEST(BenchGate, ComparesMetricsWithToleranceAndIgnores) {
   ASSERT_EQ(baseline.size(), 3u);
   EXPECT_DOUBLE_EQ(baseline.at("dispatch_count"), 1000.0);
 
-  // Within tolerance, wall-clock drift ignored: gate passes.
-  health::BenchGateOptions options;
-  options.tolerance = 0.25;
+  // Within kBenchTolerance, wall-clock drift ignored: gate passes.
   std::map<std::string, double> current = {{"dispatch_count", 900.0},
                                            {"wall_seconds", 99.0},
                                            {"cache_hits", 80.0}};
-  EXPECT_TRUE(health::CompareBenchMetrics(baseline, current, options).empty());
+  EXPECT_TRUE(health::CompareBenchMetrics(baseline, current).empty());
 
   // Real drift beyond the band and a vanished metric both gate.
   current["dispatch_count"] = 500.0;
   current.erase("cache_hits");
   const auto regressions =
-      health::CompareBenchMetrics(baseline, current, options);
+      health::CompareBenchMetrics(baseline, current);
   ASSERT_EQ(regressions.size(), 2u);
   EXPECT_NE(regressions[0].find("cache_hits"), std::string::npos);
   EXPECT_NE(regressions[1].find("dispatch_count"), std::string::npos);
@@ -578,17 +576,15 @@ TEST(BenchGate, DigestKeysMatchExactly) {
   // well inside the tolerance band that still lets a count drift.
   const std::map<std::string, double> baseline = {
       {"digest52_3x3", 2470794326736335.0}, {"decisions_3x3", 2468.0}};
-  health::BenchGateOptions options;
-  options.tolerance = 0.25;
   std::map<std::string, double> current = {
       {"digest52_3x3", 2470794326736336.0}, {"decisions_3x3", 2500.0}};
   const auto regressions =
-      health::CompareBenchMetrics(baseline, current, options);
+      health::CompareBenchMetrics(baseline, current);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_NE(regressions[0].find("digest52_3x3"), std::string::npos);
 
   current["digest52_3x3"] = baseline.at("digest52_3x3");
-  EXPECT_TRUE(health::CompareBenchMetrics(baseline, current, options).empty());
+  EXPECT_TRUE(health::CompareBenchMetrics(baseline, current).empty());
 }
 
 }  // namespace

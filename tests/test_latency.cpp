@@ -233,16 +233,16 @@ TEST(LatencyLane, FoldWindowResetsWindowStateOnly) {
 
 TEST(LatencyLane, ExemplarsKeepWorstKInDeterministicOrder) {
   lat::Lane lane;
-  lane.set_exemplar_capacity(2);
-  for (std::uint64_t i = 1; i <= 5; ++i) {
+  const std::uint64_t n = lat::Lane::kExemplarCapacity + 3;
+  for (std::uint64_t i = 1; i <= n; ++i) {
     lane.OnBirth(i, 0, 0, /*trace_id=*/i);
-    lane.OnDelivered(i, i * 100);  // durations 100..500
+    lane.OnDelivered(i, i * 100);  // durations 100..n*100
   }
   const lat::Lane::WindowStats w = lane.FoldWindow();
-  ASSERT_EQ(w.worst.size(), 2u);
-  EXPECT_EQ(w.worst[0].duration_ns, 500u);
-  EXPECT_EQ(w.worst[0].trace_id, 5u);
-  EXPECT_EQ(w.worst[1].duration_ns, 400u);
+  ASSERT_EQ(w.worst.size(), lat::Lane::kExemplarCapacity);
+  EXPECT_EQ(w.worst[0].duration_ns, n * 100);
+  EXPECT_EQ(w.worst[0].trace_id, n);
+  EXPECT_EQ(w.worst[1].duration_ns, (n - 1) * 100);
 
   // Duration ties break on trace id ascending: deterministic at any
   // insertion order.

@@ -49,23 +49,20 @@ TEST(Resources, FuelBudgetEnforced) {
 }
 
 TEST(Resources, MemoryQuota) {
-  ResourceQuota quota;
-  quota.memory_bytes = 100;
-  ResourceAccountant acc(quota);
-  EXPECT_TRUE(acc.ChargeMemory(80).ok());
+  ResourceAccountant acc(ResourceQuota{});
+  EXPECT_TRUE(acc.ChargeMemory(ResourceAccountant::kMemoryBytes - 20).ok());
   EXPECT_FALSE(acc.ChargeMemory(30).ok());
   acc.ReleaseMemory(50);
   EXPECT_TRUE(acc.ChargeMemory(30).ok());
-  acc.ReleaseMemory(1000);  // over-release clamps to zero
+  acc.ReleaseMemory(ResourceAccountant::kMemoryBytes);  // clamps to zero
   EXPECT_EQ(acc.memory_used(), 0u);
 }
 
 TEST(Resources, PendingSlots) {
-  ResourceQuota quota;
-  quota.max_pending_shuttles = 2;
-  ResourceAccountant acc(quota);
-  EXPECT_TRUE(acc.AcquirePendingSlot().ok());
-  EXPECT_TRUE(acc.AcquirePendingSlot().ok());
+  ResourceAccountant acc(ResourceQuota{});
+  for (std::uint32_t i = 0; i < ResourceAccountant::kMaxPendingShuttles; ++i) {
+    EXPECT_TRUE(acc.AcquirePendingSlot().ok());
+  }
   EXPECT_FALSE(acc.AcquirePendingSlot().ok());
   acc.ReleasePendingSlot();
   EXPECT_TRUE(acc.AcquirePendingSlot().ok());
@@ -122,12 +119,14 @@ TEST(ExecutionEnv, CountsFaults) {
 TEST(ExecutionEnv, ResidentLimit) {
   ExecutionEnvironment ee(1, SecondLevelClass::kBoosting,
                           RoleBinding::kAuxiliary);
-  EXPECT_TRUE(ee.AddResident(1, 2).ok());
-  EXPECT_TRUE(ee.AddResident(2, 2).ok());
-  EXPECT_TRUE(ee.AddResident(1, 2).ok());  // duplicate is idempotent
-  EXPECT_FALSE(ee.AddResident(3, 2).ok());
+  constexpr Digest kLimit = ExecutionEnvironment::kMaxResidentPrograms;
+  for (Digest digest = 1; digest <= kLimit; ++digest) {
+    EXPECT_TRUE(ee.AddResident(digest).ok());
+  }
+  EXPECT_TRUE(ee.AddResident(1).ok());  // duplicate is idempotent
+  EXPECT_FALSE(ee.AddResident(kLimit + 1).ok());
   EXPECT_TRUE(ee.IsResident(1));
-  EXPECT_FALSE(ee.IsResident(3));
+  EXPECT_FALSE(ee.IsResident(kLimit + 1));
 }
 
 // ---- Hardware plane ----

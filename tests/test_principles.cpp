@@ -131,11 +131,11 @@ TEST(Srp, ClustersFormFromInteractions) {
 TEST(Srp, ClustersAreTemporary) {
   // Affinities decay, so clusters dissolve without refresh (Def. 2(2):
   // temporary aggregations).
-  ClusterManager clusters(0.5);
+  ClusterManager clusters;
   for (int i = 0; i < 4; ++i) clusters.ObserveInteraction(1, 2);
   EXPECT_EQ(clusters.Clusters(2.0).size(), 1u);
-  clusters.Decay();
-  clusters.Decay();
+  // Seven steps at kDecay 0.9 take the affinity from 4 to 1.91.
+  for (int i = 0; i < 7; ++i) clusters.Decay();
   EXPECT_EQ(clusters.Clusters(2.0).size(), 0u);
   EXPECT_LT(clusters.AffinityBetween(1, 2), 2.0);
 }
@@ -220,13 +220,14 @@ TEST(Mfp, AimdIncreasesAndDecreases) {
 // ---- PMP policies ----
 
 TEST(Pmp, DemandTrackerAccumulatesAndDecays) {
-  DemandTracker demand(0.5);
+  DemandTracker demand;
   demand.Record(1, node::FirstLevelRole::kFusion, 10.0);
   demand.Record(1, node::FirstLevelRole::kFusion, 5.0);
   EXPECT_DOUBLE_EQ(demand.DemandAt(1, node::FirstLevelRole::kFusion), 15.0);
   demand.Decay();
-  EXPECT_DOUBLE_EQ(demand.DemandAt(1, node::FirstLevelRole::kFusion), 7.5);
-  EXPECT_DOUBLE_EQ(demand.TotalDemand(node::FirstLevelRole::kFusion), 7.5);
+  const double decayed = 15.0 * DemandTracker::kDecay;
+  EXPECT_DOUBLE_EQ(demand.DemandAt(1, node::FirstLevelRole::kFusion), decayed);
+  EXPECT_DOUBLE_EQ(demand.TotalDemand(node::FirstLevelRole::kFusion), decayed);
 }
 
 TEST(Pmp, HottestNodeWins) {
@@ -242,7 +243,6 @@ TEST(Pmp, HottestNodeWins) {
 TEST(Pmp, HorizontalMigratesTowardHotspot) {
   HorizontalWanderer::Config cfg;
   cfg.hysteresis = 1.5;
-  cfg.min_demand = 1.0;
   HorizontalWanderer wanderer(cfg);
   DemandTracker demand;
   demand.Record(0, node::FirstLevelRole::kFusion, 2.0);   // host
@@ -270,11 +270,10 @@ TEST(Pmp, HysteresisPreventsFlapping) {
 }
 
 TEST(Pmp, MinDemandGatesMigration) {
-  HorizontalWanderer::Config cfg;
-  cfg.min_demand = 5.0;
-  HorizontalWanderer wanderer(cfg);
+  HorizontalWanderer wanderer;
   DemandTracker demand;
-  demand.Record(5, node::FirstLevelRole::kFusion, 2.0);  // hot but tiny
+  demand.Record(5, node::FirstLevelRole::kFusion,
+                HorizontalWanderer::kMinDemand / 2);  // hot but tiny
   std::map<FunctionId, net::NodeId> placement{{1, 0}};
   std::map<FunctionId, node::FirstLevelRole> roles{
       {1, node::FirstLevelRole::kFusion}};
@@ -294,7 +293,6 @@ TEST(Pmp, FunctionAlreadyAtHotspotStays) {
 TEST(Pmp, VerticalSpawnsAboveThreshold) {
   VerticalWanderer::Config cfg;
   cfg.spawn_threshold = 5.0;
-  cfg.min_members = 2;
   VerticalWanderer wanderer(cfg);
   std::map<net::NodeId, std::map<node::SecondLevelClass, double>> activity;
   activity[1][node::SecondLevelClass::kFiltering] = 4.0;
@@ -309,7 +307,6 @@ TEST(Pmp, VerticalSpawnsAboveThreshold) {
 TEST(Pmp, VerticalNeedsEnoughMembers) {
   VerticalWanderer::Config cfg;
   cfg.spawn_threshold = 1.0;
-  cfg.min_members = 2;
   VerticalWanderer wanderer(cfg);
   std::map<net::NodeId, std::map<node::SecondLevelClass, double>> activity;
   activity[1][node::SecondLevelClass::kTranscoding] = 50.0;  // only one node
@@ -319,7 +316,6 @@ TEST(Pmp, VerticalNeedsEnoughMembers) {
 TEST(Pmp, ResonanceDetectsCoOccurrence) {
   ResonanceDetector::Config cfg;
   cfg.min_support = 3;
-  cfg.min_jaccard = 0.5;
   ResonanceDetector detector(cfg);
   // Facts 100 and 200 co-occur on ships 1,2,3; fact 300 only on ship 9.
   for (net::NodeId ship : {1u, 2u, 3u}) {
@@ -346,10 +342,9 @@ TEST(Pmp, ResonanceNeedsSupport) {
 TEST(Pmp, ResonanceNeedsOverlap) {
   ResonanceDetector::Config cfg;
   cfg.min_support = 2;
-  cfg.min_jaccard = 0.9;
   ResonanceDetector detector(cfg);
   // Facts overlap on 2 ships but each also appears on 3 disjoint others:
-  // jaccard = 2/8 < 0.9.
+  // jaccard = 2/8 < kMinJaccard.
   for (net::NodeId ship : {1u, 2u}) {
     detector.Observe(ship, 100);
     detector.Observe(ship, 200);
@@ -362,7 +357,6 @@ TEST(Pmp, ResonanceNeedsOverlap) {
 TEST(Pmp, ResonanceMergesOverlappingGroups) {
   ResonanceDetector::Config cfg;
   cfg.min_support = 2;
-  cfg.min_jaccard = 0.5;
   ResonanceDetector detector(cfg);
   for (net::NodeId ship : {1u, 2u, 3u}) {
     detector.Observe(ship, 100);

@@ -509,7 +509,7 @@ TEST(Soak, EverythingOnTwentySimulatedSeconds) {
 
   // Services.
   services::GossipService gossip(wn, {}, rng.Fork());
-  services::AuditService audit(wn, {}, rng.Fork());
+  services::AuditService audit(wn, rng.Fork());
   services::WorkloadMonitor monitor(wn, 250 * sim::kMillisecond);
   services::SelfHealingCoordinator healer(
       wn, {.detection_delay = 100 * sim::kMillisecond});

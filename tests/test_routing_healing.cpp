@@ -105,10 +105,10 @@ TEST_F(RoutingFixture, BrokenLinkTriggersRediscovery) {
 TEST_F(RoutingFixture, UnreachableDestinationDropsAfterBufferFill) {
   BuildLine(3);
   topology.SetLinkUp(1, false);  // 2 unreachable
-  AdaptiveAdHocRouter::Config cfg;
-  cfg.max_buffered_per_node = 2;
-  AdaptiveAdHocRouter router(*wn, cfg);
-  for (int i = 0; i < 5; ++i) {
+  AdaptiveAdHocRouter router(*wn, {});
+  const auto sends =
+      static_cast<int>(AdaptiveAdHocRouter::kMaxBufferedPerNode) + 3;
+  for (int i = 0; i < sends; ++i) {
     ASSERT_TRUE(router.Send(0, 2, {i}, i).ok());
   }
   simulator.RunAll();
@@ -257,7 +257,7 @@ TEST_F(RoutingFixture, DvHealsAroundFailureAfterRounds) {
 TEST_F(RoutingFixture, ArqDeliversEverythingOverLossyLink) {
   net::LinkConfig clean;
   net::LinkConfig lossy;
-  lossy.loss_probability = 0.3;
+  lossy.loss_probability = 0.2;
   topology = net::Topology();
   topology.AddNodes(4);
   topology.AddLink(0, 1, clean);
@@ -270,7 +270,6 @@ TEST_F(RoutingFixture, ArqDeliversEverythingOverLossyLink) {
   cfg.ingress = 1;
   cfg.egress = 2;
   cfg.final_destination = 3;
-  cfg.max_retries = 10;
   ArqBooster arq(*wn, cfg);
   int delivered = 0;
   wn->ship(3)->SetDeliverySink([&](wli::Ship&, const wli::Shuttle& s) {
@@ -312,7 +311,6 @@ TEST_F(RoutingFixture, ArqGivesUpOnDeadSegment) {
   cfg.ingress = 1;
   cfg.egress = 2;
   cfg.final_destination = 3;
-  cfg.max_retries = 2;
   ArqBooster arq(*wn, cfg);
   ASSERT_TRUE(arq.SendData(1, 7).ok());
   simulator.RunAll();

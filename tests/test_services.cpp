@@ -3,6 +3,8 @@
 // security/management suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baselines/passive.h"
 #include "core/wandering_network.h"
 #include "net/topology.h"
@@ -306,7 +308,6 @@ TEST_F(ServiceFixture, FecRecoversSingleLossPerBlock) {
   cfg.ingress = 0;
   cfg.egress = 3;
   cfg.final_destination = 4;
-  cfg.block_size = 4;
   FecBooster booster(*wn, cfg);
   int delivered = 0;
   wn->ship(4)->SetDeliverySink(
@@ -314,7 +315,8 @@ TEST_F(ServiceFixture, FecRecoversSingleLossPerBlock) {
         if (s.header.kind == wli::ShuttleKind::kData) ++delivered;
       });
   const int blocks = 50;
-  for (int i = 0; i < blocks * 4; ++i) {
+  const int words = blocks * static_cast<int>(FecBooster::kBlockSize);
+  for (int i = 0; i < words; ++i) {
     ASSERT_TRUE(booster.SendData(1, i).ok());
   }
   simulator.RunAll();
@@ -322,7 +324,7 @@ TEST_F(ServiceFixture, FecRecoversSingleLossPerBlock) {
   EXPECT_EQ(booster.parity_sent(), static_cast<std::uint64_t>(blocks));
   // Raw delivery over the 12%-lossy link would be ~88%; single-parity FEC
   // recovers most single-loss blocks, pushing delivery above 93%.
-  EXPECT_GT(delivered, static_cast<int>(blocks * 4 * 0.93));
+  EXPECT_GT(delivered, static_cast<int>(words * 0.93));
 }
 
 TEST_F(ServiceFixture, FecNoLossMeansNoRecoveries) {
@@ -346,7 +348,6 @@ TEST_F(ServiceFixture, CompressionShrinksSegmentBytes) {
   cfg.ingress = 0;
   cfg.egress = 3;
   cfg.final_destination = 4;
-  cfg.ratio = 0.25;
   CompressionBooster booster(*wn, cfg);
   std::size_t delivered_words = 0;
   wn->ship(4)->SetDeliverySink([&](wli::Ship&, const wli::Shuttle& s) {
@@ -355,8 +356,10 @@ TEST_F(ServiceFixture, CompressionShrinksSegmentBytes) {
   std::vector<std::int64_t> payload(100, 7);
   ASSERT_TRUE(booster.SendData(1, payload).ok());
   simulator.RunAll();
-  EXPECT_EQ(delivered_words, 100u);         // re-expanded at egress
-  EXPECT_EQ(booster.bytes_saved(), 600u);   // 75 words * 8 bytes
+  EXPECT_EQ(delivered_words, 100u);  // re-expanded at egress
+  const auto kept = static_cast<std::uint64_t>(
+      std::ceil(CompressionBooster::kRatio * 100.0));
+  EXPECT_EQ(booster.bytes_saved(), (100 - kept) * 8);  // 8 bytes a word
 }
 
 // ---- Combining (cross-flow multiplexing) ----
@@ -449,18 +452,19 @@ TEST_F(ServiceFixture, ContentBufferBatchesMatching) {
   ContentBuffer::Config cfg;
   cfg.sink = 4;
   cfg.match_tag = 55;
-  cfg.batch_size = 3;
-  cfg.timeout = 10 * sim::kSecond;  // long: batches close by count
   ContentBuffer buffer(*wn, 2, cfg);
   int delivered = 0;
   wn->ship(4)->SetDeliverySink(
       [&](wli::Ship&, const wli::Shuttle&) { ++delivered; });
-  for (int i = 0; i < 3; ++i) {
+  // Injected together, the batch fills well inside kTimeout: it closes by
+  // count.
+  const auto batch = static_cast<int>(ContentBuffer::kBatchSize);
+  for (int i = 0; i < batch; ++i) {
     ASSERT_TRUE(wn->Inject(wli::Shuttle::Data(0, 2, {55, i}, 1)).ok());
   }
   simulator.RunAll();
   EXPECT_EQ(buffer.batches_released(), 1u);
-  EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(delivered, batch);
 }
 
 TEST_F(ServiceFixture, ContentBufferTimeoutReleases) {
@@ -468,12 +472,11 @@ TEST_F(ServiceFixture, ContentBufferTimeoutReleases) {
   ContentBuffer::Config cfg;
   cfg.sink = 4;
   cfg.match_tag = 55;
-  cfg.batch_size = 100;  // never reached
-  cfg.timeout = 50 * sim::kMillisecond;
   ContentBuffer buffer(*wn, 2, cfg);
   int delivered = 0;
   wn->ship(4)->SetDeliverySink(
       [&](wli::Ship&, const wli::Shuttle&) { ++delivered; });
+  // One shuttle never fills a kBatchSize batch; kTimeout releases it.
   ASSERT_TRUE(wn->Inject(wli::Shuttle::Data(0, 2, {55, 1}, 1)).ok());
   simulator.RunUntil(sim::kSecond);
   EXPECT_EQ(delivered, 1);

@@ -413,7 +413,6 @@ TEST_F(WnFixture, PulseExpiresFactlessFunctions) {
 
 TEST_F(WnFixture, ResonanceEmergesFunctions) {
   config.resonance.min_support = 3;
-  config.resonance.min_jaccard = 0.5;
   Build();
   // Plant strongly co-occurring facts on three ships, refreshed enough to
   // survive the pulse sweep.
@@ -431,7 +430,6 @@ TEST_F(WnFixture, ResonanceEmergesFunctions) {
 
 TEST_F(WnFixture, PulseSpawnsOverlaysFromClassActivity) {
   config.vertical.spawn_threshold = 2.0;
-  config.vertical.min_members = 2;
   Build();
   // Run shuttle code on two ships to create class activity.
   auto program = vm::Assemble("work", "push 1\nsys emit\nhalt\n");
@@ -668,7 +666,7 @@ TEST(CachedDigest, ExactUnderRandomLinkFailures) {
 // ---- Shuttle pool ----------------------------------------------------------
 
 TEST(ShuttlePool, RecyclesShellsAndResetsState) {
-  ShuttlePool pool(4);
+  ShuttlePool pool;
   Shuttle s = pool.Acquire();
   s.header.source = 3;
   s.header.ttl = 1;
@@ -695,10 +693,12 @@ TEST(ShuttlePool, RecyclesShellsAndResetsState) {
 }
 
 TEST(ShuttlePool, CapBoundsRetention) {
-  ShuttlePool pool(2);
-  for (int i = 0; i < 5; ++i) pool.Release(Shuttle{});
-  EXPECT_EQ(pool.pooled(), 2u);
-  EXPECT_EQ(pool.released(), 5u);
+  ShuttlePool pool;
+  for (std::size_t i = 0; i < ShuttlePool::kMaxPooled + 3; ++i) {
+    pool.Release(Shuttle{});
+  }
+  EXPECT_EQ(pool.pooled(), ShuttlePool::kMaxPooled);
+  EXPECT_EQ(pool.released(), ShuttlePool::kMaxPooled + 3);
 }
 
 TEST(ShuttlePool, AcquireDataMatchesShuttleData) {

@@ -445,7 +445,7 @@ TEST(Stats, SummarizeComputesMeanStddev) {
 // ---- Trace ----
 
 TEST(Trace, RecordsAndFilters) {
-  TraceSink sink(16);
+  TraceSink sink;
   sink.Log(0, TraceLevel::kInfo, "net", "link up");
   sink.Log(1, TraceLevel::kError, "net", "link down");
   sink.Log(2, TraceLevel::kInfo, "vm", "ran program");
@@ -455,54 +455,47 @@ TEST(Trace, RecordsAndFilters) {
 }
 
 TEST(Trace, CapacityEvictsOldest) {
-  TraceSink sink(2);
+  TraceSink sink;
   sink.Log(0, TraceLevel::kInfo, "a", "first");
   sink.Log(1, TraceLevel::kInfo, "a", "second");
-  sink.Log(2, TraceLevel::kInfo, "a", "third");
-  ASSERT_EQ(sink.entries().size(), 2u);
+  for (std::size_t i = 2; i <= TraceSink::kCapacity; ++i) {
+    sink.Log(i, TraceLevel::kInfo, "a", "later");
+  }
+  ASSERT_EQ(sink.entries().size(), TraceSink::kCapacity);
   EXPECT_EQ(sink.entries().front().message, "second");
 }
 
-TEST(Trace, MinLevelSuppresses) {
-  TraceSink sink(16);
-  sink.set_min_level(TraceLevel::kWarn);
-  sink.Log(0, TraceLevel::kDebug, "a", "quiet");
-  sink.Log(0, TraceLevel::kError, "a", "loud");
-  EXPECT_EQ(sink.entries().size(), 1u);
-}
-
-TEST(Trace, ZeroCapacityRetainsNothing) {
-  TraceSink sink(0);
-  sink.Log(0, TraceLevel::kError, "a", "dropped");
-  EXPECT_TRUE(sink.entries().empty());
-  TraceSink source(4);
-  source.Log(0, TraceLevel::kError, "a", "also dropped");
-  ASSERT_TRUE(LoadFields(SaveFields(source), sink).ok());
-  EXPECT_TRUE(sink.entries().empty());
-  std::ostringstream out;
-  sink.WriteJsonl(out);
-  EXPECT_EQ(out.str(), "");
-}
+// Two sinks' entry records in one stream: more than one sink can hold.
+struct TwoSinks {
+  TraceSink& first;
+  TraceSink& second;
+  template <class A>
+  void Visit(A& a) {
+    first.Visit(a);
+    second.Visit(a);
+  }
+};
 
 TEST(Trace, RestoreEntryBypassesMinLevelButNotCapacity) {
-  TraceSink sink(2);
-  sink.set_min_level(TraceLevel::kError);
-  // Log() filters below min level; a snapshot load must not (a snapshot
-  // records what was retained, regardless of the current filter).
-  sink.Log(0, TraceLevel::kDebug, "a", "filtered");
-  EXPECT_TRUE(sink.entries().empty());
-  TraceSink source(8);
-  source.Log(1, TraceLevel::kDebug, "a", "restored-1");
-  source.Log(2, TraceLevel::kDebug, "a", "restored-2");
-  source.Log(3, TraceLevel::kDebug, "a", "restored-3");
-  ASSERT_TRUE(LoadFields(SaveFields(source), sink).ok());
-  ASSERT_EQ(sink.entries().size(), 2u);  // capacity still enforced
+  // A load keeps the newest kCapacity entries of a stream that holds more.
+  TraceSink full;
+  for (std::size_t i = 1; i <= TraceSink::kCapacity; ++i) {
+    full.Log(i, TraceLevel::kDebug, "a", "restored-" + std::to_string(i));
+  }
+  TraceSink last;
+  const std::string newest =
+      "restored-" + std::to_string(TraceSink::kCapacity + 1);
+  last.Log(TraceSink::kCapacity + 1, TraceLevel::kDebug, "a", newest);
+
+  TraceSink sink;
+  ASSERT_TRUE(LoadFields(SaveFields(TwoSinks{full, last}), sink).ok());
+  ASSERT_EQ(sink.entries().size(), TraceSink::kCapacity);
   EXPECT_EQ(sink.entries().front().message, "restored-2");
-  EXPECT_EQ(sink.entries().back().message, "restored-3");
+  EXPECT_EQ(sink.entries().back().message, newest);
 }
 
 TEST(Trace, WriteJsonlEscapesControlCharacters) {
-  TraceSink sink(4);
+  TraceSink sink;
   sink.Log(7, TraceLevel::kWarn, "a\"b", "line1\nline2\ttab\\slash\x01");
   std::ostringstream out;
   sink.WriteJsonl(out);

@@ -402,40 +402,6 @@ TEST(Acceptance, TracingIsDeterminismNeutral) {
   EXPECT_TRUE(untraced.network->telemetry().spans().spans().empty());
 }
 
-// ---- Shared exporter escaping ----------------------------------------------
-
-TEST(Escaping, JsonStyleEscapesQuotesAndControls) {
-  const std::string raw = "a\"b\\c\nd\re\tf\x01g";
-  EXPECT_EQ(telemetry::Escaped(raw, telemetry::EscapeStyle::kJson),
-            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g");
-}
-
-TEST(Escaping, PrometheusHelpEscapesOnlyBackslashAndNewline) {
-  const std::string raw = "a\"b\\c\nd\te";
-  EXPECT_EQ(telemetry::Escaped(raw, telemetry::EscapeStyle::kPrometheusHelp),
-            "a\"b\\\\c\\nd\te");
-}
-
-TEST(Escaping, PrometheusLabelEscapesQuoteBackslashNewline) {
-  const std::string raw = "a\"b\\c\nd\te";
-  EXPECT_EQ(telemetry::Escaped(raw, telemetry::EscapeStyle::kPrometheusLabel),
-            "a\\\"b\\\\c\\nd\te");
-}
-
-TEST(Escaping, AppendFormAppendsInPlace) {
-  std::string out = "prefix:";
-  telemetry::AppendEscaped(out, "x\ny", telemetry::EscapeStyle::kJson);
-  EXPECT_EQ(out, "prefix:x\\ny");
-}
-
-TEST(Escaping, PassThroughForPlainText) {
-  for (const auto style :
-       {telemetry::EscapeStyle::kJson, telemetry::EscapeStyle::kPrometheusHelp,
-        telemetry::EscapeStyle::kPrometheusLabel}) {
-    EXPECT_EQ(telemetry::Escaped("plain_text-123", style), "plain_text-123");
-  }
-}
-
 // ---- Shard Observatory timeline export --------------------------------------
 
 telemetry::ShardWindowRecord MakeWindowRecord(std::uint64_t index) {

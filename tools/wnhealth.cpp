@@ -6,17 +6,16 @@
 //                                        health.prom (Prometheus text);
 //                                        --degrade fails a transit ship
 //                                        mid-run so probes flag it
-//   wnhealth check  <health.jsonl> [--max-events N]
-//                                        gate: exit 4 when the report holds
-//                                        more than N anomalies (default 0)
-//   wnhealth diff   <baseline.jsonl> <current.jsonl> [--tolerance T]
+//   wnhealth check  <health.jsonl>       gate: exit 4 when the report holds
+//                                        any anomaly
+//   wnhealth diff   <baseline.jsonl> <current.jsonl>
 //                                        gate: exit 4 on score drops beyond
-//                                        T (default 0.05), vanished ships or
-//                                        per-kind anomaly growth
-//   wnhealth bench  <baseline.json> <current.json> [--tolerance T]
+//                                        0.05, vanished ships or per-kind
+//                                        anomaly growth
+//   wnhealth bench  <baseline.json> <current.json>
 //                                        gate: exit 4 when BENCH_*.json
-//                                        metrics drift beyond T (default
-//                                        0.25); wall-clock keys are ignored
+//                                        metrics drift beyond 0.25;
+//                                        wall-clock keys are ignored
 //   wnhealth trend  <bench-dir> <out.json>  merge every BENCH_<name>.json in
 //                                        the directory into one flat
 //                                        "<name>.<metric>" JSON (metrics
@@ -25,7 +24,8 @@
 //                                        bench-trajectory artifact CI
 //                                        archives as BENCH_trend.json
 //
-// Exit codes are CI-stable: 0 pass, 1 I/O error, 2 usage, 4 gate failure.
+// Exit codes are CI-stable: 0 pass, 1 I/O error, 2 usage (an unknown or
+// missing argument), 4 gate failure.
 // Identical-seed record runs write byte-identical health.jsonl files.
 #include <algorithm>
 #include <cstdint>
@@ -53,11 +53,9 @@ using namespace viator;  // tool code; the library never does this
 
 int Usage() {
   std::cerr << "usage: wnhealth record <out-dir> [--degrade]\n"
-               "       wnhealth check  <health.jsonl> [--max-events N]\n"
-               "       wnhealth diff   <baseline.jsonl> <current.jsonl>"
-               " [--tolerance T]\n"
-               "       wnhealth bench  <baseline.json> <current.json>"
-               " [--tolerance T]\n"
+               "       wnhealth check  <health.jsonl>\n"
+               "       wnhealth diff   <baseline.jsonl> <current.jsonl>\n"
+               "       wnhealth bench  <baseline.json> <current.json>\n"
                "       wnhealth trend  <bench-dir> <out.json>\n";
   return 2;
 }
@@ -149,7 +147,7 @@ int RunRecord(const std::string& out_dir, bool degrade) {
   return 0;
 }
 
-int RunCheck(const std::string& path, std::size_t max_events) {
+int RunCheck(const std::string& path) {
   const auto report = LoadReport(path);
   if (!report) return 1;
   for (const health::HealthEvent& event : report->events) {
@@ -157,25 +155,20 @@ int RunCheck(const std::string& path, std::size_t max_events) {
               << health::HealthEventKindName(event.kind) << " ship "
               << event.ship << ": " << event.detail << "\n";
   }
-  if (report->events.size() > max_events) {
-    std::cout << "FAIL: " << report->events.size() << " anomalies (max "
-              << max_events << ")\n";
+  if (!report->events.empty()) {
+    std::cout << "FAIL: " << report->events.size() << " anomalies (max 0)\n";
     return 4;
   }
-  std::cout << "OK: " << report->events.size() << " anomalies within budget ("
-            << report->ships.size() << " ships scored)\n";
+  std::cout << "OK: 0 anomalies within budget (" << report->ships.size()
+            << " ships scored)\n";
   return 0;
 }
 
-int RunDiff(const std::string& base_path, const std::string& cur_path,
-            double tolerance) {
+int RunDiff(const std::string& base_path, const std::string& cur_path) {
   const auto baseline = LoadReport(base_path);
   const auto current = LoadReport(cur_path);
   if (!baseline || !current) return 1;
-  health::HealthDiffOptions options;
-  options.score_tolerance = tolerance;
-  const auto regressions =
-      health::DiffHealthReports(*baseline, *current, options);
+  const auto regressions = health::DiffHealthReports(*baseline, *current);
   for (const std::string& r : regressions) std::cout << "REGRESSION: " << r
                                                      << "\n";
   if (!regressions.empty()) {
@@ -183,12 +176,11 @@ int RunDiff(const std::string& base_path, const std::string& cur_path,
     return 4;
   }
   std::cout << "OK: " << current->ships.size() << " ships within tolerance "
-            << tolerance << "\n";
+            << health::kScoreTolerance << "\n";
   return 0;
 }
 
-int RunBench(const std::string& base_path, const std::string& cur_path,
-             double tolerance) {
+int RunBench(const std::string& base_path, const std::string& cur_path) {
   std::ifstream base_in(base_path), cur_in(cur_path);
   if (!base_in || !cur_in) {
     std::cerr << "wnhealth: cannot open "
@@ -201,10 +193,7 @@ int RunBench(const std::string& base_path, const std::string& cur_path,
     std::cerr << "wnhealth: no metrics in " << base_path << "\n";
     return 1;
   }
-  health::BenchGateOptions options;
-  options.tolerance = tolerance;
-  const auto regressions =
-      health::CompareBenchMetrics(baseline, current, options);
+  const auto regressions = health::CompareBenchMetrics(baseline, current);
   for (const std::string& r : regressions) std::cout << "REGRESSION: " << r
                                                      << "\n";
   if (!regressions.empty()) {
@@ -212,7 +201,7 @@ int RunBench(const std::string& base_path, const std::string& cur_path,
     return 4;
   }
   std::cout << "OK: " << baseline.size() << " baseline metrics within "
-            << tolerance * 100.0 << "%\n";
+            << health::kBenchTolerance * 100.0 << "%\n";
   return 0;
 }
 
@@ -274,42 +263,19 @@ int RunTrend(const std::string& bench_dir, const std::string& out_path) {
   return 0;
 }
 
-double ParseToleranceFlag(int argc, char** argv, int from, double fallback) {
-  for (int i = from; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--tolerance") return std::stod(argv[i + 1]);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string cmd = argv[1];
   if (cmd == "record") {
-    const bool degrade = argc > 3 && std::string(argv[3]) == "--degrade";
+    const bool degrade = argc == 4 && std::string(argv[3]) == "--degrade";
+    if (argc != (degrade ? 4 : 3)) return Usage();
     return RunRecord(argv[2], degrade);
   }
-  if (cmd == "check") {
-    std::size_t max_events = 0;
-    for (int i = 3; i + 1 < argc; ++i) {
-      if (std::string(argv[i]) == "--max-events") {
-        max_events = static_cast<std::size_t>(std::stoull(argv[i + 1]));
-      }
-    }
-    return RunCheck(argv[2], max_events);
-  }
-  if (cmd == "diff") {
-    if (argc < 4) return Usage();
-    return RunDiff(argv[2], argv[3], ParseToleranceFlag(argc, argv, 4, 0.05));
-  }
-  if (cmd == "bench") {
-    if (argc < 4) return Usage();
-    return RunBench(argv[2], argv[3], ParseToleranceFlag(argc, argv, 4, 0.25));
-  }
-  if (cmd == "trend") {
-    if (argc < 4) return Usage();
-    return RunTrend(argv[2], argv[3]);
-  }
+  if (cmd == "check" && argc == 3) return RunCheck(argv[2]);
+  if (cmd == "diff" && argc == 4) return RunDiff(argv[2], argv[3]);
+  if (cmd == "bench" && argc == 4) return RunBench(argv[2], argv[3]);
+  if (cmd == "trend" && argc == 4) return RunTrend(argv[2], argv[3]);
   return Usage();
 }
