@@ -183,7 +183,13 @@ void ProbePlane::EmitProbe(const std::vector<net::NodeId>& candidates) {
 
 void ProbePlane::OnProbe(wli::Ship& ship, wli::Shuttle shuttle,
                          net::NodeId from) {
-  if (shuttle.payload.size() < kProbeHeaderWords) {
+  // A probe's payload comes from a peer: before any waypoint is read, the
+  // waypoint count (word 3) must fit the words after the header and the
+  // cursor (word 2) must lie within the itinerary.
+  const std::vector<std::int64_t>& words = shuttle.payload;
+  if (words.size() < kProbeHeaderWords || words[3] < 0 ||
+      static_cast<std::uint64_t>(words[3]) > words.size() - kProbeHeaderWords ||
+      words[2] < 0 || words[2] > words[3]) {
     network_.stats().GetCounter("health.probe_malformed").Add();
     return;
   }

@@ -295,6 +295,25 @@ TEST(ProbeNeutrality, EnabledProbesChangeNoSimulationDecision) {
   EXPECT_EQ(with_probes.network->pulses(), without.network->pulses());
 }
 
+TEST(ProbePlane, ItineraryPastThePayloadIsDroppedAsMalformed) {
+  // A peer's probe whose cursor (20) and waypoint count (30) point past its
+  // five header words reaches a ship that is not the collector.
+  World world(/*probes=*/true);
+  wli::Shuttle probe;
+  probe.header.source = 0;
+  probe.header.destination = 4;
+  probe.header.kind = wli::ShuttleKind::kProbe;
+  probe.header.ttl = 64;
+  probe.payload = {1, 0, 20, 30, 0};
+  const sim::StatsRegistry& stats = world.network->stats();
+  const std::uint64_t sent = stats.CounterValue("fabric.frames_sent");
+  ASSERT_TRUE(world.network->Dispatch(4, std::move(probe)).ok());
+  EXPECT_EQ(stats.CounterValue("health.probe_malformed"), 1u);
+  // Dropped at ship 4, not forwarded.
+  EXPECT_EQ(stats.CounterValue("fabric.frames_sent"), sent);
+  EXPECT_EQ(world.simulator.queue_depth(), 0u);
+}
+
 TEST(ProbeNeutrality, DisabledPlaneEmitsNothing) {
   World world(/*probes=*/false);
   world.plane->StartProbes(2 * sim::kSecond);
